@@ -549,11 +549,7 @@ fn analyze_with(
 /// A per-query budget, sharing the analysis-wide memo cache when one is
 /// enabled.
 fn fresh_budget(config: &Config, cache: &Option<Arc<omega::SolverCache>>) -> Budget {
-    let b = Budget::new(config.budget).with_options(omega::SolverOptions {
-        dense_kernel: config.dense_kernel,
-        base_checkpoint: config.base_checkpoint,
-        ..omega::SolverOptions::default()
-    });
+    let b = Budget::new(config.budget);
     match cache {
         Some(c) => b.with_cache(c.clone()),
         None => b,

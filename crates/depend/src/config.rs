@@ -25,18 +25,6 @@ pub struct Config {
     pub storage_kills: bool,
     /// Work budget (elementary Omega-test steps) per query.
     pub budget: usize,
-    /// Run Omega-test queries on the dense scratch-tableau kernel
-    /// ([`omega::SolverOptions::dense_kernel`]). Off runs the
-    /// interned-row pipeline instead; reports are byte-identical either
-    /// way — the switch exists for the `ablation/tableau_vs_rows`
-    /// benchmarks.
-    pub dense_kernel: bool,
-    /// Resume delta-query memo misses from a checkpointed base tableau
-    /// ([`omega::SolverOptions::base_checkpoint`]) instead of re-solving
-    /// `base ∧ delta` from scratch. Requires [`Config::dense_kernel`];
-    /// reports are byte-identical either way — the switch exists for the
-    /// `ablation/checkpoint_vs_scratch` benchmarks and byte-identity CI.
-    pub base_checkpoint: bool,
     /// Worker threads for the pair-analysis fan-out; `0` means one per
     /// available core, `1` runs the plain sequential loop. In
     /// [`analyze_corpus`](crate::analyze_corpus) this sizes the shared
@@ -72,8 +60,6 @@ impl Default for Config {
             formula_fallback: true,
             storage_kills: false,
             budget: omega::DEFAULT_BUDGET,
-            dense_kernel: true,
-            base_checkpoint: true,
             threads: 1,
             memo_cache: true,
             cache_file: None,

@@ -37,15 +37,14 @@
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::canon::{CanonKey, Op};
 use crate::linexpr::Constraint;
 use crate::problem::{Budget, Problem};
 use crate::symbol::Name;
 use crate::project::Projection;
-use crate::tableau::Checkpoint;
 use crate::var::VarKind;
 use crate::Result;
 
@@ -166,78 +165,6 @@ struct BaseIntern {
     evicted: AtomicU64,
 }
 
-/// The checkpointed base tableaus of one interned base: one satisfiability
-/// checkpoint plus one projection checkpoint per protected-variable set
-/// seen. Recording waits for the *second* resumable miss of a slot —
-/// a base queried once pays nothing, a reused base amortizes its one
-/// recording over every later miss. Checkpoints are pure functions of
-/// the base's canonical form (and the keep set), so concurrent recorders
-/// produce identical snapshots and which insert wins is unobservable.
-///
-/// Never persisted: checkpoints are cheap to re-record and their layout
-/// is an internal solver detail.
-#[derive(Debug, Default)]
-pub(crate) struct CheckpointSet {
-    /// Whether a resumable sat miss has been seen (the recording trigger).
-    sat_seen: AtomicBool,
-    sat: OnceLock<Arc<Checkpoint>>,
-    proj: Mutex<HashMap<Vec<u32>, Option<Arc<Checkpoint>>>>,
-}
-
-impl CheckpointSet {
-    /// The satisfiability checkpoint: `None` on the first resumable miss
-    /// (noted; the caller rebuilds from scratch), recorded and returned
-    /// from the second on.
-    pub(crate) fn sat_checkpoint(
-        &self,
-        record: impl FnOnce() -> Checkpoint,
-    ) -> Option<Arc<Checkpoint>> {
-        if let Some(cp) = self.sat.get() {
-            return Some(cp.clone());
-        }
-        if !self.sat_seen.swap(true, Ordering::Relaxed) {
-            return None;
-        }
-        Some(self.sat.get_or_init(|| Arc::new(record())).clone())
-    }
-
-    /// The projection checkpoint for a sorted, deduplicated keep set:
-    /// `None` on the keep set's first resumable miss, recorded from the
-    /// second on. Recording runs outside the lock; a concurrent
-    /// recorder's identical snapshot may win the insert.
-    pub(crate) fn proj_checkpoint(
-        &self,
-        keep: &[u32],
-        record: impl FnOnce() -> Checkpoint,
-    ) -> Option<Arc<Checkpoint>> {
-        {
-            let mut m = lock(&self.proj);
-            match m.get(keep) {
-                Some(Some(cp)) => return Some(cp.clone()),
-                Some(None) => {}
-                None => {
-                    m.insert(keep.to_vec(), None);
-                    return None;
-                }
-            }
-        }
-        let cp = Arc::new(record());
-        let mut m = lock(&self.proj);
-        match m.get_mut(keep) {
-            Some(slot) => {
-                if let Some(existing) = slot {
-                    return Some(existing.clone());
-                }
-                *slot = Some(cp.clone());
-            }
-            None => {
-                m.insert(keep.to_vec(), Some(cp.clone()));
-            }
-        }
-        Some(cp)
-    }
-}
-
 /// A shared, thread-safe memo cache of solver verdicts with hit/miss/
 /// insert counters. Create one per analysis and attach it to every
 /// [`Budget`] with [`Budget::with_cache`].
@@ -264,18 +191,11 @@ impl CheckpointSet {
 pub struct SolverCache {
     shards: [Mutex<HashMap<MemoKey, Entry>>; SHARD_COUNT],
     bases: BaseIntern,
-    /// Base-tableau checkpoints, keyed by interned base id. Sharded like
-    /// the intern table; swept alongside it (live [`PairContext`]s keep
-    /// their own `Arc` to the set, so a sweep never invalidates them —
-    /// ids are monotonic, so a re-interned base gets a fresh, empty set).
-    ckpts: [Mutex<HashMap<u64, Arc<CheckpointSet>>>; SHARD_COUNT],
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
     full_canons: AtomicU64,
     delta_canons: AtomicU64,
-    checkpoint_resumes: AtomicU64,
-    checkpoint_rebuilds: AtomicU64,
 }
 
 impl SolverCache {
@@ -296,8 +216,8 @@ impl SolverCache {
             base_forms: self.bases.len.load(Ordering::Relaxed),
             base_sweeps: self.bases.sweeps.load(Ordering::Relaxed),
             base_evicted: self.bases.evicted.load(Ordering::Relaxed),
-            checkpoint_resumes: self.checkpoint_resumes.load(Ordering::Relaxed),
-            checkpoint_rebuilds: self.checkpoint_rebuilds.load(Ordering::Relaxed),
+            checkpoint_resumes: 0,
+            checkpoint_rebuilds: 0,
         }
     }
 
@@ -310,23 +230,6 @@ impl SolverCache {
     /// reused its base's canonical form).
     pub(crate) fn note_delta_canon(&self) {
         self.delta_canons.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one memo miss solved by resuming a base checkpoint.
-    pub(crate) fn note_checkpoint_resume(&self) {
-        self.checkpoint_resumes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one memo miss that fell back to the from-scratch path
-    /// (delta not cleanly resumable, or the base was not checkpointable).
-    pub(crate) fn note_checkpoint_rebuild(&self) {
-        self.checkpoint_rebuilds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The checkpoint set for an interned base id, created on first use.
-    pub(crate) fn checkpoint_set(&self, id: u64) -> Arc<CheckpointSet> {
-        let mut shard = lock(&self.ckpts[shard_index(&id)]);
-        shard.entry(id).or_default().clone()
     }
 
     /// Interns a base's canonical form, returning an id that is stable
@@ -376,12 +279,6 @@ impl SolverCache {
             let before = ids.len();
             ids.retain(|_, id| referenced.contains(id));
             removed += (before - ids.len()) as u64;
-        }
-        // Checkpoints of swept bases go with them; live pair contexts
-        // still hold their own `Arc` to the set, so nothing they resume
-        // from is invalidated, and the swept id is never handed out again.
-        for shard in &self.ckpts {
-            lock(shard).retain(|id, _| referenced.contains(id));
         }
         if removed > 0 {
             self.bases.len.fetch_sub(removed, Ordering::Relaxed);
@@ -490,12 +387,13 @@ pub struct CacheStats {
     pub base_sweeps: u64,
     /// Base forms evicted by sweeps (unreferenced by any entry).
     pub base_evicted: u64,
-    /// Memo misses answered by resuming a checkpointed base tableau
-    /// instead of solving `base ∧ delta` from scratch.
+    /// Always 0. Base-tableau checkpoints, which resumed delta-query
+    /// misses from a recorded base, were retired: on the corpus they
+    /// resumed under 2% of misses and did not pay. The field stays
+    /// because the benchmark ledger reads it.
     pub checkpoint_resumes: u64,
-    /// Memo misses that attempted a checkpoint resume but fell back to
-    /// the from-scratch path (non-resumable base, or a delta that could
-    /// interact with the recorded elimination steps).
+    /// Always 0, for the same reason as
+    /// [`checkpoint_resumes`](Self::checkpoint_resumes).
     pub checkpoint_rebuilds: u64,
 }
 
@@ -678,40 +576,6 @@ mod tests {
         assert!(cache.stats().base_sweeps > 0);
         // The referenced base survived every sweep under its old id.
         assert_eq!(cache.intern_base(&keeper), keeper_id);
-    }
-
-    #[test]
-    fn sweep_drops_checkpoints_with_their_bases() {
-        use crate::linexpr::LinExpr;
-        let record = || {
-            let mut p = Problem::new();
-            let x = p.add_var("x", VarKind::Input);
-            p.add_eq(LinExpr::var(x));
-            crate::tableau::record_checkpoint(&p)
-        };
-        let cache = SolverCache::new();
-        let form = base_form(0);
-        let id = cache.intern_base(&form);
-        let set = cache.checkpoint_set(id);
-        // Record-on-second-miss: the first miss only marks the base.
-        assert!(set.sat_checkpoint(record).is_none(), "first miss must not record");
-        assert!(set.sat_checkpoint(record).is_some(), "second miss must record");
-        // Nothing references the base, so flooding the intern sweeps it —
-        // and its checkpoint set goes with it.
-        for i in 1..=(MAX_BASES * 2) {
-            cache.intern_base(&base_form(i));
-        }
-        let fresh = cache.checkpoint_set(id);
-        assert!(
-            fresh.sat_checkpoint(record).is_none(),
-            "swept base kept its checkpoint: a resume could alias stale state"
-        );
-        // Re-interning the same form yields a fresh id with a fresh,
-        // empty checkpoint set: resume falls back to rebuild, never to a
-        // checkpoint recorded under the retired id.
-        let id2 = cache.intern_base(&form);
-        assert_ne!(id, id2);
-        assert!(cache.checkpoint_set(id2).sat_checkpoint(record).is_none());
     }
 
     #[test]

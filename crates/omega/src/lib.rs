@@ -45,10 +45,8 @@ pub mod int;
 
 mod cache;
 mod canon;
-mod eliminate;
 mod error;
 mod formula;
-mod fourier;
 mod gist;
 mod linexpr;
 mod normalize;

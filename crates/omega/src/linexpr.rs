@@ -396,13 +396,6 @@ impl Constraint {
         }
     }
 
-    /// Replaces the expression wholesale.
-    pub(crate) fn set_expr(&mut self, expr: LinExpr) {
-        if expr != self.row.expr {
-            self.row = crate::row::intern(expr);
-        }
-    }
-
     /// The relation asserted.
     pub fn relation(&self) -> Relation {
         self.rel

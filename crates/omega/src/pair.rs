@@ -25,8 +25,7 @@ use crate::cache::{self, BaseForm, CachedValue, DeltaKey, MemoKey, SolverCache};
 use crate::canon::{canonicalize, canonicalize_delta, merge_sorted, Op};
 use crate::linexpr::{Color, Constraint, LinExpr};
 use crate::problem::{Budget, Problem};
-use crate::project::{project_prepared, project_resumed, Projection};
-use crate::sat::solve_sat;
+use crate::project::{project_prepared, Projection};
 use crate::symbol::Name;
 use crate::tableau;
 use crate::var::{VarId, VarKind};
@@ -284,31 +283,6 @@ impl DeltaProblem {
         Arc::ptr_eq(&cb.cache, &active).then_some((cb, active))
     }
 
-    /// Cheap delta-side screen for checkpoint resume, checked *before* a
-    /// checkpoint is recorded: a delta that adds variables, or one with a
-    /// genuinely new equality (not a duplicate of a base equality), can
-    /// never resume cleanly — see `Checkpoint::replay_delta` — so
-    /// recording a checkpoint on its account would be wasted setup work.
-    fn resume_plausible(cb: &CachedBase, vars: &[(Name, VarKind)], eqs: &[Constraint]) -> bool {
-        use std::cmp::Ordering;
-        if !vars.is_empty() {
-            return false;
-        }
-        let base = &cb.canon.eqs;
-        let mut b = 0usize;
-        for d in eqs {
-            while b < base.len()
-                && crate::canon::cmp_constraints(&base[b], d) == Ordering::Less
-            {
-                b += 1;
-            }
-            if b >= base.len() || crate::canon::cmp_constraints(&base[b], d) != Ordering::Equal {
-                return false;
-            }
-        }
-        true
-    }
-
     /// The canonical form of `base ∧ delta`, assembled by merging the
     /// base's canonical constraint lists with the canonicalized delta —
     /// identical to canonicalizing the materialized problem.
@@ -374,29 +348,7 @@ impl ProblemLike for DeltaProblem {
                 let MemoKey::Delta(dk) = key else {
                     unreachable!("sat delta computes under a delta key")
                 };
-                let (eqs, geqs) = (&dk.eqs[..], &dk.geqs[..]);
-                // On a miss, try to resume the base's checkpointed tableau
-                // with just the delta's rows instead of re-eliminating the
-                // base from scratch. `replay_delta` only commits when the
-                // resumed solve is step-for-step identical to the cold one.
-                if b.options().dense_kernel && b.options().base_checkpoint {
-                    if DeltaProblem::resume_plausible(cb, &self.vars, eqs) {
-                        let cp = cb
-                            .cache
-                            .checkpoint_set(cb.id)
-                            .sat_checkpoint(|| tableau::record_checkpoint(&cb.canon));
-                        if let Some(cp) = cp {
-                            if let Some(rows) = cp.replay_delta(&cb.canon, 0, eqs, geqs) {
-                                cb.cache.note_checkpoint_resume();
-                                let r = tableau::resume_sat(&cp, &rows, b);
-                                tableau::recycle_rows(rows);
-                                return r;
-                            }
-                        }
-                    }
-                    cb.cache.note_checkpoint_rebuild();
-                }
-                solve_sat(self.merged(cb, eqs, geqs), b)
+                tableau::sat_problem(&self.merged(cb, &dk.eqs, &dk.geqs), b)
             },
         )
     }
@@ -433,32 +385,7 @@ impl ProblemLike for DeltaProblem {
                 let MemoKey::Delta(dk) = key else {
                     unreachable!("project delta computes under a delta key")
                 };
-                let (eqs, geqs) = (&dk.eqs[..], &dk.geqs[..]);
-                if b.options().dense_kernel && b.options().base_checkpoint {
-                    // Projection checkpoints carry the keep-set's protected
-                    // flags, so they are recorded per keep set. A keep set
-                    // naming a delta-added variable can't resume (and its
-                    // flags couldn't be applied to the base) — rebuild.
-                    if DeltaProblem::resume_plausible(cb, &self.vars, eqs) {
-                        let cp = cb.cache.checkpoint_set(cb.id).proj_checkpoint(&dk.keep, || {
-                            let mut p = cb.canon.clone();
-                            for &v in &dk.keep {
-                                p.set_protected(VarId::from_index(v as usize), true);
-                            }
-                            tableau::record_checkpoint(&p)
-                        });
-                        if let Some(cp) = cp {
-                            if let Some(rows) = cp.replay_delta(&cb.canon, 0, eqs, geqs) {
-                                cb.cache.note_checkpoint_resume();
-                                let r = project_resumed(&cp, &rows, b);
-                                tableau::recycle_rows(rows);
-                                return r;
-                            }
-                        }
-                    }
-                    cb.cache.note_checkpoint_rebuild();
-                }
-                let mut merged = self.merged(cb, eqs, geqs);
+                let mut merged = self.merged(cb, &dk.eqs, &dk.geqs);
                 for &v in keep {
                     merged.set_protected(v, true);
                 }

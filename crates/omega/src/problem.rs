@@ -24,21 +24,6 @@ pub struct SolverOptions {
     /// [`Budget`] via [`Budget::with_cache`]). Off means every query runs
     /// cold even with a cache attached.
     pub memo_cache: bool,
-    /// Run the solver inner loop on the dense scratch tableau instead of
-    /// the interned-row pipeline. The two paths produce identical
-    /// verdicts, projections, budget spends, and errors — this switch
-    /// exists for the `ablation/tableau_vs_rows` benchmarks and for
-    /// differential testing.
-    pub dense_kernel: bool,
-    /// On a delta-query memo miss, resume from the base problem's
-    /// checkpointed tableau (normalize + equality elimination replayed
-    /// onto the delta constraints) instead of re-solving `base ∧ delta`
-    /// from scratch. Observationally invisible: verdicts, projections,
-    /// budget spends, and errors are identical with the switch on or
-    /// off — it exists for the `ablation/checkpoint_vs_scratch`
-    /// benchmarks and for differential testing. Requires
-    /// [`SolverOptions::dense_kernel`].
-    pub base_checkpoint: bool,
 }
 
 impl Default for SolverOptions {
@@ -47,8 +32,6 @@ impl Default for SolverOptions {
             dark_shadow: true,
             quick_redundancy: true,
             memo_cache: true,
-            dense_kernel: true,
-            base_checkpoint: true,
         }
     }
 }
@@ -266,28 +249,6 @@ impl Problem {
 
     pub(crate) fn is_dead(&self, v: VarId) -> bool {
         self.vars.get(v.index()).is_some_and(|i| i.dead)
-    }
-
-    pub(crate) fn mark_dead(&mut self, v: VarId) {
-        self.ensure_var(v);
-        self.vars_mut()[v.index()].dead = true;
-    }
-
-    /// Widens the table with anonymous wildcards so `v` is addressable
-    /// (constraints imported from a wider space may mention such columns).
-    pub(crate) fn ensure_var(&mut self, v: VarId) {
-        while self.vars.len() <= v.index() {
-            self.add_wildcard();
-        }
-    }
-
-    pub(crate) fn is_pinned(&self, v: VarId) -> bool {
-        self.vars.get(v.index()).is_some_and(|i| i.pinned)
-    }
-
-    pub(crate) fn mark_pinned(&mut self, v: VarId) {
-        self.ensure_var(v);
-        self.vars_mut()[v.index()].pinned = true;
     }
 
     /// Adds the equality `expr == 0`.
@@ -522,26 +483,6 @@ impl Problem {
                 .iter()
                 .chain(&self.geqs)
                 .all(|c| c.holds(values))
-    }
-
-    /// Variables that are alive and actually appear in some constraint.
-    pub(crate) fn occurring_vars(&self) -> Vec<VarId> {
-        // Defensive: constraints imported from a wider space may mention
-        // columns past the table; treat them as ordinary wildcards.
-        let mut seen = vec![false; self.vars.len()];
-        for c in self.eqs.iter().chain(&self.geqs) {
-            for (v, _) in c.expr().terms() {
-                if v.index() >= seen.len() {
-                    seen.resize(v.index() + 1, false);
-                }
-                seen[v.index()] = true;
-            }
-        }
-        seen.iter()
-            .enumerate()
-            .filter(|&(i, &s)| s && self.vars.get(i).is_none_or(|v| !v.dead))
-            .map(|(i, _)| VarId::from_index(i))
-            .collect()
     }
 
     /// Strips colors, turning every constraint black.

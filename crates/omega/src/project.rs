@@ -3,9 +3,8 @@
 
 use crate::cache::{self, CachedValue, MemoKey};
 use crate::canon::{canonicalize, CanonKey, Op};
-use crate::fourier::Elimination;
-use crate::normalize::Outcome;
 use crate::problem::{Budget, Problem};
+use crate::tableau;
 use crate::var::VarId;
 use crate::Result;
 
@@ -173,47 +172,11 @@ impl Problem {
     }
 }
 
-const MAX_DEPTH: usize = 64;
-
-/// Projection body, once protected flags are set on `p`. The elimination
-/// work runs on the dense tableau kernel or the interned-row pipeline per
-/// [`SolverOptions::dense_kernel`](crate::SolverOptions::dense_kernel);
-/// the post-processing below is shared and the results are identical.
+/// Projection body, once protected flags are set on `p`: the elimination
+/// runs on the tableau kernel, then the dark shadow and splinters get
+/// quick redundancy removal and pinned-variable demotion.
 pub(crate) fn project_prepared(p: Problem, budget: &mut Budget) -> Result<Projection> {
-    let parts = if budget.options().dense_kernel {
-        crate::tableau::project_parts(&p, budget)?
-    } else {
-        let real = project_real(p.clone(), budget)?;
-        let mut dark_chain = None;
-        let mut splinters = Vec::new();
-        let mut exact = true;
-        project_core(p, budget, &mut dark_chain, &mut splinters, &mut exact, 0)?;
-        let dark = dark_chain.expect("projection produces a dark shadow");
-        (real, dark, splinters, exact)
-    };
-    finish_projection(parts, budget)
-}
-
-/// Projection resumed from a base-tableau checkpoint: the elimination
-/// prefix comes from the recorded snapshot (see
-/// [`Checkpoint`](crate::tableau::Checkpoint)), the post-processing is
-/// shared with [`project_prepared`], so the result is bit-identical to
-/// the from-scratch solve of the same merged problem.
-pub(crate) fn project_resumed(
-    cp: &crate::tableau::Checkpoint,
-    rows: &[crate::tableau::DeltaRow],
-    budget: &mut Budget,
-) -> Result<Projection> {
-    let parts = crate::tableau::resume_project_parts(cp, rows, budget)?;
-    finish_projection(parts, budget)
-}
-
-/// The post-processing shared by every projection path: quick redundancy
-/// removal and pinned-variable demotion on the dark shadow and splinters.
-fn finish_projection(
-    (real, mut dark, mut splinters, exact): (Problem, Problem, Vec<Problem>, bool),
-    budget: &mut Budget,
-) -> Result<Projection> {
+    let (real, mut dark, mut splinters, exact) = tableau::project_parts(&p, budget)?;
     if budget.options().quick_redundancy {
         dark.remove_redundant_quick();
     }
@@ -242,82 +205,6 @@ fn demote_pinned(p: &mut Problem) {
         if v.pinned && !v.dead {
             v.kind = crate::VarKind::Wildcard;
             v.pinned = false;
-        }
-    }
-}
-
-/// Eliminates all unprotected variables; the chain of dark shadows lands in
-/// `dark_out`, fully projected splinters accumulate in `splinters`.
-fn project_core(
-    mut p: Problem,
-    budget: &mut Budget,
-    dark_out: &mut Option<Problem>,
-    splinters: &mut Vec<Problem>,
-    exact: &mut bool,
-    depth: usize,
-) -> Result<()> {
-    budget.spend(1)?;
-    if depth > MAX_DEPTH {
-        return Err(crate::Error::TooComplex { budget: MAX_DEPTH });
-    }
-    loop {
-        if p.eliminate_equalities(budget)? == Outcome::Infeasible {
-            store_dark(dark_out, p, depth);
-            return Ok(());
-        }
-        let Some((v, _)) = p.choose_elimination_var() else {
-            store_dark(dark_out, p, depth);
-            return Ok(());
-        };
-        match p.fm_eliminate(v, budget)? {
-            Elimination::Exact(q) => p = q,
-            Elimination::Approx {
-                dark,
-                real: _,
-                splinters: parts,
-            } => {
-                *exact = false;
-                // Continue the dark chain.
-                project_core(dark, budget, dark_out, splinters, exact, depth + 1)?;
-                // Each splinter is projected fully; all of its pieces are
-                // additional members of the union.
-                for s in parts {
-                    let mut sub_dark = None;
-                    project_core(s, budget, &mut sub_dark, splinters, exact, depth + 1)?;
-                    if let Some(d) = sub_dark {
-                        if !d.is_known_infeasible() {
-                            splinters.push(d);
-                        }
-                    }
-                }
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// Stores the terminal problem of the dark chain. The chain is linear
-/// (depth tracking only guards recursion), so the first store at the
-/// outermost pending slot wins.
-fn store_dark(dark_out: &mut Option<Problem>, p: Problem, _depth: usize) {
-    if dark_out.is_none() {
-        *dark_out = Some(p);
-    }
-}
-
-/// Pure real-shadow projection: `T` in the paper's notation.
-fn project_real(mut p: Problem, budget: &mut Budget) -> Result<Problem> {
-    loop {
-        if p.eliminate_equalities(budget)? == Outcome::Infeasible {
-            return Ok(p);
-        }
-        let Some((v, _)) = p.choose_elimination_var() else {
-            p.remove_redundant_quick();
-            return Ok(p);
-        };
-        match p.fm_eliminate(v, budget)? {
-            Elimination::Exact(q) => p = q,
-            Elimination::Approx { real, .. } => p = real,
         }
     }
 }
@@ -425,6 +312,58 @@ mod tests {
                 let yr = r.find_var("y").unwrap();
                 r.add_eq(LinExpr::var(yr).plus_const(-yv));
                 assert!(r.is_satisfiable().unwrap(), "real shadow missing y={yv}");
+            }
+        }
+    }
+
+    #[test]
+    fn elimination_cases_project_to_their_integer_shadows() {
+        // Each case states equalities and inequalities over (x, y) as rows
+        // (a, b, c) meaning a·x + b·y + c, projects onto x, and checks the
+        // exactness flag and every x in a window against the expected
+        // integer shadow.
+        type Rows = &'static [(i64, i64, i64)];
+        type Case = (&'static str, Rows, Rows, bool, fn(i64) -> bool);
+        let cases: [Case; 10] = [
+            ("unit substitution", &[(1, -1, -2), (1, 1, -10)], &[], true, |x| x == 6),
+            ("contradiction", &[(1, 0, -2), (1, 0, -3)], &[], true, |_| false),
+            ("gcd test", &[(3, 6, -2)], &[], true, |_| false),
+            // No unit coefficient: mod̂ steps must keep x ≡ 1 (mod 12).
+            ("mod hat", &[(7, 12, -31)], &[], true, |x| (x - 1) % 12 == 0),
+            ("protected x kept", &[(1, -1, -1)], &[(0, 1, -3)], true, |x| x >= 4),
+            // y has no eliminable pivot: pinned, leaving a stride.
+            ("stride residue", &[(1, -2, 0)], &[(0, 1, -5)], true, |x| {
+                x >= 10 && x % 2 == 0
+            }),
+            ("unbounded y", &[], &[(1, -1, 0)], true, |_| true),
+            ("unit bounds", &[], &[(-1, 1, 0), (0, -1, 10)], true, |x| x <= 10),
+            // §3: 0 <= a <= 5, b < a <= 5b has shadow 2 <= a <= 5.
+            ("paper §3", &[], &[(1, 0, 0), (-1, 0, 5), (1, -1, -1), (-1, 5, 0)], true, |x| {
+                (2..=5).contains(&x)
+            }),
+            // Bounds 3y >= x and 2y <= x - 1 on y pair coefficients 3
+            // and 2: the elimination splinters.
+            ("splinters", &[], &[(-1, 3, 0), (1, -2, -1), (1, 0, 0), (-1, 0, 20)], false, |x| {
+                (0..=20).contains(&x) && (0..=10).any(|y| x <= 3 * y && 2 * y < x)
+            }),
+        ];
+        for (name, eqs, geqs, exact, shadow) in cases {
+            let mut p = Problem::new();
+            let x = p.add_var("x", VarKind::Input);
+            let y = p.add_var("y", VarKind::Input);
+            let row =
+                |&(a, b, c): &(i64, i64, i64)| LinExpr::term(a, x).plus_term(b, y).plus_const(c);
+            eqs.iter().for_each(|r| p.add_eq(row(r)));
+            geqs.iter().for_each(|r| p.add_geq(row(r)));
+            let proj = p.project(&[x]).unwrap();
+            assert_eq!(proj.is_exact(), exact, "{name}");
+            for xv in -13..=26 {
+                let member = proj.problems().any(|piece| {
+                    let mut q = piece.clone();
+                    q.add_eq(LinExpr::var(x).plus_const(-xv));
+                    q.is_satisfiable().unwrap()
+                });
+                assert_eq!(member, shadow(xv), "{name}: x = {xv}");
             }
         }
     }

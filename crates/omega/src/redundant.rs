@@ -132,18 +132,16 @@ impl Problem {
     /// Tidies a problem for presentation: normalizes, removes wildcards
     /// where exact substitution permits, and drops redundant constraints.
     ///
+    /// All or nothing: on an error the problem is left exactly as it was.
+    ///
     /// # Errors
     ///
     /// Propagates solver errors.
     pub fn simplify(&mut self) -> Result<()> {
-        let mut budget = Budget::default();
-        for v in self.var_ids().collect::<Vec<_>>() {
-            let wild = self.var_info(v).kind() == crate::VarKind::Wildcard;
-            self.set_protected(v, !wild);
-        }
-        self.eliminate_equalities(&mut budget)?;
-        self.normalize()?;
-        self.remove_redundant_quick();
+        let mut p = crate::tableau::reduce_equalities(self, &mut Budget::default())?;
+        p.normalize()?;
+        p.remove_redundant_quick();
+        *self = p;
         Ok(())
     }
 }
@@ -284,6 +282,28 @@ mod tests {
         let mut b = Budget::default();
         p.remove_redundant_exact(&mut b).unwrap();
         assert_eq!(p.geqs().len(), 2);
+    }
+
+    #[test]
+    fn simplify_is_all_or_nothing() {
+        // The wildcard equality w + 2^40·x = 0 substitutes w := -2^40·x.
+        // The first inequality rewrites fine; the second's 2^40·w becomes
+        // -2^80·x and overflows. The failed call must leave the problem
+        // exactly as it was: equality kept, nothing half-rewritten, no
+        // protection flags set.
+        const BIG: i64 = 1 << 40;
+        let mut p = Problem::new();
+        let x = p.add_var("x", VarKind::Input);
+        let y = p.add_var("y", VarKind::Input);
+        let w = p.add_var("w", VarKind::Wildcard);
+        p.add_eq(LinExpr::var(w).plus_term(BIG, x));
+        p.add_geq(LinExpr::var(w).plus_term(1, x));
+        p.add_geq(LinExpr::term(BIG, w).plus_term(3, y));
+        let (text, digest) = (p.to_string(), p.canonical_digest());
+        assert_eq!(p.simplify(), Err(crate::Error::Overflow));
+        assert_eq!(p.to_string(), text);
+        assert_eq!(p.canonical_digest(), digest);
+        assert!(p.var_ids().all(|v| !p.is_protected(v)));
     }
 
     #[test]

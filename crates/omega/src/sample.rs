@@ -1,25 +1,24 @@
 //! Witness extraction: produce an explicit integer solution of a
-//! satisfiable problem by running the elimination forward and assigning
-//! values on the way back (back-substitution through Fourier–Motzkin).
+//! satisfiable problem by running the elimination forward on the tableau
+//! kernel and assigning values on the way back (back-substitution through
+//! its substitution, mod̂ and Fourier–Motzkin steps).
 //!
 //! Not part of the 1992 paper, but invaluable for validating the solver:
 //! every "satisfiable" answer can be certified by a concrete point.
 
 use std::collections::BTreeMap;
 
-use crate::fourier::Elimination;
-use crate::int::{self, Coef};
-use crate::linexpr::LinExpr;
-use crate::normalize::Outcome;
+use crate::int::Coef;
 use crate::problem::{Budget, Problem};
 use crate::var::VarId;
-use crate::{Error, Result};
+use crate::Result;
 
 impl Problem {
     /// Finds an integer solution, if one exists.
     ///
-    /// The returned map assigns every variable that occurs in a
-    /// constraint; free variables may be absent (any value works).
+    /// The returned map assigns every variable of the problem (and every
+    /// column a constraint mentions beyond its table); free variables get
+    /// an arbitrary value.
     /// The witness always satisfies the problem — this is checked in
     /// debug builds.
     ///
@@ -59,239 +58,26 @@ impl Problem {
         &self,
         budget: &mut Budget,
     ) -> Result<Option<BTreeMap<VarId, Coef>>> {
-        let mut p = self.clone();
-        for v in p.var_ids().collect::<Vec<_>>() {
-            p.set_protected(v, false);
-        }
-        let solution = sample_rec(p, budget, 0)?;
-        #[cfg(debug_assertions)]
-        if let Some(sol) = &solution {
-            let dense = to_dense(sol, self.num_vars());
-            debug_assert!(
-                self.satisfies(&dense),
-                "witness {sol:?} does not satisfy {self}"
-            );
-        }
-        Ok(solution)
-    }
-}
-
-#[cfg(any(debug_assertions, test))]
-fn to_dense(sol: &BTreeMap<VarId, Coef>, n: usize) -> Vec<Coef> {
-    let size = sol
-        .keys()
-        .map(|v| v.index() + 1)
-        .max()
-        .unwrap_or(0)
-        .max(n);
-    let mut dense = vec![0; size];
-    for (v, &c) in sol {
-        dense[v.index()] = c;
-    }
-    dense
-}
-
-const MAX_DEPTH: usize = 64;
-
-fn sample_rec(
-    mut p: Problem,
-    budget: &mut Budget,
-    depth: usize,
-) -> Result<Option<BTreeMap<VarId, Coef>>> {
-    budget.spend(1)?;
-    if depth > MAX_DEPTH {
-        return Err(Error::TooComplex { budget: MAX_DEPTH });
-    }
-    if p.normalize()? == Outcome::Infeasible {
-        return Ok(None);
-    }
-
-    // Equalities: substitute a unit pivot (any variable) and compute its
-    // value afterwards from the substitution.
-    if let Some((eq_idx, pivot)) = pick_any_unit_pivot(&p) {
-        let eq = p.eqs()[eq_idx].clone();
-        let a = eq.expr().coef(pivot);
-        let mut rest = eq.expr().clone();
-        rest.set_coef(pivot, 0);
-        rest.scale(-a)?; // a = ±1
-        let mut q = p.clone();
-        q.eqs.swap_remove(eq_idx);
-        q.substitute_var(pivot, &rest, eq.color())?;
-        let Some(mut sol) = sample_rec(q, budget, depth + 1)? else {
+        let Some(vals) = crate::tableau::sample_problem(self, budget)? else {
             return Ok(None);
         };
-        let value = eval_expr(&rest, &sol);
-        sol.insert(pivot, int::narrow(value)?);
-        return Ok(Some(sol));
-    }
-    // Non-unit equalities: one mod̂ step (introduces a wildcard whose
-    // assignment determines the pivot), then recover the pivot from its
-    // replacement expression on the way back.
-    if let Some((eq_idx, pivot)) = pick_any_small_pivot(&p) {
-        let mut q = p.clone();
-        let replacement = q.sample_mod_hat(eq_idx, pivot)?;
-        let Some(mut sol) = sample_rec(q, budget, depth + 1)? else {
-            return Ok(None);
-        };
-        sol.insert(pivot, int::narrow(eval_expr(&replacement, &sol))?);
-        return Ok(Some(sol));
-    }
-
-    // Inequalities only: eliminate one variable, solve the shadow, then
-    // pick a value for the variable within its bounds under the partial
-    // assignment.
-    let Some((v, _)) = p.choose_elimination_var() else {
-        // No live variables: consistent constants.
-        return Ok(Some(BTreeMap::new()));
-    };
-    match p.fm_eliminate(v, budget)? {
-        Elimination::Exact(q) => {
-            let Some(mut sol) = sample_rec(q, budget, depth + 1)? else {
-                return Ok(None);
-            };
-            let Some(value) = bounds_under(&p, v, &sol)? else {
-                // Exactness guarantees a value exists; defensive.
-                return Ok(None);
-            };
-            sol.insert(v, value);
-            Ok(Some(sol))
-        }
-        Elimination::Approx {
-            dark, splinters, ..
-        } => {
-            if let Some(mut sol) = sample_rec(dark, budget, depth + 1)? {
-                if let Some(value) = bounds_under(&p, v, &sol)? {
-                    sol.insert(v, value);
-                    return Ok(Some(sol));
-                }
-            }
-            for s in splinters {
-                if let Some(sol) = sample_rec(s, budget, depth + 1)? {
-                    return Ok(Some(sol));
-                }
-            }
-            Ok(None)
-        }
-    }
-}
-
-/// An equality pivot with |coefficient| = 1, over any live variable.
-fn pick_any_unit_pivot(p: &Problem) -> Option<(usize, VarId)> {
-    for (i, c) in p.eqs().iter().enumerate() {
-        for (v, coef) in c.expr().terms() {
-            if coef.abs() == 1 {
-                return Some((i, v));
-            }
-        }
-    }
-    None
-}
-
-/// Any equality pivot (smallest |coefficient|) for the mod̂ step.
-fn pick_any_small_pivot(p: &Problem) -> Option<(usize, VarId)> {
-    let mut best: Option<(usize, VarId, Coef)> = None;
-    for (i, c) in p.eqs().iter().enumerate() {
-        for (v, coef) in c.expr().terms() {
-            let a = coef.abs();
-            if best.is_none_or(|(_, _, b)| a < b) {
-                best = Some((i, v, a));
-            }
-        }
-    }
-    best.map(|(i, v, _)| (i, v))
-}
-
-impl Problem {
-    /// A mod̂ step usable with protected variables ignored (sampling
-    /// unprotects everything first).
-    fn sample_mod_hat(&mut self, eq_idx: usize, k: VarId) -> Result<LinExpr> {
-        let eq = self.eqs[eq_idx].clone();
-        let a_k = eq.expr().coef(k);
-        debug_assert!(a_k.abs() > 1);
-        let m = int::narrow(a_k.unsigned_abs() as i128 + 1)?;
-        let sigma = self.add_wildcard();
-        let mut reduced = LinExpr::zero();
-        for (v, c) in eq.expr().terms() {
-            reduced.set_coef(v, int::mod_hat(c, m));
-        }
-        reduced.set_constant(int::mod_hat(eq.expr().constant(), m));
-        reduced.set_coef(sigma, -m);
-        let s = a_k.signum();
-        debug_assert_eq!(reduced.coef(k), -s);
-        let mut replacement = reduced;
-        replacement.set_coef(k, 0);
-        replacement.scale(s)?;
-        self.substitute_var(k, &replacement, eq.color())?;
-        Ok(replacement)
-    }
-}
-
-fn eval_expr(e: &LinExpr, sol: &BTreeMap<VarId, Coef>) -> i128 {
-    let mut acc = e.constant() as i128;
-    for (v, c) in e.terms() {
-        acc += c as i128 * sol.get(&v).copied().unwrap_or(0) as i128;
-    }
-    acc
-}
-
-/// The tightest integer bounds on `v` under `sol`; returns a value inside
-/// (preferring the lower bound, or 0 for fully unbounded variables).
-fn bounds_under(
-    p: &Problem,
-    v: VarId,
-    sol: &BTreeMap<VarId, Coef>,
-) -> Result<Option<Coef>> {
-    let mut lo: Option<i128> = None;
-    let mut hi: Option<i128> = None;
-    for c in p.geqs() {
-        let a = c.expr().coef(v);
-        if a == 0 {
-            continue;
-        }
-        // a·v + rest >= 0 under sol.
-        let mut rest = c.expr().clone();
-        rest.set_coef(v, 0);
-        let r = eval_expr(&rest, sol);
-        if a > 0 {
-            // v >= ceil(-r / a)
-            let b = div_ceil_i128(-r, a as i128);
-            lo = Some(lo.map_or(b, |x| x.max(b)));
-        } else {
-            // v <= floor(r / -a)
-            let b = div_floor_i128(r, -a as i128);
-            hi = Some(hi.map_or(b, |x| x.min(b)));
-        }
-    }
-    let value = match (lo, hi) {
-        (Some(l), Some(h)) if l > h => return Ok(None),
-        (Some(l), _) => l,
-        (None, Some(h)) => h,
-        (None, None) => 0,
-    };
-    Ok(Some(int::narrow(value)?))
-}
-
-fn div_floor_i128(a: i128, b: i128) -> i128 {
-    let q = a / b;
-    if a % b != 0 && ((a < 0) != (b < 0)) {
-        q - 1
-    } else {
-        q
-    }
-}
-
-fn div_ceil_i128(a: i128, b: i128) -> i128 {
-    let q = a / b;
-    if a % b != 0 && ((a < 0) == (b < 0)) {
-        q + 1
-    } else {
-        q
+        debug_assert!(
+            self.satisfies(&vals),
+            "witness {vals:?} does not satisfy {self}"
+        );
+        Ok(Some(
+            vals.into_iter()
+                .enumerate()
+                .map(|(i, c)| (VarId::from_index(i), c))
+                .collect(),
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linexpr::LinExpr;
     use crate::var::VarKind;
 
     fn vars2() -> (Problem, VarId, VarId) {
@@ -306,7 +92,7 @@ mod tests {
             .sample_solution()
             .unwrap()
             .unwrap_or_else(|| panic!("expected satisfiable: {p}"));
-        let dense = to_dense(&sol, p.num_vars());
+        let dense: Vec<Coef> = sol.values().copied().collect();
         assert!(p.satisfies(&dense), "witness {sol:?} fails {p}");
     }
 
@@ -379,7 +165,7 @@ mod tests {
                     let sol = p.sample_solution().unwrap();
                     assert_eq!(sat, sol.is_some(), "{p}");
                     if let Some(sol) = sol {
-                        let dense = to_dense(&sol, p.num_vars());
+                        let dense: Vec<Coef> = sol.values().copied().collect();
                         assert!(p.satisfies(&dense));
                     }
                 }

@@ -2,9 +2,8 @@
 
 use crate::cache::{self, CachedValue, MemoKey};
 use crate::canon::{canonicalize_for_sat, CanonKey, Op};
-use crate::fourier::Elimination;
-use crate::normalize::Outcome;
 use crate::problem::{Budget, Problem};
+use crate::tableau;
 use crate::Result;
 
 impl Problem {
@@ -41,14 +40,9 @@ impl Problem {
     ///
     /// See [`is_satisfiable`](Problem::is_satisfiable).
     pub fn is_satisfiable_with(&self, budget: &mut Budget) -> Result<bool> {
-        if budget.active_cache().is_none() && budget.options().dense_kernel {
-            // Borrow-based fast path: protection is cleared on the loaded
-            // tableau's flag bytes instead of on a cloned problem, so a
-            // warm query (pooled workspace) allocates nothing at all.
-            // Observationally identical to the clone-and-clear prelude
-            // below — `load` reads the same rows and the same flags.
-            return crate::tableau::sat_problem_unprotected(self, budget);
-        }
+        let Some(cache) = budget.active_cache() else {
+            return tableau::sat_problem(self, budget);
+        };
         let mut p = self.clone();
         if p.vars.iter().any(|v| v.protected) {
             let vars = p.vars_mut();
@@ -56,89 +50,23 @@ impl Problem {
                 v.protected = false;
             }
         }
-        if let Some(cache) = budget.active_cache() {
-            // Colors and constraint order do not affect the verdict, so
-            // solve the blackened canonical form: the verdict is then a
-            // pure function of the key.
-            cache.note_full_canon();
-            let cp = canonicalize_for_sat(&p);
-            let key = MemoKey::Full(CanonKey::new(Op::Sat, &cp));
-            return cache::with_memo(
-                budget,
-                cache,
-                key,
-                |&v| CachedValue::Sat(v),
-                |v| match v {
-                    CachedValue::Sat(b) => Some(b),
-                    _ => None,
-                },
-                move |b, _| solve_sat(cp, b),
-            );
-        }
-        solve_sat(p, budget)
-    }
-}
-
-/// Dispatches a satisfiability query to the dense tableau kernel or the
-/// interned-row recursion, per [`SolverOptions::dense_kernel`]. The two
-/// paths are observationally identical (verdicts, budget spends, errors),
-/// so callers — including the memo cache — never need to know which ran.
-///
-/// [`SolverOptions::dense_kernel`]: crate::SolverOptions::dense_kernel
-pub(crate) fn solve_sat(p: Problem, budget: &mut Budget) -> Result<bool> {
-    if budget.options().dense_kernel {
-        crate::tableau::sat_problem(&p, budget)
-    } else {
-        sat_rec(p, budget, 0)
-    }
-}
-
-/// Recursion limit guarding against adversarial splinter chains.
-const MAX_DEPTH: usize = 64;
-
-pub(crate) fn sat_rec(mut p: Problem, budget: &mut Budget, depth: usize) -> Result<bool> {
-    budget.spend(1)?;
-    if depth > MAX_DEPTH {
-        return Err(crate::Error::TooComplex {
-            budget: MAX_DEPTH,
-        });
-    }
-    loop {
-        // Normalization can coalesce opposed inequalities into fresh
-        // equalities, so equality elimination re-runs every iteration (it
-        // is a cheap no-op when no equalities remain).
-        if p.eliminate_equalities(budget)? == Outcome::Infeasible {
-            return Ok(false);
-        }
-        let Some((v, _)) = p.choose_elimination_var() else {
-            // No live variables remain: all residual constraints were
-            // constant and normalize() kept the problem consistent.
-            return Ok(true);
-        };
-        match p.fm_eliminate(v, budget)? {
-            Elimination::Exact(q) => p = q,
-            Elimination::Approx {
-                dark,
-                real,
-                splinters,
-            } => {
-                // §3: first check S₀ ≠ ∅, then T = ∅; only if both fail
-                // examine S₁ … Sₚ. (The dark-shadow fast path can be
-                // ablated via SolverOptions.)
-                if budget.options().dark_shadow && sat_rec(dark, budget, depth + 1)? {
-                    return Ok(true);
-                }
-                if !sat_rec(real, budget, depth + 1)? {
-                    return Ok(false);
-                }
-                for s in splinters {
-                    if sat_rec(s, budget, depth + 1)? {
-                        return Ok(true);
-                    }
-                }
-                return Ok(false);
-            }
-        }
+        // Colors and constraint order do not affect the verdict, so solve
+        // the blackened canonical form: the verdict is then a pure
+        // function of the key.
+        cache.note_full_canon();
+        let cp = canonicalize_for_sat(&p);
+        let key = MemoKey::Full(CanonKey::new(Op::Sat, &cp));
+        cache::with_memo(
+            budget,
+            cache,
+            key,
+            |&v| CachedValue::Sat(v),
+            |v| match v {
+                CachedValue::Sat(b) => Some(b),
+                _ => None,
+            },
+            move |b, _| tableau::sat_problem(&cp, b),
+        )
     }
 }
 
@@ -290,6 +218,52 @@ mod tests {
                 brute,
                 "trial {trial} disagreed with brute force: {p:?}"
             );
+        }
+    }
+
+    /// Whether any point of `[lo, hi]^n` satisfies `p`.
+    fn brute_force_sat(p: &Problem, lo: i64, hi: i64) -> bool {
+        let n = p.num_vars();
+        let mut vals = vec![lo; n];
+        loop {
+            if p.satisfies(&vals) {
+                return true;
+            }
+            let mut i = 0;
+            loop {
+                if i == n {
+                    return false;
+                }
+                vals[i] += 1;
+                if vals[i] <= hi {
+                    break;
+                }
+                vals[i] = lo;
+                i += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn cross_check_diophantine_against_brute_force() {
+        // For a grid of (a, b, c): a·x + b·y = c over x,y ∈ [-8, 8].
+        for a in 2..=5i64 {
+            for bb in 2..=5i64 {
+                for c in -6..=6i64 {
+                    let mut p = Problem::new();
+                    let x = p.add_var("x", VarKind::Input);
+                    let y = p.add_var("y", VarKind::Input);
+                    p.add_eq(LinExpr::term(a, x).plus_term(bb, y).plus_const(-c));
+                    // Keep the box bounds so brute force and solver agree.
+                    p.add_geq(LinExpr::var(x).plus_const(8));
+                    p.add_geq(LinExpr::term(-1, x).plus_const(8));
+                    p.add_geq(LinExpr::var(y).plus_const(8));
+                    p.add_geq(LinExpr::term(-1, y).plus_const(8));
+                    let brute = brute_force_sat(&p, -8, 8);
+                    let solved = p.is_satisfiable().unwrap();
+                    assert_eq!(solved, brute, "mismatch for {a}x + {bb}y = {c}");
+                }
+            }
         }
     }
 }

@@ -1,22 +1,22 @@
-//! Dense scratch tableau for the solver inner loop.
+//! The solver kernel: the Omega test's normalize → equality elimination
+//! → Fourier–Motzkin loop on a dense scratch tableau.
 //!
 //! [`Problem`] keeps its interned-row representation — memo keys,
-//! persistence, goldens, and the COW API all depend on it — but the hot
-//! solver pipeline (satisfiability and projection) runs on a dense
-//! struct-of-arrays scratch representation instead: one flat coefficient
-//! matrix per constraint section plus parallel constant/color columns.
-//! Substitution becomes a row axpy, the mod̂ reduction a column scan, and
+//! persistence, goldens, and the COW API all depend on it — but every
+//! solver entry point (satisfiability, projection, witness sampling, and
+//! `Problem::simplify`'s equality pass) runs here, on a dense
+//! struct-of-arrays representation: one flat coefficient matrix per
+//! constraint section plus parallel constant/color columns. Substitution
+//! becomes a row axpy, the mod̂ reduction a column scan, and
 //! Fourier–Motzkin a fused row-pair kernel, with no interning traffic and
 //! no per-constraint allocation.
 //!
 //! Conversion happens only at the canonical boundary: a [`Tableau`] is
 //! loaded from a [`Problem`] when a query starts and converted back (rows
-//! re-interned) only at projection terminals. Everything in between —
-//! budget spends, overflow checks, tie-breaks, constraint ordering — is an
-//! exact mirror of the row-based pipeline in `sat.rs` / `eliminate.rs` /
-//! `fourier.rs` / `normalize.rs` / `project.rs`, so verdicts, projection
-//! results, and budget/error behavior are byte-identical with the kernel
-//! on or off (`SolverOptions::dense_kernel`).
+//! re-interned) only at projection terminals. The normalization in
+//! between follows `Problem::normalize` step for step (same gcd
+//! tightening, bucketing order and coalescing), so a tableau converted
+//! back states exactly what the row form would.
 //!
 //! Finished tableaus return to a per-thread free list, so a warm query
 //! reuses the previous query's buffers and performs near-zero heap
@@ -44,10 +44,11 @@ const F_WILDCARD: u8 = 8;
 /// mod̂ wildcard fits without re-striding the matrix.
 const HEADROOM: usize = 8;
 
-/// Mirrors `sat::MAX_DEPTH` / `project::MAX_DEPTH`.
+/// Recursion limit guarding against adversarial splinter chains.
 const MAX_DEPTH: usize = 64;
 
-/// Mirrors `eliminate::MODHAT_CAP`.
+/// Hard cap on mod̂ steps per equality-elimination pass, a safety net for
+/// the termination argument in the presence of protected columns.
 const MODHAT_CAP: usize = 512;
 
 /// Free-list bounds: how many tableaus a thread parks, and the largest
@@ -251,28 +252,13 @@ pub(crate) enum ElimT {
     },
 }
 
-/// Checkpoint-recording state, attached to a [`Tableau`] only while
-/// [`record_checkpoint`] drives the equality-elimination loop. Tracks,
-/// per normalize pass, the direction hashes of every inequality row that
-/// entered bucketing (the interaction guard replayed deltas are checked
-/// against), and, across passes, which canonical input row each
-/// surviving inequality slot descends from (for interleaving delta rows
-/// at their merged positions on restore).
-#[derive(Default)]
-struct RecState {
-    hashes: Vec<u64>,
-    orig: Vec<u32>,
-    orig_next: Vec<u32>,
-    last_rc: Coef,
-}
-
 /// The dense scratch representation of one [`Problem`].
 ///
 /// Columns `0..base_len` correspond to the loaded problem's variable
 /// table (shared via `base_vars`); columns `base_len..materialized` are
 /// wildcards minted during elimination; columns `materialized..ncols`
-/// are phantom (mentioned by some row but absent from the table — the
-/// row pipeline treats them as anonymous wildcards, and so do we).
+/// are phantom (mentioned by some row but absent from the table), treated
+/// as anonymous wildcards.
 #[derive(Default)]
 pub(crate) struct Tableau {
     stride: usize,
@@ -289,8 +275,6 @@ pub(crate) struct Tableau {
     /// share the loaded table.
     vars_dirty: bool,
     scratch: Scratch,
-    /// Present only while a base checkpoint is being recorded.
-    rec: Option<Box<RecState>>,
 }
 
 impl Tableau {
@@ -336,11 +320,10 @@ impl Tableau {
         self.vars_dirty = false;
     }
 
-    /// Converts back to the interned-row representation. Produces exactly
-    /// the `Problem` the row pipeline would hold at this point: same
-    /// variable table (wildcards named by column index, like
-    /// `Problem::add_wildcard`), same constraint order, colors, and
-    /// `known_infeasible` flag.
+    /// Converts back to the interned-row representation: the variable
+    /// table with its protected/dead/pinned flags and minted wildcards (named by
+    /// column index, like `Problem::add_wildcard`), the constraints in
+    /// tableau order with their colors, and the `known_infeasible` flag.
     fn to_problem(&self) -> Problem {
         let vars = if !self.vars_dirty {
             Arc::clone(&self.base_vars)
@@ -349,6 +332,7 @@ impl Tableau {
             for i in 0..self.materialized {
                 if i < self.base_len {
                     let mut info = self.base_vars[i];
+                    info.protected = self.flags[i] & F_PROTECTED != 0;
                     info.dead = self.flags[i] & F_DEAD != 0;
                     info.pinned = self.flags[i] & F_PINNED != 0;
                     v.push(info);
@@ -457,8 +441,8 @@ impl Tableau {
         self.vars_dirty = true;
     }
 
-    /// Mirrors `Problem::add_wildcard`: the new column index is the next
-    /// unmaterialized slot (which, like the row pipeline, may alias a
+    /// Mints a wildcard column, like `Problem::add_wildcard`: the new
+    /// column index is the next unmaterialized slot (which may alias a
     /// phantom column some row already mentions).
     fn add_wildcard_col(&mut self) -> usize {
         let col = self.materialized;
@@ -485,7 +469,7 @@ impl Tableau {
 
     // ---- normalize ------------------------------------------------------
 
-    /// Mirrors `Problem::normalize`.
+    /// Normalizes both sections; the tableau form of `Problem::normalize`.
     fn normalize(&mut self) -> Result<Outcome> {
         if self.known_infeasible {
             return Ok(Outcome::Infeasible);
@@ -499,7 +483,7 @@ impl Tableau {
         Ok(Outcome::Consistent)
     }
 
-    /// Mirrors `Problem::normalize_eqs`: gcd reduction + GCD test,
+    /// The tableau form of `Problem::normalize_eqs`: gcd reduction + GCD test,
     /// canonical sign, first-encounter dedup with color meet.
     fn normalize_eqs(&mut self) -> Result<Outcome> {
         let stride = self.stride;
@@ -569,7 +553,7 @@ impl Tableau {
         Ok(Outcome::Consistent)
     }
 
-    /// Mirrors `Problem::normalize_geqs`: gcd tightening, direction
+    /// The tableau form of `Problem::normalize_geqs`: gcd tightening, direction
     /// bucketing with tighter-constant merge, opposed-pair coalescing.
     fn normalize_geqs(&mut self) -> Result<Outcome> {
         let mut buckets = std::mem::take(&mut self.scratch.buckets);
@@ -594,9 +578,6 @@ impl Tableau {
         let stride = self.stride;
         let ncols = self.ncols;
         let eq_n_before = self.eqs.n;
-        if let Some(rec) = self.rec.as_deref_mut() {
-            rec.orig_next.clear();
-        }
         let mut w = 0usize;
         for r in 0..self.geqs.n {
             let g = self.geqs.row(stride, r)[..ncols]
@@ -618,13 +599,6 @@ impl Tableau {
             }
 
             let (hash, flipped) = direction_hash(&self.geqs.row(stride, r)[..ncols]);
-            if let Some(rec) = self.rec.as_deref_mut() {
-                // Every row that reaches bucketing contributes to the
-                // interaction guard, including rows later coalesced away:
-                // a delta row sharing a direction with any of them would
-                // change merges or opposed-pair sums.
-                rec.hashes.push(hash);
-            }
             let mut probe = 0u32;
             let bidx = loop {
                 match index.entry((hash, probe)) {
@@ -677,18 +651,11 @@ impl Tableau {
                     self.geqs.copy_row_within(stride, r, w);
                     self.geqs.consts[w] = self.geqs.consts[r];
                     self.geqs.colors[w] = self.geqs.colors[r];
-                    if let Some(rec) = self.rec.as_deref_mut() {
-                        let o = rec.orig[r];
-                        rec.orig_next.push(o);
-                    }
                     w += 1;
                 }
             }
         }
         self.geqs.truncate(stride, w);
-        if let Some(rec) = self.rec.as_deref_mut() {
-            rec.orig = std::mem::take(&mut rec.orig_next);
-        }
         row_dead.resize(w, false);
 
         // Opposed pairs: e + c1 >= 0 and -e + c2 >= 0 require c1 + c2 >= 0.
@@ -697,8 +664,9 @@ impl Tableau {
                 let (i, j) = (i as usize, j as usize);
                 let sum = self.geqs.consts[i] as i128 + self.geqs.consts[j] as i128;
                 if sum < 0 {
-                    // Mirror the row pipeline: rows coalesced so far are
-                    // dropped, the equalities they minted are discarded.
+                    // Like `Problem::normalize_geqs`: rows coalesced so
+                    // far are dropped, the equalities they minted are
+                    // discarded.
                     self.geqs.compact(stride, row_dead);
                     self.eqs.truncate(stride, eq_n_before);
                     return Ok(Outcome::Infeasible);
@@ -717,16 +685,6 @@ impl Tableau {
             }
         }
         self.geqs.compact(stride, row_dead);
-        if let Some(rec) = self.rec.as_deref_mut() {
-            let mut w2 = 0usize;
-            for i in 0..rec.orig.len() {
-                if !row_dead[i] {
-                    rec.orig[w2] = rec.orig[i];
-                    w2 += 1;
-                }
-            }
-            rec.orig.truncate(w2);
-        }
         if self.eqs.n > eq_n_before {
             // Newly created equalities need their own normalization.
             if self.normalize_eqs()? == Outcome::Infeasible {
@@ -738,8 +696,30 @@ impl Tableau {
 
     // ---- equality elimination -------------------------------------------
 
-    /// Mirrors `Problem::eliminate_equalities`.
+    /// Eliminates, where possible, every equality that mentions an
+    /// unprotected live column (§3). A unit-coefficient pivot is solved
+    /// for and substituted everywhere; otherwise Pugh's mod̂ step mints a
+    /// wildcard σ and a derived equation in which the pivot *does* have a
+    /// unit coefficient, shrinking coefficients until one appears.
+    ///
+    /// Equalities over protected columns remain, as do *stride residues*:
+    /// projecting `x − 2y = 0` onto `x` leaves `y` with no eliminable
+    /// pivot (the mod̂ step would recreate the same shape forever), and the
+    /// integer projection of such a constraint is a stride. Its free
+    /// columns are **pinned** instead — left in place as existentials of
+    /// the result, like the `Exists α` variables the Omega library prints.
     fn eliminate_equalities(&mut self, budget: &mut Budget) -> Result<Outcome> {
+        self.eliminate_equalities_with(budget, |_, _, _| {})
+    }
+
+    /// [`Tableau::eliminate_equalities`], reporting every substitution
+    /// `col := repl·x + rc` it performs to `on_step` (the witness search
+    /// replays them backwards).
+    fn eliminate_equalities_with(
+        &mut self,
+        budget: &mut Budget,
+        mut on_step: impl FnMut(usize, &[Coef], Coef),
+    ) -> Result<Outcome> {
         let mut modhat_steps = 0usize;
         loop {
             if self.normalize()? == Outcome::Infeasible {
@@ -749,16 +729,20 @@ impl Tableau {
                 None => return Ok(Outcome::Consistent),
                 Some(Action::Substitute(eq_idx, pivot)) => {
                     budget.spend(1)?;
-                    self.substitute_step(eq_idx, pivot)?;
+                    let rc = self.substitute_step(eq_idx, pivot)?;
+                    on_step(pivot, &self.scratch.row, rc);
                 }
                 Some(Action::ModHat(eq_idx, pivot)) => {
                     budget.spend(1)?;
                     modhat_steps += 1;
                     if modhat_steps > MODHAT_CAP {
+                        // Safety net for the termination argument in the
+                        // presence of protected columns: pin what is stuck.
                         self.pin_remaining_equality_vars();
                         return Ok(Outcome::Consistent);
                     }
-                    self.mod_hat_step(eq_idx, pivot)?;
+                    let rc = self.mod_hat_step(eq_idx, pivot)?;
+                    on_step(pivot, &self.scratch.row, rc);
                 }
                 Some(Action::Pin(eq_idx)) => {
                     let stride = self.stride;
@@ -790,9 +774,17 @@ impl Tableau {
         }
     }
 
-    /// Mirrors `Problem::pick_equality_action`, including its tie-breaks:
-    /// smallest |coef| wins, wildcards preferred, first equality's
-    /// fallback sticks.
+    /// Picks the next equality-elimination action:
+    ///
+    /// * a unit-coefficient unprotected, unpinned pivot yields a direct
+    ///   substitution (smallest |coef| wins, wildcards preferred);
+    /// * otherwise, when a protected or pinned column holds a strictly
+    ///   smaller coefficient than every free one, the mod̂ reduction
+    ///   cannot make progress: the equality is a stride residue and its
+    ///   free columns are pinned;
+    /// * otherwise a mod̂ step on the smallest free coefficient.
+    ///
+    /// The first non-unit equality's fallback sticks.
     fn pick_equality_action(&self) -> Option<Action> {
         let stride = self.stride;
         let ncols = self.ncols;
@@ -834,9 +826,10 @@ impl Tableau {
         fallback
     }
 
-    /// Unit-pivot substitution: mirrors the `Action::Substitute` arm of
-    /// `Problem::eliminate_equalities`.
-    fn substitute_step(&mut self, eq_idx: usize, pivot: usize) -> Result<()> {
+    /// Unit-pivot substitution: solves equality `eq_idx` for `pivot`,
+    /// removes it, and substitutes the solution everywhere. Leaves the
+    /// replacement row in `scratch.row` and returns its constant.
+    fn substitute_step(&mut self, eq_idx: usize, pivot: usize) -> Result<Coef> {
         let stride = self.stride;
         let ncols = self.ncols;
         let mut repl = std::mem::take(&mut self.scratch.row);
@@ -855,16 +848,15 @@ impl Tableau {
             rc = -rc;
         }
         self.eqs.swap_remove(stride, eq_idx);
-        if let Some(rec) = self.rec.as_deref_mut() {
-            rec.last_rc = rc;
-        }
         let r = self.substitute_col(pivot, &repl, rc, color);
         self.scratch.row = repl;
-        r
+        r.map(|()| rc)
     }
 
-    /// Mirrors `Problem::substitute_var`: row axpy into every constraint
-    /// whose pivot coefficient is non-zero, then mark the column dead.
+    /// Substitutes `v := repl·x + repl_const`: a row axpy into every
+    /// constraint whose pivot coefficient is non-zero, then marks the
+    /// column dead. The equality's color joins every rewritten row's (a
+    /// red equality substituted into a black constraint taints it red).
     fn substitute_col(
         &mut self,
         v: usize,
@@ -897,9 +889,14 @@ impl Tableau {
         Ok(())
     }
 
-    /// Mirrors `Problem::mod_hat_step`: introduce σ, build the reduced
-    /// equation's replacement by a column scan, substitute.
-    fn mod_hat_step(&mut self, eq_idx: usize, k: usize) -> Result<()> {
+    /// One mod̂ step on equality `eq_idx` with pivot column `k`
+    /// (|coefficient| > 1): introduce σ, build the reduced equation
+    /// `Σ (a_i mod̂ m)·x_i + (c mod̂ m) − m·σ = 0` by a column scan, solve
+    /// it for the pivot and substitute everywhere — including into the
+    /// original equality, whose coefficients shrink by roughly `m` per
+    /// round. Leaves the replacement row in `scratch.row` and returns its
+    /// constant.
+    fn mod_hat_step(&mut self, eq_idx: usize, k: usize) -> Result<Coef> {
         let a_k = self.eqs.coeffs[eq_idx * self.stride + k];
         debug_assert!(a_k.abs() > 1);
         let m = int::narrow(a_k.unsigned_abs() as i128 + 1)?;
@@ -929,18 +926,17 @@ impl Tableau {
             rc = -rc;
         }
         let color = self.eqs.colors[eq_idx];
-        if let Some(rec) = self.rec.as_deref_mut() {
-            rec.last_rc = rc;
-        }
         let r = self.substitute_col(k, &repl, rc, color);
         self.scratch.row = repl;
-        r
+        r.map(|()| rc)
     }
 
     // ---- inequality elimination -----------------------------------------
 
-    /// Mirrors `Problem::choose_elimination_var` with a single fused
-    /// column-statistics pass instead of per-variable rescans.
+    /// Chooses the next column to eliminate from the inequalities among
+    /// live, unprotected, unpinned columns outside every equality:
+    /// prefers columns whose elimination is exact, then minimizes the
+    /// number of generated constraints. One fused column-statistics pass.
     fn choose_elimination_var(&mut self) -> Option<usize> {
         let stride = self.stride;
         let ncols = self.ncols;
@@ -992,10 +988,24 @@ impl Tableau {
         best.map(|(v, _, _)| v)
     }
 
-    /// Mirrors `Problem::fm_eliminate`. The exact case rewrites this
-    /// tableau in place (the row pipeline's `Exact(problem)` payload);
-    /// the approximate case leaves it untouched and returns pooled
-    /// dark/real/splinter tableaus.
+    /// Eliminates column `v` from the inequalities by Fourier–Motzkin
+    /// extended to integers (§3, after Pugh '91). For a lower bound
+    /// `b·z ≥ β` and an upper bound `a·z ≤ α`:
+    ///
+    /// * the **real shadow** holds `a·β ≤ b·α`, an over-approximation of
+    ///   the integer shadow;
+    /// * the **dark shadow** holds `a·β + (a−1)(b−1) ≤ b·α`, which
+    ///   guarantees an integer `z` exists;
+    /// * when `a = 1` or `b = 1` the two coincide and elimination is
+    ///   **exact**.
+    ///
+    /// Any integer solution outside the dark shadow sits close to a lower
+    /// bound, `b·z = β + i` with `0 ≤ i ≤ (a_max·b − a_max − b)/a_max`:
+    /// those equality-pinned copies are the **splinters**.
+    ///
+    /// The exact case rewrites this tableau in place; the approximate
+    /// case leaves it untouched and returns pooled dark/real/splinter
+    /// tableaus. Precondition: no equality mentions `v`.
     fn fm_eliminate(&mut self, v: usize, budget: &mut Budget) -> Result<ElimT> {
         let mut idx_lo = std::mem::take(&mut self.scratch.idx_lo);
         let mut idx_hi = std::mem::take(&mut self.scratch.idx_hi);
@@ -1057,7 +1067,7 @@ impl Tableau {
         if !inexact {
             // Exact: rewrite in place. Save the bound rows, compact the
             // zero-coefficient rows, then append the combined rows
-            // lower-major exactly like the row pipeline pushes them.
+            // lower-major.
             bounds.clear();
             for &i in idx_lo.iter().chain(idx_hi.iter()) {
                 let i = i as usize;
@@ -1160,11 +1170,10 @@ impl Tableau {
     }
 }
 
-/// `a·L + b·U` with `a = -U[v] > 0`, `b = L[v] > 0`, written into `out`.
-/// The per-column checked arithmetic matches `LinExpr::combine` call for
-/// call: `mul_add(a, l_j, 0)` when `l_j != 0`, then `mul_add(b, u_j, acc)`
-/// when `u_j != 0`; constants unconditionally. Returns the combined
-/// constant.
+/// `a·L + b·U` with `a = -U[v] > 0`, `b = L[v] > 0`, written into `out`:
+/// for `L = b·z − β ≥ 0` and `U = α − a·z ≥ 0` this is exactly
+/// `b·α − a·β ≥ 0`. Every product is overflow-checked. Returns the
+/// combined constant.
 fn combine_pair(
     lrow: &[Coef],
     lconst: Coef,
@@ -1200,667 +1209,28 @@ enum Action {
     Pin(usize),
 }
 
-// ---- base checkpoints -----------------------------------------------------
-
-/// What one equality-elimination pass did to the tableau, as far as a
-/// delta row is concerned. `Step` is a substitution (unit-pivot or mod̂):
-/// delta rows mentioning the pivot take the same axpy the base rows took
-/// (the replacement row lives in the checkpoint's flat `trail_repls`
-/// arena). `Noop` covers Pin actions, the mod̂-cap fallback, and the
-/// terminal pass — flag-only effects that never touch row content.
-#[derive(Debug, Clone, Copy)]
-enum TrailAction {
-    Step {
-        pivot: usize,
-        repl_start: usize,
-        repl_end: usize,
-        rc: Coef,
-    },
-    Noop,
-}
-
-/// One pass of the recorded equality-elimination loop: the column count
-/// the pass's normalize ran at, the sorted direction hashes of every
-/// base inequality that entered bucketing (the interaction guard, a
-/// range into the checkpoint's flat `trail_hashes`), the action taken,
-/// and its budget spend.
-#[derive(Debug, Clone, Copy)]
-struct TrailPass {
-    ncols: usize,
-    hash_start: usize,
-    hash_end: usize,
-    action: TrailAction,
-    spend: usize,
-}
-
-/// The recorded trail under construction: per-pass records plus the two
-/// flat arenas they index, so a checkpoint costs three allocations for
-/// its whole trail instead of two per pass.
-#[derive(Debug, Default)]
-struct TrailBuf {
-    passes: Vec<TrailPass>,
-    hashes: Vec<u64>,
-    repls: Vec<Coef>,
-}
-
-/// A solved-to-the-resume-point snapshot of a delta-eligible base
-/// problem: the tableau state after `eliminate_equalities` returned
-/// `Consistent`, plus the per-pass trail needed to map a delta's
-/// constraints into the reduced variable space. Shared read-only across
-/// threads; loading it into a pooled [`Tableau`] and replaying a delta
-/// against the trail reproduces, bit for bit, the state the from-scratch
-/// solve of `base ∧ delta` reaches after its equality-elimination
-/// prefix — or reports `None`, in which case the caller falls back to
-/// the from-scratch path.
-#[derive(Debug)]
-pub(crate) struct Checkpoint {
-    resumable: bool,
-    trail: Vec<TrailPass>,
-    /// Flat arena of the per-pass sorted direction-hash sets.
-    trail_hashes: Vec<u64>,
-    /// Flat arena of the per-pass substitution replacement rows.
-    trail_repls: Vec<Coef>,
-    ncols: usize,
-    base_len: usize,
-    materialized: usize,
-    flags: Vec<u8>,
-    vars_dirty: bool,
-    base_vars: Arc<Vec<VarInfo>>,
-    /// Number of equality rows in the snapshot; the first `eq_n` entries
-    /// of `consts`/`colors` (and rows of `coeffs`) are equalities, the
-    /// rest inequalities.
-    eq_n: usize,
-    /// Dense `ncols`-wide rows, equalities first then inequalities.
-    coeffs: Vec<Coef>,
-    consts: Vec<Coef>,
-    colors: Vec<Color>,
-    /// For each surviving inequality row, the index of the canonical
-    /// input row it descends from (first-encounter representative),
-    /// used to interleave delta rows at their merged positions.
-    geq_orig: Vec<u32>,
-}
-
-/// A delta inequality transformed through the recorded base trail,
-/// ready to be interleaved into the restored tableau: `p` is its
-/// insertion rank in the merged canonical inequality list (delta rows
-/// stay in delta order among themselves), and the dense row is in the
-/// checkpoint's reduced variable space.
-#[derive(Debug)]
-pub(crate) struct DeltaRow {
-    p: u32,
-    coeffs: Vec<Coef>,
-    cst: Coef,
-}
-
-/// Reusable buffers for checkpoint recording and delta replay, parked
-/// per thread like the tableau pool: a warm replay draws its row storage
-/// and per-pass marks from here instead of the allocator.
-#[derive(Default)]
-struct ReplayScratch {
-    dead: Vec<bool>,
-    dirs: Vec<(u64, bool)>,
-    /// Empty row vector (retaining capacity) handed to the next replay.
-    rows: Vec<DeltaRow>,
-    /// Recycled coefficient rows for [`DeltaRow`]s.
-    spare: Vec<Vec<Coef>>,
-    /// Recording state reused across `record_checkpoint` calls.
-    rec: Option<Box<RecState>>,
-}
-
-/// How many coefficient rows a thread's replay scratch parks.
-const REPLAY_SPARE_CAP: usize = 32;
-
-thread_local! {
-    static REPLAY: RefCell<ReplayScratch> = RefCell::new(ReplayScratch::default());
-}
-
-/// Returns a replay's delta rows to the thread's scratch so the next
-/// replay (on any checkpoint) reuses their storage.
-pub(crate) fn recycle_rows(mut rows: Vec<DeltaRow>) {
-    REPLAY.with(|s| {
-        let s = &mut *s.borrow_mut();
-        for r in rows.drain(..) {
-            if s.spare.len() < REPLAY_SPARE_CAP {
-                s.spare.push(r.coeffs);
-            }
-        }
-        if rows.capacity() > s.rows.capacity() {
-            s.rows = rows;
-        }
-    });
-}
-
-impl Tableau {
-    /// Duplicate of [`Tableau::eliminate_equalities`] that records one
-    /// [`TrailPass`] per loop pass. Runs with an effectively unlimited
-    /// budget (recording happens outside any query's budget); any error
-    /// or infeasible outcome makes the checkpoint non-resumable.
-    fn record_eliminate(&mut self, budget: &mut Budget, trail: &mut TrailBuf) -> Result<Outcome> {
-        let mut modhat_steps = 0usize;
-        loop {
-            let pass_ncols = self.ncols;
-            self.rec.as_deref_mut().expect("recording state").hashes.clear();
-            if self.normalize()? == Outcome::Infeasible {
-                return Ok(Outcome::Infeasible);
-            }
-            let hash_start = trail.hashes.len();
-            {
-                let rec = self.rec.as_deref_mut().expect("recording state");
-                rec.hashes.sort_unstable();
-                rec.hashes.dedup();
-                trail.hashes.extend_from_slice(&rec.hashes);
-            }
-            let hash_end = trail.hashes.len();
-            let step = |trail: &mut TrailBuf, scratch_row: &[Coef], rc: Coef, pivot: usize| {
-                let repl_start = trail.repls.len();
-                trail.repls.extend_from_slice(scratch_row);
-                TrailAction::Step {
-                    pivot,
-                    repl_start,
-                    repl_end: trail.repls.len(),
-                    rc,
-                }
-            };
-            match self.pick_equality_action() {
-                None => {
-                    trail.passes.push(TrailPass {
-                        ncols: pass_ncols,
-                        hash_start,
-                        hash_end,
-                        action: TrailAction::Noop,
-                        spend: 0,
-                    });
-                    return Ok(Outcome::Consistent);
-                }
-                Some(Action::Substitute(eq_idx, pivot)) => {
-                    budget.spend(1)?;
-                    self.substitute_step(eq_idx, pivot)?;
-                    let rc = self.rec.as_deref().expect("recording state").last_rc;
-                    let action = step(trail, &self.scratch.row, rc, pivot);
-                    trail.passes.push(TrailPass {
-                        ncols: pass_ncols,
-                        hash_start,
-                        hash_end,
-                        action,
-                        spend: 1,
-                    });
-                }
-                Some(Action::ModHat(eq_idx, pivot)) => {
-                    budget.spend(1)?;
-                    modhat_steps += 1;
-                    if modhat_steps > MODHAT_CAP {
-                        self.pin_remaining_equality_vars();
-                        trail.passes.push(TrailPass {
-                            ncols: pass_ncols,
-                            hash_start,
-                            hash_end,
-                            action: TrailAction::Noop,
-                            spend: 1,
-                        });
-                        return Ok(Outcome::Consistent);
-                    }
-                    self.mod_hat_step(eq_idx, pivot)?;
-                    let rc = self.rec.as_deref().expect("recording state").last_rc;
-                    let action = step(trail, &self.scratch.row, rc, pivot);
-                    trail.passes.push(TrailPass {
-                        ncols: pass_ncols,
-                        hash_start,
-                        hash_end,
-                        action,
-                        spend: 1,
-                    });
-                }
-                Some(Action::Pin(eq_idx)) => {
-                    let stride = self.stride;
-                    for j in 0..self.ncols {
-                        if self.eqs.coeffs[eq_idx * stride + j] != 0
-                            && !self.is_protected(j)
-                            && !self.is_dead(j)
-                        {
-                            self.mark_pinned(j);
-                        }
-                    }
-                    trail.passes.push(TrailPass {
-                        ncols: pass_ncols,
-                        hash_start,
-                        hash_end,
-                        action: TrailAction::Noop,
-                        spend: 0,
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Solves `base` up to the equality-elimination resume point and records
-/// the checkpoint. `base` must be the canonical base of a `PairContext`
-/// (for projection checkpoints, with the keep-set's protected flags
-/// already applied). A base whose elimination is infeasible, overflows,
-/// or mentions columns beyond its variable table yields a non-resumable
-/// checkpoint — every query then takes the from-scratch path.
-pub(crate) fn record_checkpoint(base: &Problem) -> Checkpoint {
-    let unresumable = || Checkpoint {
-        resumable: false,
-        trail: Vec::new(),
-        ncols: 0,
-        base_len: 0,
-        materialized: 0,
-        flags: Vec::new(),
-        vars_dirty: false,
-        base_vars: Arc::new(Vec::new()),
-        trail_hashes: Vec::new(),
-        trail_repls: Vec::new(),
-        eq_n: 0,
-        coeffs: Vec::new(),
-        consts: Vec::new(),
-        colors: Vec::new(),
-        geq_orig: Vec::new(),
-    };
-    let mut t = acquire();
-    t.load(base);
-    if t.ncols != t.base_len {
-        // Phantom columns (rows wider than the table) complicate rank
-        // tracking; such bases never arise from pair contexts.
-        release(t);
-        return unresumable();
-    }
-    let mut rec = REPLAY
-        .with(|s| s.borrow_mut().rec.take())
-        .unwrap_or_default();
-    rec.hashes.clear();
-    rec.orig.clear();
-    rec.orig.extend(0..t.geqs.n as u32);
-    rec.orig_next.clear();
-    rec.last_rc = 0;
-    t.rec = Some(rec);
-    let mut trail = TrailBuf::default();
-    // Recording is charged to a throwaway budget: it is shared setup work
-    // done once per base, outside any query's accounting.
-    let mut budget = Budget::new(usize::MAX);
-    let outcome = t.record_eliminate(&mut budget, &mut trail);
-    let cp = match outcome {
-        Ok(Outcome::Consistent) => {
-            let rec = t.rec.as_deref().expect("recording state");
-            let ncols = t.ncols;
-            let mut coeffs = Vec::with_capacity((t.eqs.n + t.geqs.n) * ncols);
-            let mut consts = Vec::with_capacity(t.eqs.n + t.geqs.n);
-            let mut colors = Vec::with_capacity(t.eqs.n + t.geqs.n);
-            for sec in [&t.eqs, &t.geqs] {
-                for i in 0..sec.n {
-                    coeffs.extend_from_slice(&sec.row(t.stride, i)[..ncols]);
-                }
-                consts.extend_from_slice(&sec.consts);
-                colors.extend_from_slice(&sec.colors);
-            }
-            debug_assert_eq!(rec.orig.len(), t.geqs.n);
-            Checkpoint {
-                resumable: true,
-                trail: trail.passes,
-                trail_hashes: trail.hashes,
-                trail_repls: trail.repls,
-                ncols,
-                base_len: t.base_len,
-                materialized: t.materialized,
-                flags: t.flags.clone(),
-                vars_dirty: t.vars_dirty,
-                base_vars: Arc::clone(&t.base_vars),
-                eq_n: t.eqs.n,
-                coeffs,
-                consts,
-                colors,
-                geq_orig: rec.orig.clone(),
-            }
-        }
-        _ => unresumable(),
-    };
-    if let Some(rec) = t.rec.take() {
-        REPLAY.with(|s| s.borrow_mut().rec = Some(rec));
-    }
-    release(t);
-    cp
-}
-
-impl Checkpoint {
-    /// Pure phase of a resume: maps the canonical delta constraints
-    /// through the recorded trail. Returns the transformed delta rows
-    /// with their merged insertion ranks, or `None` whenever exact step
-    /// parity with the from-scratch solve of `base ∧ delta` is not
-    /// guaranteed — the caller must then rebuild via the from-scratch
-    /// path (which is definitionally correct, including for deltas that
-    /// make the problem infeasible or overflow mid-elimination).
-    ///
-    /// Mutates nothing: no tableau is touched and no budget is charged,
-    /// so a `None` costs only the replay attempt itself.
-    pub(crate) fn replay_delta(
-        &self,
-        base: &Problem,
-        delta_vars: usize,
-        deqs: &[Constraint],
-        dgeqs: &[Constraint],
-    ) -> Option<Vec<DeltaRow>> {
-        use std::cmp::Ordering;
-        if !self.resumable || delta_vars != 0 {
-            return None;
-        }
-        // Delta equalities must vanish in the merge (each a duplicate of
-        // a base equality): any new equality changes which eliminations
-        // the merged solve picks.
-        {
-            let mut b = 0usize;
-            for d in deqs {
-                while b < base.eqs.len()
-                    && crate::canon::cmp_constraints(&base.eqs[b], d) == Ordering::Less
-                {
-                    b += 1;
-                }
-                if b >= base.eqs.len()
-                    || crate::canon::cmp_constraints(&base.eqs[b], d) != Ordering::Equal
-                {
-                    return None;
-                }
-            }
-        }
-        REPLAY.with(|cell| {
-            let s = &mut *cell.borrow_mut();
-            let mut rows = std::mem::take(&mut s.rows);
-            debug_assert!(rows.is_empty());
-            if self.replay_rows(base, dgeqs, &mut rows, &mut s.dead, &mut s.dirs, &mut s.spare) {
-                Some(rows)
-            } else {
-                for r in rows.drain(..) {
-                    if s.spare.len() < REPLAY_SPARE_CAP {
-                        s.spare.push(r.coeffs);
-                    }
-                }
-                s.rows = rows;
-                None
-            }
-        })
-    }
-
-    /// The body of [`Checkpoint::replay_delta`] working on the thread's
-    /// scratch buffers; `false` means "rebuild from scratch".
-    fn replay_rows(
-        &self,
-        base: &Problem,
-        dgeqs: &[Constraint],
-        rows: &mut Vec<DeltaRow>,
-        dead: &mut Vec<bool>,
-        dirs: &mut Vec<(u64, bool)>,
-        spare: &mut Vec<Vec<Coef>>,
-    ) -> bool {
-        use std::cmp::Ordering;
-        // Dense delta rows plus their merged insertion ranks. Delta rows
-        // comparing equal to a base row are dropped, exactly as
-        // `merge_sorted` deduplicates them.
-        let mut b = 0usize;
-        for d in dgeqs {
-            while b < base.geqs.len()
-                && crate::canon::cmp_constraints(&base.geqs[b], d) == Ordering::Less
-            {
-                b += 1;
-            }
-            if b < base.geqs.len()
-                && crate::canon::cmp_constraints(&base.geqs[b], d) == Ordering::Equal
-            {
-                continue;
-            }
-            let e = d.expr();
-            if e.coeffs().len() > self.base_len {
-                return false;
-            }
-            let mut coeffs = spare.pop().unwrap_or_default();
-            coeffs.clear();
-            coeffs.resize(self.ncols, 0);
-            coeffs[..e.coeffs().len()].copy_from_slice(e.coeffs());
-            rows.push(DeltaRow {
-                p: b as u32,
-                coeffs,
-                cst: e.constant(),
-            });
-        }
-        // Replay the trail. Each pass mirrors what the merged solve's
-        // normalize + action would do to these rows, with guards wherever
-        // a delta row could interact with base rows (and thereby change
-        // the recorded base steps).
-        for pass in &self.trail {
-            let nc = pass.ncols;
-            let hashes = &self.trail_hashes[pass.hash_start..pass.hash_end];
-            dead.clear();
-            dead.resize(rows.len(), false);
-            dirs.clear();
-            dirs.resize(rows.len(), (0, false));
-            for i in 0..rows.len() {
-                // GCD-tighten over the pass's column window.
-                let g = rows[i].coeffs[..nc].iter().fold(0, |g, &c| int::gcd(g, c));
-                if g == 0 {
-                    if rows[i].cst < 0 {
-                        // Immediate contradiction: the merged solve stops
-                        // inside normalize. Rebuild to reproduce its
-                        // truncation state and spend point exactly.
-                        return false;
-                    }
-                    dead[i] = true;
-                    continue;
-                }
-                if g > 1 {
-                    rows[i].cst = int::floor_div(rows[i].cst, g);
-                    for c in &mut rows[i].coeffs[..nc] {
-                        *c /= g;
-                    }
-                }
-                let (hash, flipped) = direction_hash(&rows[i].coeffs[..nc]);
-                if hashes.binary_search(&hash).is_ok() {
-                    // Shares a direction hash with a base row this pass:
-                    // the merged solve could merge constants, coalesce an
-                    // opposed pair, or reorder a probe chain.
-                    return false;
-                }
-                dirs[i] = (hash, flipped);
-                // Delta-local bucketing: the first live row with the same
-                // direction and orientation is the slot (first-encounter,
-                // like the real normalize); keep the tighter constant
-                // there (colors are all black here). Opposed orientations
-                // are checked pairwise below.
-                for j in 0..i {
-                    if dead[j]
-                        || dirs[j] != (hash, flipped)
-                        || !same_direction(&rows[i].coeffs[..nc], &rows[j].coeffs[..nc], false)
-                    {
-                        continue;
-                    }
-                    if rows[i].cst < rows[j].cst {
-                        rows[j].cst = rows[i].cst;
-                    }
-                    dead[i] = true;
-                    break;
-                }
-            }
-            // Opposed pairs among surviving delta rows: a negative sum is
-            // a contradiction, a zero sum coalesces into a new equality —
-            // both change the recorded base steps, so rebuild.
-            for i in 0..rows.len() {
-                if dead[i] {
-                    continue;
-                }
-                for j in i + 1..rows.len() {
-                    if dead[j] || dirs[i].0 != dirs[j].0 || dirs[i].1 == dirs[j].1 {
-                        continue;
-                    }
-                    if !same_direction(&rows[j].coeffs[..nc], &rows[i].coeffs[..nc], true) {
-                        continue;
-                    }
-                    let sum = rows[i].cst as i128 + rows[j].cst as i128;
-                    if sum <= 0 {
-                        return false;
-                    }
-                }
-            }
-            let mut keep = 0usize;
-            for i in 0..rows.len() {
-                if !dead[i] {
-                    rows.swap(keep, i);
-                    keep += 1;
-                }
-            }
-            for r in rows.drain(keep..) {
-                if spare.len() < REPLAY_SPARE_CAP {
-                    spare.push(r.coeffs);
-                }
-            }
-            // Apply the pass's substitution to rows mentioning the pivot.
-            if let TrailAction::Step {
-                pivot,
-                repl_start,
-                repl_end,
-                rc,
-            } = pass.action
-            {
-                let repl = &self.trail_repls[repl_start..repl_end];
-                for row in rows.iter_mut() {
-                    let c = row.coeffs[pivot];
-                    if c == 0 {
-                        continue;
-                    }
-                    row.coeffs[pivot] = 0;
-                    for (j, &rj) in repl.iter().enumerate() {
-                        if rj != 0 {
-                            let Ok(v) = int::mul_add(c, rj, row.coeffs[j]) else {
-                                return false;
-                            };
-                            row.coeffs[j] = v;
-                        }
-                    }
-                    let Ok(v) = int::mul_add(c, rc, row.cst) else {
-                        return false;
-                    };
-                    row.cst = v;
-                }
-            }
-        }
-        true
-    }
-
-    /// Restores the snapshot into `t` with the transformed delta rows
-    /// interleaved at their merged positions: a delta row with insertion
-    /// rank `p` precedes every base survivor descending from canonical
-    /// input row `p` or later.
-    fn restore_into(&self, t: &mut Tableau, rows: &[DeltaRow]) {
-        debug_assert!(self.resumable);
-        t.ncols = self.ncols;
-        t.stride = self.ncols + HEADROOM;
-        t.base_len = self.base_len;
-        t.materialized = self.materialized;
-        t.base_vars = Arc::clone(&self.base_vars);
-        t.flags.clear();
-        t.flags.extend_from_slice(&self.flags);
-        t.known_infeasible = false;
-        t.vars_dirty = self.vars_dirty;
-        t.eqs.clear();
-        for i in 0..self.eq_n {
-            t.eqs.push_row(
-                t.stride,
-                &self.coeffs[i * self.ncols..(i + 1) * self.ncols],
-                self.consts[i],
-                self.colors[i],
-            );
-        }
-        t.geqs.clear();
-        let nb = self.consts.len() - self.eq_n;
-        let (mut bi, mut di) = (0usize, 0usize);
-        while bi < nb || di < rows.len() {
-            let take_delta = di < rows.len()
-                && (bi >= nb || rows[di].p <= self.geq_orig[bi]);
-            if take_delta {
-                let r = &rows[di];
-                t.geqs
-                    .push_row(t.stride, &r.coeffs[..self.ncols], r.cst, Color::Black);
-                di += 1;
-            } else {
-                let i = self.eq_n + bi;
-                t.geqs.push_row(
-                    t.stride,
-                    &self.coeffs[i * self.ncols..(i + 1) * self.ncols],
-                    self.consts[i],
-                    self.colors[i],
-                );
-                bi += 1;
-            }
-        }
-    }
-
-    /// Charges the recorded per-pass spends in order, reproducing the
-    /// from-scratch elimination's budget trajectory (including the exact
-    /// exhaustion point).
-    fn charge_trail(&self, budget: &mut Budget) -> Result<()> {
-        for pass in &self.trail {
-            if pass.spend > 0 {
-                budget.spend(pass.spend)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Satisfiability resumed from a base checkpoint: charges exactly what
-/// the from-scratch `sat` entry plus the recorded elimination passes
-/// would have charged, restores the snapshot with the delta rows
-/// interleaved, and continues the solve loop.
-pub(crate) fn resume_sat(cp: &Checkpoint, rows: &[DeltaRow], budget: &mut Budget) -> Result<bool> {
-    budget.spend(1)?;
-    cp.charge_trail(budget)?;
-    let mut t = acquire();
-    cp.restore_into(&mut t, rows);
-    let r = sat_loop(&mut t, budget, 0);
-    release(t);
-    r
-}
-
-/// Projection resumed from a base checkpoint, mirroring `project_parts`:
-/// the real-shadow pass first (no entry spend), then the core pass (entry
-/// spend plus its own replay of the elimination charges, exactly like
-/// the from-scratch solve re-eliminates on its second tableau).
-pub(crate) fn resume_project_parts(
-    cp: &Checkpoint,
-    rows: &[DeltaRow],
-    budget: &mut Budget,
-) -> Result<(Problem, Problem, Vec<Problem>, bool)> {
-    cp.charge_trail(budget)?;
-    let mut rt = acquire();
-    cp.restore_into(&mut rt, rows);
-    let real = project_real_t(rt, budget)?;
-    budget.spend(1)?;
-    cp.charge_trail(budget)?;
-    let mut t = acquire();
-    cp.restore_into(&mut t, rows);
-    let mut dark_out = None;
-    let mut splinters = Vec::new();
-    let mut exact = true;
-    project_core_loop(t, budget, &mut dark_out, &mut splinters, &mut exact, 0)?;
-    let dark = dark_out.expect("projection produces a dark shadow");
-    Ok((real, dark, splinters, exact))
-}
-
 // ---- drivers -------------------------------------------------------------
 
-/// Dense mirror of `sat::sat_rec`.
+/// The Omega test's satisfiability recursion (§3): eliminate equalities,
+/// then one inequality column at a time; on an inexact step check the
+/// dark shadow `S₀ ≠ ∅` first, then the real shadow `T = ∅`, and only
+/// when both fail the splinters `S₁ … Sₚ`. The dark-shadow fast path can
+/// be ablated via [`SolverOptions`](crate::SolverOptions).
 fn sat_t(t: &mut Tableau, budget: &mut Budget, depth: usize) -> Result<bool> {
     budget.spend(1)?;
     if depth > MAX_DEPTH {
         return Err(crate::Error::TooComplex { budget: MAX_DEPTH });
     }
-    sat_loop(t, budget, depth)
-}
-
-/// The body of [`sat_t`] after its entry spend and depth check — the
-/// resume point for checkpointed bases.
-fn sat_loop(t: &mut Tableau, budget: &mut Budget, depth: usize) -> Result<bool> {
     loop {
+        // Normalization can coalesce opposed inequalities into fresh
+        // equalities, so equality elimination re-runs every iteration (a
+        // cheap no-op when no equalities remain).
         if t.eliminate_equalities(budget)? == Outcome::Infeasible {
             return Ok(false);
         }
         let Some(v) = t.choose_elimination_var() else {
+            // No live column remains: every residual constraint was
+            // constant and normalization kept the problem consistent.
             return Ok(true);
         };
         match t.fm_eliminate(v, budget)? {
@@ -1895,22 +1265,10 @@ fn sat_loop(t: &mut Tableau, budget: &mut Budget, depth: usize) -> Result<bool> 
     }
 }
 
-/// Satisfiability on the dense kernel: loads `p` into a pooled tableau and
-/// runs the mirrored recursion. Same verdicts, budget spends, and errors
-/// as `sat_rec`.
+/// Satisfiability of `p` with every column unprotected. Protection is
+/// cleared on the loaded flags instead of on a cloned problem, so a warm
+/// query (pooled workspace) allocates nothing at all.
 pub(crate) fn sat_problem(p: &Problem, budget: &mut Budget) -> Result<bool> {
-    let mut t = acquire();
-    t.load(p);
-    let r = sat_t(&mut t, budget, 0);
-    release(t);
-    r
-}
-
-/// Borrow-based satisfiability entry: like [`sat_problem`] after the
-/// public API's "clone and clear protection" prelude, but the clearing
-/// happens on the loaded flags instead of on a cloned constraint list —
-/// a warm query allocates nothing at all.
-pub(crate) fn sat_problem_unprotected(p: &Problem, budget: &mut Budget) -> Result<bool> {
     let mut t = acquire();
     t.load(p);
     for f in &mut t.flags {
@@ -1921,7 +1279,7 @@ pub(crate) fn sat_problem_unprotected(p: &Problem, budget: &mut Budget) -> Resul
     r
 }
 
-/// Dense mirror of `project::project_real`.
+/// Pure real-shadow projection: `T` in the paper's notation.
 fn project_real_t(mut t: Tableau, budget: &mut Budget) -> Result<Problem> {
     loop {
         if t.eliminate_equalities(budget)? == Outcome::Infeasible {
@@ -1953,9 +1311,12 @@ fn project_real_t(mut t: Tableau, budget: &mut Budget) -> Result<Problem> {
     }
 }
 
-/// Dense mirror of `project::project_core`.
+/// Eliminates every unprotected column. The chain of dark shadows is
+/// linear, so its terminal problem lands in `dark_out` (the first store
+/// wins); every splinter is projected fully and all of its pieces join
+/// `splinters_out` as further members of the union.
 fn project_core_t(
-    t: Tableau,
+    mut t: Tableau,
     budget: &mut Budget,
     dark_out: &mut Option<Problem>,
     splinters_out: &mut Vec<Problem>,
@@ -1966,19 +1327,6 @@ fn project_core_t(
     if depth > MAX_DEPTH {
         return Err(crate::Error::TooComplex { budget: MAX_DEPTH });
     }
-    project_core_loop(t, budget, dark_out, splinters_out, exact, depth)
-}
-
-/// The body of [`project_core_t`] after its entry spend and depth check —
-/// the resume point for checkpointed bases.
-fn project_core_loop(
-    mut t: Tableau,
-    budget: &mut Budget,
-    dark_out: &mut Option<Problem>,
-    splinters_out: &mut Vec<Problem>,
-    exact: &mut bool,
-    depth: usize,
-) -> Result<()> {
     loop {
         if t.eliminate_equalities(budget)? == Outcome::Infeasible {
             if dark_out.is_none() {
@@ -2020,9 +1368,8 @@ fn project_core_loop(
     }
 }
 
-/// Projection body on the dense kernel: returns `(real, dark, splinters,
-/// exact)` for `project_prepared` to post-process exactly as it does for
-/// the row pipeline.
+/// Projection body, once protected flags are set on `p`: returns
+/// `(real, dark, splinters, exact)` for `project_prepared` to tidy.
 pub(crate) fn project_parts(
     p: &Problem,
     budget: &mut Budget,
@@ -2044,6 +1391,215 @@ pub(crate) fn project_parts(
     project_core_t(t, budget, &mut dark_out, &mut splinters, &mut exact, 0)?;
     let dark = dark_out.expect("projection produces a dark shadow");
     Ok((real, dark, splinters, exact))
+}
+
+/// `p` with every wildcard eliminated that an equality permits (the
+/// equality pass of `Problem::simplify`). Every other variable is marked
+/// protected, in the result as well. `p` itself is never touched, so an
+/// overflow or exhausted budget midway leaves the caller's problem
+/// exactly as it was.
+pub(crate) fn reduce_equalities(p: &Problem, budget: &mut Budget) -> Result<Problem> {
+    let mut t = acquire();
+    t.load(p);
+    for f in &mut t.flags[..t.base_len] {
+        let want = if *f & F_WILDCARD != 0 {
+            *f & !F_PROTECTED
+        } else {
+            *f | F_PROTECTED
+        };
+        t.vars_dirty |= want != *f;
+        *f = want;
+    }
+    let r = t.eliminate_equalities(budget).map(|_| t.to_problem());
+    release(t);
+    r
+}
+
+// ---- witness sampling -----------------------------------------------------
+
+/// One elimination step of a witness search, replayed backwards to give
+/// the eliminated column its value. Rows live in the search's flat arena.
+enum Back {
+    /// `col = arena[start..end]·x + rc`: a unit substitution or mod̂ step.
+    Subst {
+        col: usize,
+        start: usize,
+        end: usize,
+        rc: Coef,
+    },
+    /// `col` was eliminated by Fourier–Motzkin: `arena[start..end]` holds
+    /// the inequalities that bounded it, `width` coefficients and then
+    /// the constant each.
+    Bounds {
+        col: usize,
+        start: usize,
+        end: usize,
+        width: usize,
+    },
+}
+
+/// An integer point of `p`, as a dense assignment over its columns, or
+/// `None` when there is none. Protection and pinning are cleared first,
+/// so every occurring column is eliminated and gets a value.
+pub(crate) fn sample_problem(p: &Problem, budget: &mut Budget) -> Result<Option<Vec<Coef>>> {
+    let mut t = acquire();
+    t.load(p);
+    let ncols = t.ncols;
+    for f in &mut t.flags {
+        *f &= !(F_PROTECTED | F_PINNED);
+    }
+    let r = sample_t(&mut t, budget, 0);
+    release(t);
+    Ok(r?.map(|mut vals| {
+        vals.truncate(ncols);
+        vals
+    }))
+}
+
+/// The witness search: runs the satisfiability recursion forward,
+/// logging each substitution and each Fourier–Motzkin step's bounds,
+/// then assigns the eliminated columns backwards from the terminal
+/// problem's point (every remaining column free, so 0). An inexact step
+/// tries the dark shadow, whose every point extends to the eliminated
+/// column, and then the splinters, which keep that column pinned by an
+/// equality and assign it themselves.
+fn sample_t(t: &mut Tableau, budget: &mut Budget, depth: usize) -> Result<Option<Vec<Coef>>> {
+    budget.spend(1)?;
+    if depth > MAX_DEPTH {
+        return Err(crate::Error::TooComplex { budget: MAX_DEPTH });
+    }
+    let mut trail = Vec::new();
+    let mut arena = Vec::new();
+    loop {
+        let outcome = t.eliminate_equalities_with(budget, |col, repl, rc| {
+            let start = arena.len();
+            arena.extend_from_slice(repl);
+            trail.push(Back::Subst {
+                col,
+                start,
+                end: arena.len(),
+                rc,
+            });
+        })?;
+        if outcome == Outcome::Infeasible {
+            return Ok(None);
+        }
+        if t.eqs.n > 0 {
+            // With nothing protected or pinned, only the mod̂ safety cap
+            // leaves an equality behind.
+            return Err(crate::Error::TooComplex { budget: MODHAT_CAP });
+        }
+        let Some(v) = t.choose_elimination_var() else {
+            break;
+        };
+        let width = t.ncols;
+        let start = arena.len();
+        for i in 0..t.geqs.n {
+            let row = &t.geqs.row(t.stride, i)[..width];
+            if row[v] != 0 {
+                arena.extend_from_slice(row);
+                arena.push(t.geqs.consts[i]);
+            }
+        }
+        trail.push(Back::Bounds {
+            col: v,
+            start,
+            end: arena.len(),
+            width,
+        });
+        match t.fm_eliminate(v, budget)? {
+            ElimT::Exact => {}
+            ElimT::Approx {
+                mut dark,
+                real,
+                mut splinters,
+            } => {
+                release(real);
+                let r = (|| {
+                    if let Some(mut vals) = sample_t(&mut dark, budget, depth + 1)? {
+                        if back_substitute(&trail, &arena, &mut vals)? {
+                            return Ok(Some(vals));
+                        }
+                    }
+                    trail.pop();
+                    for s in splinters.iter_mut() {
+                        if let Some(mut vals) = sample_t(s, budget, depth + 1)? {
+                            if back_substitute(&trail, &arena, &mut vals)? {
+                                return Ok(Some(vals));
+                            }
+                        }
+                    }
+                    Ok(None)
+                })();
+                release(dark);
+                for s in splinters {
+                    release(s);
+                }
+                return r;
+            }
+        }
+    }
+    let mut vals = vec![0; t.ncols];
+    Ok(back_substitute(&trail, &arena, &mut vals)?.then_some(vals))
+}
+
+/// Replays a witness search's trail backwards over `vals`, a point of
+/// the problem the trail ends in, assigning each eliminated column.
+/// Picks the lower bound of a Fourier–Motzkin step when there is one.
+/// Returns `false` when a step's bounds are empty under `vals`.
+fn back_substitute(trail: &[Back], arena: &[Coef], vals: &mut Vec<Coef>) -> Result<bool> {
+    for step in trail.iter().rev() {
+        match *step {
+            Back::Subst {
+                col,
+                start,
+                end,
+                rc,
+            } => {
+                let repl = &arena[start..end];
+                vals.resize(vals.len().max(repl.len()), 0);
+                let mut acc = rc as i128;
+                for (&c, &x) in repl.iter().zip(vals.iter()) {
+                    acc += c as i128 * x as i128;
+                }
+                vals[col] = int::narrow(acc)?;
+            }
+            Back::Bounds {
+                col,
+                start,
+                end,
+                width,
+            } => {
+                vals.resize(vals.len().max(width), 0);
+                let (mut lo, mut hi): (Option<i128>, Option<i128>) = (None, None);
+                for row in arena[start..end].chunks_exact(width + 1) {
+                    // row[col]·x_col + rest ≥ 0 under `vals`.
+                    let mut rest = row[width] as i128;
+                    for (j, (&c, &x)) in row[..width].iter().zip(vals.iter()).enumerate() {
+                        if j != col {
+                            rest += c as i128 * x as i128;
+                        }
+                    }
+                    let a = row[col] as i128;
+                    if a > 0 {
+                        let b = -rest.div_euclid(a);
+                        lo = Some(lo.map_or(b, |l| l.max(b)));
+                    } else {
+                        let b = rest.div_euclid(-a);
+                        hi = Some(hi.map_or(b, |h| h.min(b)));
+                    }
+                }
+                let value = match (lo, hi) {
+                    (Some(l), Some(h)) if l > h => return Ok(false),
+                    (Some(l), _) => l,
+                    (None, Some(h)) => h,
+                    (None, None) => 0,
+                };
+                vals[col] = int::narrow(value)?;
+            }
+        }
+    }
+    Ok(true)
 }
 
 /// Rows → dense tableau → rows round trip, exposed for representation
@@ -2083,28 +1639,11 @@ mod tests {
     }
 
     #[test]
-    fn dense_sat_matches_rows_on_knapsack() {
-        let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let y = p.add_var("y", VarKind::Input);
-        p.add_eq(LinExpr::term(3, x).plus_term(5, y).plus_const(-7));
-        p.add_geq(LinExpr::var(x));
-        p.add_geq(LinExpr::var(y));
-        let mut dense = Budget::default();
-        let mut rows = Budget::default();
-        rows.options.dense_kernel = false;
-        assert_eq!(
-            p.is_satisfiable_with(&mut dense).unwrap(),
-            p.is_satisfiable_with(&mut rows).unwrap()
-        );
-        // Identical budget consumption is part of the contract.
-        assert_eq!(dense.remaining(), rows.remaining());
-    }
-
-    #[test]
     fn pool_reuse_keeps_results_stable() {
-        // Run several queries on one thread so tableaus are reused dirty.
-        for n in 0..20 {
+        // A query answered on a fresh pool must be answered identically —
+        // verdict and budget spend — after a splintering query has left
+        // dirty tableaus of other shapes in the thread's pool.
+        let query = |n: i64| {
             let mut p = Problem::new();
             let x = p.add_var("x", VarKind::Input);
             let y = p.add_var("y", VarKind::Input);
@@ -2112,15 +1651,21 @@ mod tests {
             p.add_geq(LinExpr::term(-2, x).plus_term(3, y).plus_const(1 - n));
             p.add_geq(LinExpr::var(x).plus_const(-1));
             p.add_geq(LinExpr::term(-1, x).plus_const(10));
-            let mut dense = Budget::default();
-            let mut rows = Budget::default();
-            rows.options.dense_kernel = false;
-            assert_eq!(
-                p.is_satisfiable_with(&mut dense).unwrap(),
-                p.is_satisfiable_with(&mut rows).unwrap(),
-                "n = {n}"
-            );
-            assert_eq!(dense.remaining(), rows.remaining(), "n = {n}");
+            let mut b = Budget::default();
+            (p.is_satisfiable_with(&mut b).unwrap(), b.remaining())
+        };
+        let mut dirty = Problem::new();
+        let vars: Vec<_> = (0..4)
+            .map(|i| dirty.add_var(format!("v{i}"), VarKind::Input))
+            .collect();
+        for w in vars.windows(2) {
+            dirty.add_geq(LinExpr::term(5, w[0]).plus_term(-3, w[1]).plus_const(1));
+            dirty.add_geq(LinExpr::term(-5, w[0]).plus_term(3, w[1]).plus_const(2));
+        }
+        for n in 0..20 {
+            let fresh = query(n);
+            dirty.is_satisfiable().unwrap();
+            assert_eq!(query(n), fresh, "n = {n}");
         }
     }
 }

@@ -58,18 +58,27 @@ fn box_points(nvars: usize) -> Vec<Vec<i64>> {
     pts
 }
 
-fn gen_row(rng: &mut Rng) -> Row {
+/// A row over `width` variables, coefficients in `[-coef, coef]`, an
+/// equality with probability `eq`.
+fn gen_row(rng: &mut Rng, width: usize, coef: i64, eq: f64) -> Row {
     (
-        (0..3).map(|_| rng.gen_range_i64(-5..=5)).collect(),
+        (0..width).map(|_| rng.gen_range_i64(-coef..=coef)).collect(),
         rng.gen_range_i64(-8..=8),
-        rng.gen_bool(0.3),
+        rng.gen_bool(eq),
     )
 }
 
 /// 1 to `max` (inclusive) random rows.
 fn gen_rows(rng: &mut Rng, max: usize) -> Vec<Row> {
     let n = rng.gen_range_usize(1..=max);
-    (0..n).map(|_| gen_row(rng)).collect()
+    (0..n).map(|_| gen_row(rng, 3, 5, 0.3)).collect()
+}
+
+/// The four-variable shape the brute-force oracle must cover: up to
+/// eight rows, coefficients in `[-3, 3]`, a quarter of them equalities.
+fn gen_wide_rows(rng: &mut Rng) -> Vec<Row> {
+    let n = rng.gen_range_usize(1..=8);
+    (0..n).map(|_| gen_row(rng, 4, 3, 0.25)).collect()
 }
 
 // ---- the properties, as replayable functions ----
@@ -94,25 +103,28 @@ fn prop_normalize(rows: &[Row], nvars: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Projection onto the first variable matches brute-forced shadows: a
-/// value is in the union of projection pieces iff some completion
-/// satisfies the original problem.
-fn prop_projection(rows: &[Row], nvars: usize) -> Result<(), String> {
+/// Projection onto the first `nkeep` variables matches brute-forced
+/// shadows: a point is in the union of projection pieces iff some
+/// completion satisfies the original problem.
+fn prop_projection(rows: &[Row], nvars: usize, nkeep: usize) -> Result<(), String> {
     let p = build(nvars, rows);
-    let keep = p.find_var("v0").unwrap();
-    let proj = p.project(&[keep]).unwrap();
-    for x in -BOX..=BOX {
-        let brute = box_points(nvars - 1).iter().any(|rest| {
-            let mut pt = vec![x];
+    let keep: Vec<_> = p.var_ids().take(nkeep).collect();
+    let proj = p.project(&keep).unwrap();
+    let completions = box_points(nvars - nkeep);
+    for x in box_points(nkeep) {
+        let brute = completions.iter().any(|rest| {
+            let mut pt = x.clone();
             pt.extend(rest);
             p.satisfies(&pt)
         });
         let union = proj.problems().any(|piece| {
             let mut q = piece.clone();
-            q.add_eq(LinExpr::var(keep).plus_const(-x));
+            for (&v, &xv) in keep.iter().zip(&x) {
+                q.add_eq(LinExpr::var(v).plus_const(-xv));
+            }
             q.is_satisfiable().unwrap()
         });
-        prop_assert_eq!(union, brute, "x = {}, problem {}", x, p);
+        prop_assert_eq!(union, brute, "x = {:?}, problem {}", x, p);
     }
     Ok(())
 }
@@ -221,7 +233,7 @@ fn projection_matches_brute_force() {
     check(
         &Config::with_cases(256),
         |rng| (gen_rows(rng, 2), rng.gen_range_usize(2..=3)),
-        |(rows, nvars)| prop_projection(rows, (*nvars).clamp(2, 3)),
+        |(rows, nvars)| prop_projection(rows, (*nvars).clamp(2, 3), 1),
     );
 }
 
@@ -261,6 +273,26 @@ fn shadow_sandwich() {
     );
 }
 
+// The brute-force oracle for the solver kernel at the widest shape it
+// can enumerate: four variables over `[-BOX, BOX]^4`, up to eight rows.
+
+#[test]
+fn wide_sat_matches_brute_force() {
+    check(&Config::with_cases(128), gen_wide_rows, |rows| prop_sat(rows, 4));
+}
+
+#[test]
+fn wide_projection_onto_two_variables_matches_brute_force() {
+    check(&Config::with_cases(96), gen_wide_rows, |rows| {
+        prop_projection(rows, 4, 2)
+    });
+}
+
+#[test]
+fn wide_witness_agrees_with_sat() {
+    check(&Config::with_cases(128), gen_wide_rows, |rows| prop_witness(rows, 4));
+}
+
 // ---- named regressions, ported from the historical proptest seed
 // files (`prop.proptest-regressions`) before they were deleted. Each is
 // the recorded minimal witness, replayed through every property whose
@@ -273,7 +305,7 @@ fn regression_single_eq_row_two_vars() {
     harness::prop::check_value(&(rows, 2usize), |(rows, nvars)| {
         prop_sat(rows, *nvars)?;
         prop_normalize(rows, *nvars)?;
-        prop_projection(rows, *nvars)?;
+        prop_projection(rows, *nvars, 1)?;
         prop_witness(rows, *nvars)
     });
 }

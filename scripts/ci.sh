@@ -12,6 +12,12 @@ export RUSTFLAGS="-Dwarnings ${RUSTFLAGS:-}"
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+echo "==> cargo build --release --offline --locked (ledger benchmark package)"
+# The benchmark lives outside the workspace but reads the library APIs
+# (CacheStats, Config, Server); building it here makes a change to those
+# APIs fail CI instead of the next benchmark run.
+cargo build --release --offline --locked --manifest-path ledger/Cargo.toml
+
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
@@ -33,21 +39,10 @@ if [ "$corpus_t1" != "$corpus_t8" ]; then
     exit 1
 fi
 
-echo "==> CLI checkpoint byte-identity (base checkpointing on vs off)"
-# Resuming checkpointed base tableaus is a pure performance feature:
-# the whole-corpus report must not change by a byte when it is off,
-# with and without the memo cache.
-corpus_nockpt=$(cargo run -q --release --offline --bin tinydep -- --corpus --threads=8 --no-base-checkpoint)
-if [ "$corpus_t8" != "$corpus_nockpt" ]; then
-    echo "ci.sh: FAIL: tinydep --corpus output differs with --no-base-checkpoint" >&2
-    exit 1
-fi
+echo "==> CLI corpus mode byte-identity (memo cache on vs off)"
+# The memo cache is a pure performance feature: the whole-corpus report
+# must not change by a byte without it.
 corpus_nocache=$(cargo run -q --release --offline --bin tinydep -- --corpus --threads=8 --no-cache)
-corpus_nocache_nockpt=$(cargo run -q --release --offline --bin tinydep -- --corpus --threads=8 --no-cache --no-base-checkpoint)
-if [ "$corpus_nocache" != "$corpus_nocache_nockpt" ]; then
-    echo "ci.sh: FAIL: --no-base-checkpoint changes the report under --no-cache" >&2
-    exit 1
-fi
 if [ "$corpus_t8" != "$corpus_nocache" ]; then
     echo "ci.sh: FAIL: tinydep --corpus output differs with --no-cache" >&2
     exit 1

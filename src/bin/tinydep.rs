@@ -35,10 +35,6 @@
 //!                   order (text format only). Several FILE /
 //!                   corpus:NAME inputs behave the same way
 //!   --no-cache      disable the canonical-problem memo cache
-//!   --no-base-checkpoint
-//!                   solve every delta-query memo miss from scratch
-//!                   instead of resuming the pair's checkpointed base
-//!                   tableau; the report is byte-identical either way
 //!   --cache-file=PATH
 //!                   persist the memo cache: load it from PATH before the
 //!                   analysis (ignored when missing/corrupt/stale) and
@@ -98,7 +94,6 @@ struct Options {
     signs: bool,
     threads: usize,
     no_cache: bool,
-    no_base_checkpoint: bool,
     cache_file: Option<std::path::PathBuf>,
     stats: bool,
     serve: Option<ServeMode>,
@@ -119,7 +114,6 @@ fn parse_args() -> Result<Options, String> {
         signs: false,
         threads: 1,
         no_cache: false,
-        no_base_checkpoint: false,
         cache_file: None,
         stats: false,
         serve: None,
@@ -138,7 +132,6 @@ fn parse_args() -> Result<Options, String> {
             "--signs" => opts.signs = true,
             "--json" => opts.json = true,
             "--no-cache" => opts.no_cache = true,
-            "--no-base-checkpoint" => opts.no_base_checkpoint = true,
             "--stats" => opts.stats = true,
             "--serve" => opts.serve = Some(ServeMode::Stdio),
             "--corpus" => opts.corpus_all = true,
@@ -223,7 +216,6 @@ fn config_from(opts: &Options) -> Config {
         storage_kills: opts.storage_kills,
         threads: opts.threads,
         memo_cache: !opts.no_cache,
-        base_checkpoint: !opts.no_base_checkpoint,
         cache_file: opts.cache_file.clone(),
         ..if opts.standard {
             Config::standard()
@@ -326,7 +318,6 @@ fn run_corpus(opts: &Options) -> ExitCode {
             eprintln!(
                 "corpus cache: {} hits / {} lookups ({} inserts, {} entries); \
                  canon: {} full, {} delta; \
-                 checkpoints: {} resumed, {} rebuilt; \
                  bases: {} resident, {} sweeps evicted {}",
                 c.hits,
                 c.lookups(),
@@ -334,8 +325,6 @@ fn run_corpus(opts: &Options) -> ExitCode {
                 c.entries,
                 c.full_canons,
                 c.delta_canons,
-                c.checkpoint_resumes,
-                c.checkpoint_rebuilds,
                 c.base_forms,
                 c.base_sweeps,
                 c.base_evicted
@@ -440,15 +429,12 @@ fn main() -> ExitCode {
         eprintln!(
             "cache: {} hits / {} lookups ({} inserts); \
              canon: {} full, {} delta; \
-             checkpoints: {} resumed, {} rebuilt; \
              prefilter: {} skipped of {} tested (gcd {}, range {}, symbolic {})",
             c.hits,
             c.lookups(),
             c.inserts,
             c.full_canons,
             c.delta_canons,
-            c.checkpoint_resumes,
-            c.checkpoint_rebuilds,
             p.skipped(),
             p.tested(),
             p.gcd,

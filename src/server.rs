@@ -565,7 +565,7 @@ impl Server {
              \"shared\":{},\"reminted\":{},\"sweeps\":{},\"swept\":{},\"shards\":{}}},\
              \"cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\"entries\":{},\
              \"full_canons\":{},\"delta_canons\":{},\
-             \"checkpoint_resumes\":{},\"checkpoint_rebuilds\":{},\"base_forms\":{},\
+             \"base_forms\":{},\
              \"base_sweeps\":{},\"base_evicted\":{},\"hit_rate\":\"{:.4}\"}}}}",
             self.requests.load(Ordering::Relaxed),
             r.built,
@@ -583,8 +583,6 @@ impl Server {
             c.entries,
             c.full_canons,
             c.delta_canons,
-            c.checkpoint_resumes,
-            c.checkpoint_rebuilds,
             c.base_forms,
             c.base_sweeps,
             c.base_evicted,

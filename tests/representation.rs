@@ -265,18 +265,14 @@ fn construction_path_cannot_be_observed() {
 /// The dense scratch tableau is the second representation the solver
 /// core keeps: queries run on a flat coefficient matrix and convert
 /// back to interned rows only at canonical boundaries. Like the
-/// construction path above, the representation must be unobservable —
+/// construction path above, the representation must be unobservable:
 /// rows → tableau → rows round-trips preserve the canonical digest and
-/// the exact constraint content, and running the solver on the tableau
-/// (`dense_kernel: true`, the default) must produce the same verdicts,
-/// the same budget spend, and byte-identical projections as the
-/// interned-row pipeline (`dense_kernel: false`). Runs on the harness
-/// property framework so failures shrink to a minimal constraint
-/// system and replay by `HARNESS_CASE_SEED`.
+/// the exact constraint content. Runs on the harness property framework
+/// so failures shrink to a minimal constraint system and replay by
+/// `HARNESS_CASE_SEED`.
 #[test]
 fn tableau_representation_cannot_be_observed() {
     use harness::prop::{check_with, shrink_vec, Config};
-    use omega::{Budget, SolverOptions};
 
     const NUM_VARS: usize = 4;
 
@@ -316,13 +312,6 @@ fn tableau_representation_cannot_be_observed() {
         out
     };
 
-    let rows_budget = || {
-        Budget::default().with_options(SolverOptions {
-            dense_kernel: false,
-            ..SolverOptions::default()
-        })
-    };
-
     check_with(
         &Config::with_cases(192),
         generate,
@@ -358,239 +347,8 @@ fn tableau_representation_cannot_be_observed() {
                 prop_assert_eq!(a.color(), b.color(), "round-trip changed a constraint color");
             }
 
-            // Satisfiability: same verdict (or same error) and the same
-            // budget spend on both kernels — the parity contract that
-            // keeps reports byte-identical under `dense_kernel` off.
-            let mut dense = Budget::default();
-            let mut rows = rows_budget();
-            let vd = p.is_satisfiable_with(&mut dense);
-            let vr = p.is_satisfiable_with(&mut rows);
-            prop_assert_eq!(
-                format!("{vd:?}"),
-                format!("{vr:?}"),
-                "dense and row kernels disagreed on satisfiability"
-            );
-            prop_assert_eq!(
-                dense.remaining(),
-                rows.remaining(),
-                "dense and row kernels spent different budgets on sat"
-            );
-
-            // Projection onto the first two variables: identical input,
-            // deterministic algorithm — dark, real and every splinter
-            // must render byte-identically, and again for the same cost.
-            let keep: Vec<VarId> = p.var_ids().take(2).collect();
-            let mut dense = Budget::default();
-            let mut rows = rows_budget();
-            let render = |r: &Result<omega::Projection, omega::Error>| match r {
-                Ok(proj) => {
-                    let splinters: Vec<String> =
-                        proj.splinters().iter().map(|s| s.to_string()).collect();
-                    format!("{} | {} | {splinters:?}", proj.dark(), proj.real())
-                }
-                Err(e) => format!("error: {e:?}"),
-            };
-            let pd = p.project_with(&keep, &mut dense);
-            let pr = p.project_with(&keep, &mut rows);
-            prop_assert_eq!(
-                render(&pd),
-                render(&pr),
-                "dense and row kernels produced different projections"
-            );
-            prop_assert_eq!(
-                dense.remaining(),
-                rows.remaining(),
-                "dense and row kernels spent different budgets on projection"
-            );
             Ok(())
         },
-    );
-}
-
-/// The base-tableau checkpoint is the third representation choice the
-/// solver core hides: on a memo miss over an eligible base, the kernel
-/// may resume a recorded checkpoint (base equalities already eliminated)
-/// instead of solving `base ∧ delta` cold. Whether it resumed, rebuilt,
-/// or never recorded must be unobservable through the public API:
-/// identical verdicts, byte-identical projection renderings, and
-/// identical budget spends with `base_checkpoint` on and off. Each delta
-/// schedule runs twice per side against a fresh cache, so the second
-/// round exercises the record-on-second-miss policy (round one: miss,
-/// no record; repeated base misses: record then resume) and memo hits.
-/// Failures shrink to a minimal base × delta schedule.
-#[test]
-fn checkpoint_resume_cannot_be_observed() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    use harness::prop::{check_with, Config};
-    use omega::{Budget, PairContext, ProblemLike, SolverCache, SolverOptions};
-
-    const NUM_VARS: usize = 4;
-
-    #[derive(Clone, Debug)]
-    struct Case {
-        base: Vec<RawConstraint>,
-        // Each delta is a small constraint batch layered over the base.
-        deltas: Vec<Vec<RawConstraint>>,
-    }
-
-    let generate = |rng: &mut harness::Rng| -> Case {
-        let base: Vec<RawConstraint> = (0..rng.gen_range_usize(1..=6))
-            .map(|_| RawConstraint {
-                coeffs: (0..NUM_VARS).map(|_| rng.gen_range_i64(-3..=3)).collect(),
-                constant: rng.gen_range_i64(-8..=8),
-                is_eq: rng.gen_bool(0.4),
-            })
-            .collect();
-        let deltas = (0..rng.gen_range_usize(2..=4))
-            .map(|_| {
-                (0..rng.gen_range_usize(1..=2))
-                    .map(|_| {
-                        // Mostly fresh inequalities (the resumable shape);
-                        // sometimes an exact copy of a base constraint, so
-                        // duplicate-equality deltas and merge tie-breaks
-                        // are exercised too.
-                        if !base.is_empty() && rng.gen_bool(0.2) {
-                            base[rng.gen_range_usize(0..=base.len() - 1)].clone()
-                        } else {
-                            RawConstraint {
-                                coeffs: (0..NUM_VARS)
-                                    .map(|_| rng.gen_range_i64(-3..=3))
-                                    .collect(),
-                                constant: rng.gen_range_i64(-8..=8),
-                                is_eq: false,
-                            }
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        Case { base, deltas }
-    };
-
-    // Shrink: drop or simplify a base constraint, drop a whole delta, or
-    // simplify a delta constraint — every candidate is a strictly
-    // smaller schedule.
-    let shrink = |case: &Case| -> Vec<Case> {
-        let mut out = Vec::new();
-        for i in 0..case.base.len() {
-            let mut s = case.clone();
-            s.base.remove(i);
-            out.push(s);
-        }
-        for i in 0..case.deltas.len() {
-            let mut s = case.clone();
-            s.deltas.remove(i);
-            out.push(s);
-        }
-        let shrink_con = |c: &RawConstraint| -> Vec<RawConstraint> {
-            let mut v = Vec::new();
-            for (i, &k) in c.coeffs.iter().enumerate() {
-                if k != 0 {
-                    let mut s = c.clone();
-                    s.coeffs[i] = 0;
-                    v.push(s);
-                }
-            }
-            if c.constant != 0 {
-                let mut s = c.clone();
-                s.constant /= 2;
-                v.push(s);
-            }
-            v
-        };
-        for (bi, c) in case.base.iter().enumerate() {
-            for s in shrink_con(c) {
-                let mut sc = case.clone();
-                sc.base[bi] = s;
-                out.push(sc);
-            }
-        }
-        for (di, d) in case.deltas.iter().enumerate() {
-            for (ci, c) in d.iter().enumerate() {
-                for s in shrink_con(c) {
-                    let mut sc = case.clone();
-                    sc.deltas[di][ci] = s;
-                    out.push(sc);
-                }
-            }
-        }
-        out
-    };
-
-    let resumes = Arc::new(AtomicU64::new(0));
-    let resumes_seen = resumes.clone();
-
-    check_with(
-        &Config::with_cases(160),
-        generate,
-        shrink,
-        move |case: &Case| {
-            // One side per flag value, each against its own fresh cache:
-            // every observable from every query, in order.
-            let run = |checkpoint: bool| -> (Vec<String>, u64) {
-                let cache = Arc::new(SolverCache::new());
-                let options = SolverOptions {
-                    base_checkpoint: checkpoint,
-                    ..SolverOptions::default()
-                };
-                let budget =
-                    || Budget::new(200_000).with_cache(cache.clone()).with_options(options);
-                let base = build_dense(NUM_VARS, &case.base);
-                let keep: Vec<VarId> = base.var_ids().take(2).collect();
-                let vars: Vec<VarId> = base.var_ids().collect();
-                let ctx = PairContext::new(base, &budget());
-                let mut out = Vec::new();
-                for round in 0..2 {
-                    for (di, delta) in case.deltas.iter().enumerate() {
-                        let mut dp = ctx.derive();
-                        for c in delta {
-                            let mut e = LinExpr::constant_expr(c.constant);
-                            for (v, &k) in vars.iter().zip(&c.coeffs) {
-                                e.set_coef(*v, k);
-                            }
-                            if c.is_eq {
-                                dp.add_eq(e);
-                            } else {
-                                dp.add_geq(e);
-                            }
-                        }
-                        let mut b = budget();
-                        let sat = dp.is_satisfiable_with(&mut b);
-                        out.push(format!("r{round} d{di} sat {sat:?} rem {}", b.remaining()));
-                        let mut b = budget();
-                        let proj = match dp.project_with(&keep, &mut b) {
-                            Ok(p) => {
-                                let splinters: Vec<String> =
-                                    p.splinters().iter().map(|s| s.to_string()).collect();
-                                format!("{} | {} | {splinters:?}", p.dark(), p.real())
-                            }
-                            Err(e) => format!("error: {e:?}"),
-                        };
-                        out.push(format!("r{round} d{di} proj {proj} rem {}", b.remaining()));
-                    }
-                }
-                (out, cache.stats().checkpoint_resumes)
-            };
-            let (on, on_resumes) = run(true);
-            let (off, off_resumes) = run(false);
-            prop_assert_eq!(
-                on,
-                off,
-                "base_checkpoint on/off diverged (on resumed {on_resumes} times)"
-            );
-            prop_assert_eq!(off_resumes, 0, "disabled checkpointing still resumed");
-            resumes.fetch_add(on_resumes, Ordering::Relaxed);
-            Ok(())
-        },
-    );
-    // The property is vacuous if the resume path never fires: across the
-    // schedules (each base re-missed in round two after a second-miss
-    // recording) a healthy fraction must actually resume.
-    assert!(
-        resumes_seen.load(Ordering::Relaxed) > 0,
-        "no schedule ever took the checkpoint resume path"
     );
 }
 
