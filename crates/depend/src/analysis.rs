@@ -5,13 +5,13 @@
 //!
 //! The driver is organized as a sequence of *stages* whose tasks are
 //! mutually independent (output pairs, flow pairs, per-read kill passes,
-//! anti pairs); each stage fans out across [`Config::threads`] workers
-//! via [`parallel_map`] and merges its results in task order, so the
-//! analysis output is byte-identical at every thread count. All Omega
-//! queries of one analysis share a canonical-form memo cache
-//! ([`omega::SolverCache`]), and the §4.5 quick pre-tests
-//! ([`crate::prefilter`]) reject obviously-independent pairs before a
-//! `Problem` is ever built; both report counters in [`Stats`].
+//! anti pairs); each stage fans out as one batch on a [`Pool`] and merges
+//! its results in task order, so the analysis output is byte-identical
+//! at every thread count. All Omega queries of one analysis share a
+//! canonical-form memo cache ([`omega::SolverCache`]), and the §4.5
+//! quick pre-tests ([`crate::prefilter`]) reject obviously-independent
+//! pairs before a `Problem` is ever built; both report counters in
+//! [`Stats`].
 //!
 //! At corpus scale, [`analyze_corpus`] runs whole programs as outer work
 //! items on one shared [`Pool`] while each program's stages fan out as
@@ -34,7 +34,7 @@ use crate::dep::{AccessSite, DeadReason, DepKind, Dependence};
 use crate::error::Result;
 use crate::kill::check_kill;
 use crate::pairs::build_dependence;
-use crate::parallel::{parallel_map, Pool};
+use crate::parallel::Pool;
 use crate::prefilter::{prefilter_pair, PrefilterStats};
 use crate::refine::refine_dependence;
 
@@ -158,7 +158,9 @@ impl Analysis {
     }
 }
 
-/// Runs the full analysis of §4 over a program.
+/// Runs the full analysis of §4 over a program, on a [`Pool`] of
+/// [`Config::threads`] built for this call, with the memo cache that
+/// [`Config::memo_cache`] and [`Config::cache_file`] ask for.
 ///
 /// # Errors
 ///
@@ -178,37 +180,11 @@ impl Analysis {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn analyze_program(info: &ProgramInfo, config: &Config) -> Result<Analysis> {
-    // Each solver-heavy operation gets a fresh budget so one pathological
-    // pair cannot starve the rest of the analysis; budget exhaustion in a
-    // §4 test degrades conservatively (no kill/cover/refinement claimed).
-    // All budgets share one memo cache, so structurally identical Omega
-    // problems are solved once per analysis regardless of which pair (or
-    // worker thread) reaches them first.
-    let cache = config.memo_cache.then(|| {
-        Arc::new(match &config.cache_file {
-            // A missing/corrupt/stale file yields an empty cache: the run
-            // is cold but correct.
-            Some(path) => omega::SolverCache::load_from(path),
-            None => omega::SolverCache::new(),
-        })
-    });
-    let mut analysis =
-        analyze_with(info, config, &cache, Exec::Threads(config.effective_threads()))?;
-    if let (Some(cache), Some(path)) = (&cache, &config.cache_file) {
-        // An unwritable path must not fail the analysis (the report is
-        // complete), but it must not be silent either: the next run
-        // would silently go cold. The save itself is atomic (temp file
-        // + rename), so a crash or a concurrent writer can never leave
-        // a torn file behind.
-        if let Err(e) = cache.save_to(path) {
-            eprintln!(
-                "depend: warning: failed to save solver cache to {}: {e}",
-                path.display()
-            );
-            analysis.stats.cache_save_failed = true;
-        }
-    }
-    Ok(analysis)
+    let pool = Pool::new(config.threads);
+    let mut analyses = with_config_cache(config, |cache| {
+        Ok(vec![analyze_program_on(&pool, info, config, cache)?])
+    })?;
+    Ok(analyses.pop().expect("one program, one analysis"))
 }
 
 /// Analyzes a whole corpus of programs on one shared two-level [`Pool`].
@@ -231,14 +207,38 @@ pub fn analyze_program(info: &ProgramInfo, config: &Config) -> Result<Analysis> 
 ///
 /// Propagates the first (lowest program index) solver error.
 pub fn analyze_corpus(infos: &[ProgramInfo], config: &Config) -> Result<Vec<Analysis>> {
+    with_config_cache(config, |cache| {
+        analyze_corpus_with_cache(infos, config, cache)
+    })
+}
+
+/// Runs `analyze` with the memo cache `config` asks for, and persists it.
+///
+/// Each solver-heavy operation gets a fresh budget so one pathological
+/// pair cannot starve the rest of the analysis; budget exhaustion in a
+/// §4 test degrades conservatively (no kill/cover/refinement claimed).
+/// All budgets share one memo cache, so structurally identical Omega
+/// problems are solved once per run regardless of which pair (or worker
+/// thread) reaches them first. With [`Config::cache_file`] the cache is
+/// loaded before the run — a missing, corrupt or stale file yields an
+/// empty cache, so the run is cold but correct — and saved back after it.
+fn with_config_cache(
+    config: &Config,
+    analyze: impl FnOnce(Option<Arc<omega::SolverCache>>) -> Result<Vec<Analysis>>,
+) -> Result<Vec<Analysis>> {
     let cache = config.memo_cache.then(|| {
         Arc::new(match &config.cache_file {
             Some(path) => omega::SolverCache::load_from(path),
             None => omega::SolverCache::new(),
         })
     });
-    let mut analyses = analyze_corpus_with_cache(infos, config, cache.clone())?;
+    let mut analyses = analyze(cache.clone())?;
     if let (Some(cache), Some(path)) = (&cache, &config.cache_file) {
+        // An unwritable path must not fail the analysis (the report is
+        // complete), but it must not be silent either: the next run
+        // would silently go cold. The save itself is atomic (temp file
+        // + rename), so a crash or a concurrent writer can never leave
+        // a torn file behind.
         if let Err(e) = cache.save_to(path) {
             eprintln!(
                 "depend: warning: failed to save solver cache to {}: {e}",
@@ -252,8 +252,15 @@ pub fn analyze_corpus(infos: &[ProgramInfo], config: &Config) -> Result<Vec<Anal
     Ok(analyses)
 }
 
-/// [`analyze_corpus`] with a caller-owned memo cache (the server's batch
-/// path; ownership semantics as in [`analyze_program_with_cache`]).
+/// [`analyze_corpus`] with a caller-owned memo cache, on a pool of
+/// [`Config::threads`] built for this call.
+///
+/// With `Some(cache)`, [`Config::memo_cache`] and [`Config::cache_file`]
+/// are ignored: the caller owns the cache's lifetime and persistence
+/// (load it with [`omega::SolverCache::load_from`], save it with
+/// [`omega::SolverCache::save_to`]). With `None` this is a plain
+/// uncached run. Each returned [`Stats::cache`] holds the cache's
+/// cumulative counters.
 ///
 /// # Errors
 ///
@@ -263,20 +270,10 @@ pub fn analyze_corpus_with_cache(
     config: &Config,
     cache: Option<Arc<omega::SolverCache>>,
 ) -> Result<Vec<Analysis>> {
-    let threads = config.effective_threads();
-    let mut analyses = if threads <= 1 || infos.len() <= 1 {
-        // Sequential outer loop; a single program still parallelizes
-        // its inner stages across `threads`.
-        infos
-            .iter()
-            .map(|info| analyze_with(info, config, &cache, Exec::Threads(threads)))
-            .collect::<Result<Vec<_>>>()?
-    } else {
-        let pool = Pool::new(threads);
-        pool.map(infos.iter().collect(), |_, info| {
-            analyze_with(info, config, &cache, Exec::Pool(&pool))
-        })?
-    };
+    let pool = Pool::new(config.threads);
+    let mut analyses = pool.map(infos.iter().collect(), |_, info| {
+        analyze_with(info, config, &cache, &pool)
+    })?;
     if let Some(cache) = &cache {
         // Uniform semantics regardless of completion order: every
         // program reports the corpus-total counters.
@@ -288,11 +285,20 @@ pub fn analyze_corpus_with_cache(
     Ok(analyses)
 }
 
-/// [`analyze_program_with_cache`] scheduled on a caller-owned [`Pool`]:
-/// the analysis stages submit their pair batches to `pool`, so an
-/// otherwise idle server (or concurrent analyses sharing the pool) lends
-/// this analysis its workers. [`Config::threads`] is ignored — the
+/// Analyzes one program on a caller-owned [`Pool`] with a caller-owned
+/// memo cache: the analysis stages submit their pair batches to `pool`,
+/// so an otherwise idle server (or concurrent analyses sharing the pool)
+/// lends this analysis its workers. [`Config::threads`] is ignored — the
 /// pool's size decides the parallelism.
+///
+/// A long-lived caller — the `tinydep --serve` daemon — passes the same
+/// [`omega::SolverCache`] for every request so canonical solves stay
+/// warm across requests. Results are byte-identical to a fresh-cache run
+/// (the cache's determinism contract: a hit is indistinguishable, in
+/// value and budget consumption, from the cold computation). Cache
+/// ownership is as in [`analyze_corpus_with_cache`]; [`Analysis::stats`]
+/// reports the cache's *cumulative* counters, so per-request deltas are
+/// the caller's subtraction.
 ///
 /// # Errors
 ///
@@ -303,70 +309,16 @@ pub fn analyze_program_on(
     config: &Config,
     cache: Option<Arc<omega::SolverCache>>,
 ) -> Result<Analysis> {
-    analyze_with(info, config, &cache, Exec::Pool(pool))
+    analyze_with(info, config, &cache, pool)
 }
 
-/// [`analyze_program`] with a caller-owned memo cache.
-///
-/// A long-lived caller — the `tinydep --serve` daemon — passes the same
-/// [`omega::SolverCache`] for every request so canonical solves stay
-/// warm across requests. Results are byte-identical to a fresh-cache run
-/// (the cache's determinism contract: a hit is indistinguishable, in
-/// value and budget consumption, from the cold computation).
-///
-/// With `Some(cache)`, [`Config::memo_cache`] and [`Config::cache_file`]
-/// are ignored: the caller owns the cache's lifetime and persistence
-/// (load it with [`omega::SolverCache::load_from`], save it with
-/// [`omega::SolverCache::save_to`]). With `None` this is a plain
-/// uncached run. [`Analysis::stats`] then reports the cache's
-/// *cumulative* counters, so per-request deltas are the caller's
-/// subtraction.
-///
-/// # Errors
-///
-/// Propagates solver errors, exactly like [`analyze_program`].
-pub fn analyze_program_with_cache(
-    info: &ProgramInfo,
-    config: &Config,
-    cache: Option<Arc<omega::SolverCache>>,
-) -> Result<Analysis> {
-    analyze_with(info, config, &cache, Exec::Threads(config.effective_threads()))
-}
-
-/// Where a stage's fan-out runs: an ephemeral scoped pool of its own
-/// ([`parallel_map`]), or a shared long-lived [`Pool`] whose workers are
-/// stolen across concurrent analyses (the corpus and server paths).
-#[derive(Clone, Copy)]
-enum Exec<'p> {
-    /// Scoped threads per stage, the one-shot path.
-    Threads(usize),
-    /// Batches submitted to a shared two-level pool.
-    Pool(&'p Pool),
-}
-
-impl Exec<'_> {
-    fn map<T, R, F>(&self, work: Vec<T>, f: F) -> Result<Vec<R>>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> Result<R> + Send + Sync,
-    {
-        match self {
-            Exec::Threads(threads) => parallel_map(*threads, work, f),
-            Exec::Pool(pool) => pool.map(work, f),
-        }
-    }
-}
-
-/// The driver body shared by [`analyze_program`] (which builds and
-/// persists the cache per `Config`) and [`analyze_program_with_cache`]
-/// (which borrows the caller's); `exec` decides where the stage
-/// fan-outs run.
+/// The driver body behind every entry point: each stage fans out as one
+/// batch on `pool`.
 fn analyze_with(
     info: &ProgramInfo,
     config: &Config,
     cache: &Option<Arc<omega::SolverCache>>,
-    exec: Exec<'_>,
+    pool: &Pool,
 ) -> Result<Analysis> {
     let mut stats = Stats::default();
 
@@ -390,7 +342,7 @@ fn analyze_with(
         .iter()
         .flat_map(|&w1| writes.iter().map(move |&w2| (w1, w2)))
         .collect();
-    let out_results = exec.map(out_tasks, |_, (w1, w2)| {
+    let out_results = pool.map(out_tasks, |_, (w1, w2)| {
         let a = info.stmt(w1);
         let b = info.stmt(w2);
         let mut pf = PrefilterStats::default();
@@ -446,7 +398,7 @@ fn analyze_with(
     // vector: the merge below folds results back per read without
     // recomputing the task list.
     let merge_order: Vec<usize> = flow_tasks.iter().map(|&(read_pos, _)| read_pos).collect();
-    let flow_results = exec.map(flow_tasks, |_, (read_pos, w)| {
+    let flow_results = pool.map(flow_tasks, |_, (read_pos, w)| {
         let (read_label, read_idx) = reads[read_pos];
         analyze_flow_pair(info, config, cache, &self_output, read_label, read_idx, w)
     })?;
@@ -470,7 +422,7 @@ fn analyze_with(
         .map(|&(read_label, _)| read_label)
         .zip(flows_by_read)
         .collect();
-    let kill_results = exec.map(kill_tasks, |_, (read_label, mut flows_here)| {
+    let kill_results = pool.map(kill_tasks, |_, (read_label, mut flows_here)| {
         let kill_stats = if config.kill {
             kill_passes(info, config, cache, &outputs, read_label, &mut flows_here)?
         } else {
@@ -496,7 +448,7 @@ fn analyze_with(
                 .map(move |&w| (read_label, read_idx, w))
         })
         .collect();
-    let anti_results = exec.map(anti_tasks, |_, (read_label, read_idx, w)| {
+    let anti_results = pool.map(anti_tasks, |_, (read_label, read_idx, w)| {
         let dst = info.stmt(read_label);
         let wst = info.stmt(w);
         let mut pf = PrefilterStats::default();

@@ -25,12 +25,14 @@ pub struct Config {
     pub storage_kills: bool,
     /// Work budget (elementary Omega-test steps) per query.
     pub budget: usize,
-    /// Worker threads for the pair-analysis fan-out; `0` means one per
-    /// available core, `1` runs the plain sequential loop. In
-    /// [`analyze_corpus`](crate::analyze_corpus) this sizes the shared
-    /// two-level pool: programs and their pair batches compete for the
-    /// same `threads` workers, never `programs × threads`. Results are
-    /// byte-identical at every setting.
+    /// Threads of the [`Pool`](crate::Pool) the analysis runs on; `0`
+    /// means one per available core (resolved by
+    /// [`Pool::new`](crate::Pool::new)), `1` runs the plain sequential
+    /// loop. In [`analyze_corpus`](crate::analyze_corpus) programs and
+    /// their pair batches compete for the same `threads` workers, never
+    /// `programs × threads`. Results are byte-identical at every setting.
+    /// Ignored by [`analyze_program_on`](crate::analyze_program_on),
+    /// whose caller supplies the pool.
     pub threads: usize,
     /// Share a canonical-form memo cache across all Omega queries of one
     /// analysis (see [`omega::SolverCache`]).
@@ -43,7 +45,8 @@ pub struct Config {
     /// renamed into place — so a crash or a concurrent writer can never
     /// leave a torn file behind. Only meaningful when
     /// [`Config::memo_cache`] is on, and ignored entirely by
-    /// [`analyze_program_with_cache`](crate::analyze_program_with_cache),
+    /// [`analyze_program_on`](crate::analyze_program_on) and
+    /// [`analyze_corpus_with_cache`](crate::analyze_corpus_with_cache),
     /// where the caller (e.g. the `tinydep --serve` daemon) owns the
     /// cache and decides when to load and save it.
     pub cache_file: Option<std::path::PathBuf>,
@@ -71,18 +74,6 @@ impl Config {
     /// The extended analysis of the paper (everything on).
     pub fn extended() -> Config {
         Config::default()
-    }
-
-    /// The worker count after resolving `threads == 0` to the number of
-    /// available cores.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
     }
 
     /// "Standard analysis" as benchmarked in Figure 6: dependence

@@ -6,8 +6,8 @@
 //! [`access_of`], direction summaries, status tags) on its own. The
 //! [`DepGraph`] computes that once: it is the single IR that
 //! [`report`](crate::report), [`dot`](crate::dot),
-//! [`Legality`](crate::Legality) and the
-//! [`parallelize`](crate::parallelize) decision engine consume.
+//! [`Legality`](crate::Legality), the `--parallel` report section and
+//! the [`parallelize`](crate::parallelize) decision engine consume.
 //!
 //! Edges keep a reference to their underlying [`Dependence`] (with its
 //! constraint problems and cases intact) plus the precomputed render
@@ -280,8 +280,8 @@ impl<'a> DepGraph<'a> {
     }
 
     /// The parallelization verdict for loop `l` under `view` — the
-    /// decision [`parallelize`](crate::parallelize) and
-    /// [`Legality`](crate::Legality) both consume.
+    /// decision [`parallelize`](crate::parallelize) and the `--parallel`
+    /// report section both consume.
     pub fn loop_verdict(&self, l: &LoopRef, view: KillView) -> LoopVerdict {
         let carried = self.carried_edges(l, view);
         let mut privatize = BTreeSet::new();
@@ -369,29 +369,6 @@ mod tests {
         }
         assert_eq!(g.live_flows().count(), a.live_flows().count());
         assert_eq!(g.dead_flows().count(), a.dead_flows().count());
-    }
-
-    #[test]
-    fn loop_verdicts_match_legality() {
-        for src in [
-            tiny::corpus::DOUBLE_BUFFER,
-            tiny::corpus::MATMUL,
-            tiny::corpus::SEIDEL,
-            tiny::corpus::EXAMPLE_2,
-        ] {
-            let (info, a) = run(src);
-            let g = DepGraph::new(&info, &a);
-            let legality = crate::Legality::new(&info, &a);
-            for l in program_loops(&info) {
-                let v = g.loop_verdict(&l, KillView::PostKill);
-                assert_eq!(v.outright_parallel(), legality.is_parallel(&l), "{l:?}");
-                assert_eq!(
-                    v.privatize,
-                    legality.parallel_with_privatization(&l),
-                    "{l:?}"
-                );
-            }
-        }
     }
 
     #[test]

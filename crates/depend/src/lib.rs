@@ -11,8 +11,9 @@
 //! [`check_terminating`] — eliminate the false ones; [`analyze_program`]
 //! drives the whole thing and produces the Figure 3/4 tables plus the
 //! Figure 6/7 statistics; [`SymbolicPair`] answers the §5 symbolic
-//! questions; and [`Legality`] turns the results into transformation
-//! verdicts (parallelism, privatization, interchange, fusion).
+//! questions; [`DepGraph`] turns the results into parallelism and
+//! privatization verdicts; and [`Legality`] adds the interchange and
+//! fusion tests.
 //!
 //! # Example
 //!
@@ -56,14 +57,14 @@ pub mod terminate;
 pub mod transform;
 
 pub use analysis::{
-    analyze_corpus, analyze_corpus_with_cache, analyze_program, analyze_program_on,
-    analyze_program_with_cache, Analysis, KillStat, PairClass, PairStat, Stats,
+    analyze_corpus, analyze_corpus_with_cache, analyze_program, analyze_program_on, Analysis,
+    KillStat, PairClass, PairStat, Stats,
 };
 pub use config::Config;
 pub use cover::{check_covering, CoverOutcome};
 pub use kill::{check_kill, KillOutcome};
 pub use pairs::build_dependence;
-pub use parallel::{parallel_map, parallel_map_infallible, Pool};
+pub use parallel::Pool;
 pub use prefilter::{prefilter_pair, PrefilterStats, SkipReason};
 pub use graph::{DepGraph, Edge, KillView, LoopVerdict, Node};
 pub use parallelize::{decide_loops, render_parallelize_report, LoopDecision, ParallelizeSummary};

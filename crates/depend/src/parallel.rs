@@ -1,11 +1,15 @@
-//! A zero-dependency work pool for the analysis fan-outs, in two
-//! flavors: the one-shot [`parallel_map`] (scoped threads, one batch)
-//! and the shared two-level [`Pool`] (long-lived workers, many batches).
+//! A zero-dependency work pool for the analysis fan-outs: the shared
+//! two-level [`Pool`] (long-lived workers, many batches). It is the one
+//! executor every analysis runs on — a one-shot
+//! [`analyze_program`](crate::analyze_program) builds a pool for its own
+//! run, while the corpus driver and the analysis server share one across
+//! many programs or requests.
 //!
-//! Both run one closure per item and collect the results **in item
-//! order** — callers merge per-pair results exactly as the sequential
-//! loop would have produced them, independent of which worker ran which
-//! item. No external crates, per the hermetic-build policy.
+//! [`Pool::map`] runs one closure per item and collects the results **in
+//! item order** — callers merge per-pair results exactly as the
+//! sequential loop would have produced them, independent of which worker
+//! ran which item. A one-thread pool spawns nothing and runs that plain
+//! loop inline. No external crates, per the hermetic-build policy.
 //!
 //! # The two-level scheme
 //!
@@ -220,7 +224,7 @@ fn worker_loop(shared: &PoolShared) {
 }
 
 /// A shared work pool with helping submitters: the two-level scheduler
-/// behind [`analyze_corpus`](crate::analyze_corpus) and the analysis
+/// behind every analysis — one program, a corpus, or the analysis
 /// server. See the module docs for the scheme.
 ///
 /// A `Pool::new(threads)` pool executes up to `threads` chunks
@@ -277,12 +281,12 @@ impl Pool {
     /// on a pool worker may itself call `map`, and idle workers (or
     /// other submitters) steal its chunks.
     ///
-    /// Same semantics as [`parallel_map`]: with one item (or a
-    /// single-threaded pool) this is the plain sequential loop with
-    /// short-circuiting; otherwise every item runs to completion and
-    /// the error of the smallest failing index is reported. A panicking
-    /// closure is re-raised after the batch completes, smallest index
-    /// first.
+    /// With one item (or a single-threaded pool) this is the plain
+    /// sequential loop with short-circuiting; otherwise every item runs
+    /// to completion and the error of the smallest failing index is
+    /// reported — what the sequential loop would have surfaced. A
+    /// panicking closure is re-raised after the batch completes,
+    /// smallest index first.
     ///
     /// # Errors
     ///
@@ -375,62 +379,6 @@ impl Drop for Pool {
     }
 }
 
-/// Applies `f` to every item of `work`, fanning out over `threads`
-/// scoped workers (the calling thread helps too), and returns the
-/// results in the original item order.
-///
-/// `f` receives `(index, item)` so callers can reuse precomputed
-/// per-index context. With `threads <= 1` (or one item) this is a plain
-/// sequential loop with no pool overhead and sequential error
-/// short-circuiting. In the parallel case every item runs to completion
-/// and the error of the **smallest** failing index is reported, matching
-/// what the sequential loop would have surfaced; a panicking closure is
-/// re-raised after the rest of the batch completes.
-///
-/// # Errors
-///
-/// Propagates the first (lowest-index) error returned by `f`.
-pub fn parallel_map<T, R, F>(threads: usize, work: Vec<T>, f: F) -> Result<Vec<R>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> Result<R> + Sync,
-{
-    let n = work.len();
-    if threads <= 1 || n <= 1 {
-        return work
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
-    let batch = Batch::new(work, chunk_size(n, threads), f);
-    std::thread::scope(|scope| {
-        // threads - 1 spawned workers; the calling thread is the last
-        // executor. The scope joins them all, so every claimed chunk
-        // has finished when it exits.
-        for _ in 0..(threads - 1).min(n - 1) {
-            scope.spawn(|| while batch.run_chunk() {});
-        }
-        while batch.run_chunk() {}
-    });
-    batch.merge()
-}
-
-/// [`parallel_map`] for closures that cannot fail.
-///
-/// Same ordering and pooling guarantees as [`parallel_map`]; the
-/// `Result` plumbing is simply hidden.
-pub fn parallel_map_infallible<T, R, F>(threads: usize, work: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    parallel_map(threads, work, |i, item| Ok(f(i, item)))
-        .expect("infallible closure returned an error")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,47 +386,17 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     #[test]
-    fn preserves_item_order_at_every_thread_count() {
+    fn pool_map_preserves_item_order_at_every_thread_count() {
         for threads in [1, 2, 3, 8, 33] {
-            let work: Vec<usize> = (0..100).collect();
-            let out = parallel_map(threads, work, |i, x| {
-                assert_eq!(i, x);
-                Ok(x * 2)
-            })
-            .unwrap();
+            let pool = Pool::new(threads);
+            let out = pool
+                .map((0..100).collect::<Vec<usize>>(), |i, x| {
+                    assert_eq!(i, x);
+                    Ok(x * 2)
+                })
+                .unwrap();
             assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn reports_the_lowest_index_error() {
-        for threads in [1, 4] {
-            let work: Vec<usize> = (0..64).collect();
-            let err = parallel_map(threads, work, |_, x| {
-                if x == 7 || x == 40 {
-                    Err(Error::Solver(omega::Error::TooComplex { budget: x }))
-                } else {
-                    Ok(x)
-                }
-            })
-            .unwrap_err();
-            assert!(
-                matches!(err, Error::Solver(omega::Error::TooComplex { budget: 7 })),
-                "threads={threads}: {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn more_threads_than_items_is_fine() {
-        let out = parallel_map(16, vec![1, 2, 3], |_, x| Ok(x + 1)).unwrap();
-        assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn infallible_variant_preserves_order() {
-        for threads in [1, 4] {
-            let out = parallel_map_infallible(threads, (0..50).collect(), |i, x: usize| {
+            let out = pool.map_infallible((0..50).collect(), |i, x: usize| {
                 assert_eq!(i, x);
                 x * 3
             });
@@ -487,9 +405,34 @@ mod tests {
     }
 
     #[test]
-    fn empty_work_list() {
-        let out: Vec<i32> = parallel_map(4, Vec::<i32>::new(), |_, x| Ok(x)).unwrap();
+    fn pool_map_handles_empty_and_tiny_batches() {
+        let pool = Pool::new(4);
+        let out: Vec<i32> = pool.map(Vec::<i32>::new(), |_, x| Ok(x)).unwrap();
         assert!(out.is_empty());
+        // More threads than items.
+        let pool = Pool::new(16);
+        let out = pool.map(vec![1, 2, 3], |_, x| Ok(x + 1)).unwrap();
+        assert_eq!(out, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn pool_map_reports_the_lowest_index_error() {
+        for threads in [1, 4] {
+            let pool = Pool::new(threads);
+            let err = pool
+                .map((0..64).collect::<Vec<usize>>(), |_, x| {
+                    if x == 7 || x == 40 {
+                        Err(Error::Solver(omega::Error::TooComplex { budget: x }))
+                    } else {
+                        Ok(x)
+                    }
+                })
+                .unwrap_err();
+            assert!(
+                matches!(err, Error::Solver(omega::Error::TooComplex { budget: 7 })),
+                "threads={threads}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -501,51 +444,6 @@ mod tests {
         assert_eq!(chunk_size(1000, 4), 8);
         assert_eq!(chunk_size(0, 4), 1);
         assert_eq!(chunk_size(64, 2), 8);
-    }
-
-    #[test]
-    fn panicking_item_completes_the_batch_then_reraises() {
-        let completed = AtomicUsize::new(0);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            parallel_map(4, (0..64).collect::<Vec<usize>>(), |_, x| {
-                if x == 13 {
-                    panic!("injected panic at 13");
-                }
-                completed.fetch_add(1, Ordering::Relaxed);
-                Ok(x)
-            })
-        }));
-        let payload = caught.expect_err("panic must propagate to the caller");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
-        assert_eq!(msg, "injected panic at 13");
-        // Every other item ran to completion before the re-raise.
-        assert_eq!(completed.load(Ordering::Relaxed), 63);
-    }
-
-    #[test]
-    fn pool_map_preserves_order_and_errors() {
-        let pool = Pool::new(4);
-        let out = pool
-            .map((0..100).collect::<Vec<usize>>(), |i, x| {
-                assert_eq!(i, x);
-                Ok(x * 2)
-            })
-            .unwrap();
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-
-        let err = pool
-            .map((0..64).collect::<Vec<usize>>(), |_, x| {
-                if x == 9 || x == 50 {
-                    Err(Error::Solver(omega::Error::TooComplex { budget: x }))
-                } else {
-                    Ok(x)
-                }
-            })
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            Error::Solver(omega::Error::TooComplex { budget: 9 })
-        ));
     }
 
     #[test]
@@ -567,32 +465,32 @@ mod tests {
     }
 
     #[test]
-    fn pool_panic_is_contained_to_its_item() {
+    fn pool_panic_completes_the_batch_then_reraises() {
         let pool = Pool::new(4);
         let completed = AtomicUsize::new(0);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.map((0..32).collect::<Vec<usize>>(), |_, x| {
-                if x == 5 {
-                    panic!("pool panic at 5");
+            pool.map((0..64).collect::<Vec<usize>>(), |_, x| {
+                if x == 13 {
+                    panic!("injected panic at 13");
                 }
                 completed.fetch_add(1, Ordering::Relaxed);
                 Ok(x)
             })
         }));
-        assert!(caught.is_err());
-        assert_eq!(completed.load(Ordering::Relaxed), 31);
+        let payload = caught.expect_err("panic must propagate to the caller");
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
+        assert_eq!(msg, "injected panic at 13");
+        // Every other item ran to completion before the re-raise.
+        assert_eq!(completed.load(Ordering::Relaxed), 63);
         // The pool survives for the next batch.
         let out = pool.map(vec![1, 2, 3], |_, x| Ok(x + 1)).unwrap();
         assert_eq!(out, vec![2, 3, 4]);
     }
 
     #[test]
-    fn single_threaded_pool_is_sequential() {
-        let pool = Pool::new(1);
-        let out = pool.map((0..10).collect::<Vec<usize>>(), |i, x| {
-            assert_eq!(i, x);
-            Ok(x)
-        });
-        assert_eq!(out.unwrap(), (0..10).collect::<Vec<_>>());
+    fn pool_new_resolves_zero_to_the_core_count() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(Pool::new(0).threads(), cores);
+        assert_eq!(Pool::new(3).threads(), 3);
     }
 }

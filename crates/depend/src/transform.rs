@@ -12,9 +12,8 @@ use omega::{Budget, LinExpr};
 use tiny::ProgramInfo;
 
 use crate::analysis::Analysis;
-use crate::dep::Dependence;
 use crate::error::Result;
-use crate::graph::{DepGraph, KillView};
+use crate::graph::DepGraph;
 
 /// Identifies one loop of the program by its tree path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,11 +47,10 @@ pub fn program_loops(info: &ProgramInfo) -> Vec<LoopRef> {
     out
 }
 
-/// Legality queries over an [`Analysis`] — a thin consumer of the
-/// [`DepGraph`] IR: carried-dependence, parallelism and privatization
-/// questions are answered by the graph (post-kill view), while the
-/// interchange and fusion tests below add their own Omega queries on the
-/// graph's edges.
+/// The interchange and fusion legality tests over an [`Analysis`]: each
+/// adds its own Omega queries on the edges of the analysis'
+/// [`DepGraph`]. Parallelism and privatization are answered by the graph
+/// itself ([`DepGraph::loop_verdict`], [`DepGraph::privatizable`]).
 #[derive(Debug)]
 pub struct Legality<'a> {
     info: &'a ProgramInfo,
@@ -66,45 +64,6 @@ impl<'a> Legality<'a> {
             info,
             graph: DepGraph::new(info, analysis),
         }
-    }
-
-    /// The dependence-graph IR the queries run on.
-    pub fn graph(&self) -> &DepGraph<'a> {
-        &self.graph
-    }
-
-    fn all_deps(&self) -> impl Iterator<Item = &'a Dependence> + '_ {
-        self.graph.edges().iter().map(|e| e.dep)
-    }
-
-    /// Whether both endpoints of `dep` are nested inside `l`.
-    fn under(&self, dep: &Dependence, l: &LoopRef) -> bool {
-        self.graph.under(dep, l)
-    }
-
-    /// Live dependences carried by loop `l` (their restraint vector is
-    /// `CarriedAt(l.depth)` between statements nested in `l`).
-    pub fn carried_by<'s>(&'s self, l: &LoopRef) -> impl Iterator<Item = &'a Dependence> + 's {
-        self.graph
-            .carried_edges(l, KillView::PostKill)
-            .into_iter()
-            .map(|i| self.graph.edges()[i].dep)
-    }
-
-    /// A loop is parallel when no live dependence of any kind is carried
-    /// by it.
-    pub fn is_parallel(&self, l: &LoopRef) -> bool {
-        self.graph
-            .loop_verdict(l, KillView::PostKill)
-            .outright_parallel()
-    }
-
-    /// Whether `array` is privatizable with respect to loop `l`: no live
-    /// *flow* dependence on the array is carried by `l`, so every
-    /// iteration uses only values it produced itself (or loop-invariant
-    /// live-ins, which privatization handles with copy-in).
-    pub fn privatizable(&self, array: &str, l: &LoopRef) -> bool {
-        self.graph.privatizable(array, l, KillView::PostKill)
     }
 
     /// Whether interchanging loop `l` with the loop immediately inside it
@@ -122,8 +81,8 @@ impl<'a> Legality<'a> {
     pub fn interchange_legal(&self, l: &LoopRef, budget: &mut Budget) -> Result<bool> {
         let outer = l.depth - 1; // 0-based index into common loops
         let inner = l.depth; // the loop directly inside
-        for d in self.all_deps() {
-            if !d.is_live() || !self.under(d, l) || d.common <= inner {
+        for d in self.graph.edges().iter().map(|e| e.dep) {
+            if !d.is_live() || !self.graph.under(d, l) || d.common <= inner {
                 continue;
             }
             for case in &d.cases {
@@ -160,7 +119,7 @@ impl<'a> Legality<'a> {
     pub fn fusion_legal(&self, l1: &LoopRef, l2: &LoopRef, budget: &mut Budget) -> Result<bool> {
         debug_assert_eq!(l1.depth, l2.depth);
         let level = l1.depth - 1;
-        for d in self.all_deps() {
+        for d in self.graph.edges().iter().map(|e| e.dep) {
             if !d.is_live() {
                 continue;
             }
@@ -185,14 +144,6 @@ impl<'a> Legality<'a> {
         }
         Ok(true)
     }
-
-    /// A loop is parallel *after privatization* when every dependence it
-    /// carries is a storage dependence (anti/output) on a privatizable
-    /// array. Returns the set of arrays to privatize, or `None` when a
-    /// carried flow dependence makes the loop inherently sequential.
-    pub fn parallel_with_privatization(&self, l: &LoopRef) -> Option<BTreeSet<String>> {
-        self.graph.loop_verdict(l, KillView::PostKill).privatize
-    }
 }
 
 #[cfg(test)]
@@ -200,7 +151,19 @@ mod tests {
     use super::*;
     use crate::analysis::analyze_program;
     use crate::config::Config;
+    use crate::graph::KillView;
     use tiny::ast::name_key;
+
+    /// Outright parallel after kills: no live carried dependence.
+    fn is_parallel(g: &DepGraph, l: &LoopRef) -> bool {
+        g.loop_verdict(l, KillView::PostKill).outright_parallel()
+    }
+
+    /// The arrays to privatize for a parallel loop after kills, `None`
+    /// when it stays sequential.
+    fn privatize(g: &DepGraph, l: &LoopRef) -> Option<BTreeSet<String>> {
+        g.loop_verdict(l, KillView::PostKill).privatize
+    }
 
     fn setup(src: &str, cfg: &Config) -> (ProgramInfo, Analysis) {
         let program = tiny::Program::parse(src).unwrap();
@@ -220,9 +183,9 @@ mod tests {
     fn wavefront_inner_and_outer_are_sequential() {
         let (info, a) = setup(tiny::corpus::WAVEFRONT, &Config::extended());
         let loops = program_loops(&info);
-        let legality = Legality::new(&info, &a);
-        assert!(!legality.is_parallel(find_loop(&loops, "i")));
-        assert!(!legality.is_parallel(find_loop(&loops, "j")));
+        let g = DepGraph::new(&info, &a);
+        assert!(!is_parallel(&g, find_loop(&loops, "i")));
+        assert!(!is_parallel(&g, find_loop(&loops, "j")));
     }
 
     #[test]
@@ -232,18 +195,21 @@ mod tests {
             &Config::extended(),
         );
         let loops = program_loops(&info);
-        let legality = Legality::new(&info, &a);
-        assert!(legality.is_parallel(find_loop(&loops, "i")));
+        let g = DepGraph::new(&info, &a);
+        assert!(is_parallel(&g, find_loop(&loops, "i")));
     }
 
     #[test]
     fn matmul_outer_loops_parallel_inner_reduction_not() {
         let (info, a) = setup(tiny::corpus::MATMUL, &Config::extended());
         let loops = program_loops(&info);
-        let legality = Legality::new(&info, &a);
-        assert!(legality.is_parallel(find_loop(&loops, "i")));
-        assert!(legality.is_parallel(find_loop(&loops, "j")));
-        assert!(!legality.is_parallel(find_loop(&loops, "k")), "reduction on c(i,j)");
+        let g = DepGraph::new(&info, &a);
+        assert!(is_parallel(&g, find_loop(&loops, "i")));
+        assert!(is_parallel(&g, find_loop(&loops, "j")));
+        assert!(
+            !is_parallel(&g, find_loop(&loops, "k")),
+            "reduction on c(i,j)"
+        );
     }
 
     #[test]
@@ -255,35 +221,35 @@ mod tests {
         let (info, ext) = setup(tiny::corpus::DOUBLE_BUFFER, &Config::extended());
         let loops = program_loops(&info);
         let it = find_loop(&loops, "it");
-        let legality = Legality::new(&info, &ext);
+        let g = DepGraph::new(&info, &ext);
         assert!(
-            legality.privatizable("b", it),
+            g.privatizable("b", it, KillView::PostKill),
             "extended analysis: b has no live carried flow"
         );
 
         let (info_s, std) = setup(tiny::corpus::DOUBLE_BUFFER, &Config::standard());
         let loops_s = program_loops(&info_s);
         let it_s = find_loop(&loops_s, "it");
-        let legality_s = Legality::new(&info_s, &std);
+        let g_s = DepGraph::new(&info_s, &std);
         assert!(
-            !legality_s.privatizable("b", it_s),
+            !g_s.privatizable("b", it_s, KillView::PostKill),
             "standard analysis: the false carried flow on b blocks privatization"
         );
         // The time loop itself stays sequential either way (a genuinely
         // carries values between iterations).
-        assert!(legality.parallel_with_privatization(it).is_none());
+        assert!(privatize(&g, it).is_none());
     }
 
     #[test]
     fn inner_loops_of_double_buffer_are_parallel() {
         let (info, a) = setup(tiny::corpus::DOUBLE_BUFFER, &Config::extended());
         let loops = program_loops(&info);
-        let legality = Legality::new(&info, &a);
+        let g = DepGraph::new(&info, &a);
         // Both i loops are parallel (each element independent).
         let inner: Vec<&LoopRef> = loops.iter().filter(|l| l.depth == 2).collect();
         assert_eq!(inner.len(), 2);
         for l in inner {
-            assert!(legality.is_parallel(l), "{l:?}");
+            assert!(is_parallel(&g, l), "{l:?}");
         }
     }
 
@@ -306,11 +272,9 @@ mod tests {
         let (info, a) = setup(src, &Config::extended());
         let loops = program_loops(&info);
         let i = find_loop(&loops, "i");
-        let legality = Legality::new(&info, &a);
-        assert!(!legality.is_parallel(i), "anti/output deps on t are carried");
-        let privatized = legality
-            .parallel_with_privatization(i)
-            .expect("parallel after privatizing t");
+        let g = DepGraph::new(&info, &a);
+        assert!(!is_parallel(&g, i), "anti/output deps on t are carried");
+        let privatized = privatize(&g, i).expect("parallel after privatizing t");
         assert!(privatized.contains("t"), "{privatized:?}");
     }
 
@@ -318,12 +282,9 @@ mod tests {
     fn seidel_is_inherently_sequential() {
         let (info, a) = setup(tiny::corpus::SEIDEL, &Config::extended());
         let loops = program_loops(&info);
-        let legality = Legality::new(&info, &a);
+        let g = DepGraph::new(&info, &a);
         for l in &loops {
-            assert!(
-                legality.parallel_with_privatization(l).is_none(),
-                "{l:?} carries a real flow"
-            );
+            assert!(privatize(&g, l).is_none(), "{l:?} carries a real flow");
         }
     }
 

@@ -2,8 +2,9 @@
 //! problem form of [`canon`](crate::canon).
 //!
 //! The cache is attached to a [`Budget`] (see [`Budget::with_cache`]) and
-//! consulted by satisfiability, projection and gist entry points when
-//! [`SolverOptions::memo_cache`](crate::SolverOptions::memo_cache) is on.
+//! consulted by the satisfiability, projection and gist entry points of
+//! every query run under that budget. Whether a cache is used at all is
+//! decided by attaching one: a budget without a cache runs cold.
 //!
 //! # Determinism contract
 //!

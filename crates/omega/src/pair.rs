@@ -276,7 +276,7 @@ pub struct DeltaProblem {
 
 impl DeltaProblem {
     /// The cached base, but only when it is usable with `budget` (same
-    /// cache attached and enabled).
+    /// cache attached).
     fn active_base(&self, budget: &Budget) -> Option<(&CachedBase, Arc<SolverCache>)> {
         let cb = self.ctx.inner.cached.as_ref()?;
         let active = budget.active_cache()?;

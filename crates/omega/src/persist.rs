@@ -23,12 +23,16 @@
 //!
 //! A cache file is a *hint*, never an authority: any header mismatch
 //! (format or solver version bump), parse error, dangling base
-//! reference, or checksum failure makes [`SolverCache::load_from`]
-//! silently return an **empty** cache — the analysis then simply runs
-//! cold and produces the same bytes it always would. The checksum is
-//! FNV-1a (hand-rolled: `std`'s hasher is randomized per process, which
-//! would break cross-run stability); it guards against truncation and
-//! accidental corruption, not against adversarial edits.
+//! reference, variable index outside its table, or checksum failure
+//! makes [`SolverCache::load_from`] silently return an **empty** cache —
+//! the analysis then simply runs cold and produces the same bytes it
+//! always would. The checksum is FNV-1a (hand-rolled: `std`'s hasher is
+//! randomized per process, which would break cross-run stability); it
+//! guards against truncation and accidental corruption, not against
+//! adversarial edits. The structural checks do not rely on it: a file
+//! with a re-stamped checksum that names a variable outside its table
+//! still loads empty, rather than panicking or sizing a coefficient
+//! vector by the bogus index.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -326,24 +330,27 @@ impl<'a> R<'a> {
         }
     }
 
-    fn expr(&mut self) -> Option<LinExpr> {
+    /// A linear expression over a table of `nvars` variables: a term on
+    /// any other variable is malformed (and would otherwise size the
+    /// coefficient vector by the index).
+    fn expr(&mut self, nvars: usize) -> Option<LinExpr> {
         let n = self.len()?;
         let mut e = LinExpr::zero();
         for _ in 0..n {
-            let v = self.u()?;
+            let v = usize::try_from(self.u()?).ok().filter(|&v| v < nvars)?;
             let c = self.i()?;
             if c == 0 {
                 return None; // zero terms are never serialized
             }
-            e.set_coef(VarId::from_index(usize::try_from(v).ok()?), c);
+            e.set_coef(VarId::from_index(v), c);
         }
         e.set_constant(self.i()?);
         Some(e)
     }
 
-    fn constraint(&mut self, eq: bool) -> Option<Constraint> {
+    fn constraint(&mut self, eq: bool, nvars: usize) -> Option<Constraint> {
         let red = self.b()?;
-        let expr = self.expr()?;
+        let expr = self.expr(nvars)?;
         let c = if eq {
             Constraint::eq(expr)
         } else {
@@ -352,9 +359,9 @@ impl<'a> R<'a> {
         Some(c.with_color(if red { Color::Red } else { Color::Black }))
     }
 
-    fn constraints(&mut self, eq: bool) -> Option<Vec<Constraint>> {
+    fn constraints(&mut self, eq: bool, nvars: usize) -> Option<Vec<Constraint>> {
         let n = self.len()?;
-        (0..n).map(|_| self.constraint(eq)).collect()
+        (0..n).map(|_| self.constraint(eq, nvars)).collect()
     }
 
     fn problem(&mut self) -> Option<Problem> {
@@ -377,8 +384,8 @@ impl<'a> R<'a> {
             info.dead = flags & 2 != 0;
             info.pinned = flags & 4 != 0;
         }
-        p.eqs = self.constraints(true)?;
-        p.geqs = self.constraints(false)?;
+        p.eqs = self.constraints(true, nvars)?;
+        p.geqs = self.constraints(false, nvars)?;
         Some(p)
     }
 
@@ -394,12 +401,14 @@ impl<'a> R<'a> {
         Some(BaseForm {
             known_infeasible,
             vars,
-            eqs: self.constraints(true)?,
-            geqs: self.constraints(false)?,
+            eqs: self.constraints(true, nvars)?,
+            geqs: self.constraints(false, nvars)?,
         })
     }
 
-    fn key(&mut self, num_bases: usize) -> Option<MemoKey> {
+    /// A memo key; `base_vars[id]` is the variable count of loaded base
+    /// `id`, which a delta key's own variables extend.
+    fn key(&mut self, base_vars: &[usize]) -> Option<MemoKey> {
         match self.tok()? {
             "F" => {
                 let op = self.op()?;
@@ -425,16 +434,15 @@ impl<'a> R<'a> {
                     op,
                     known_infeasible,
                     vars: Arc::new(vars),
-                    eqs: self.constraints(true)?,
-                    geqs: self.constraints(false)?,
+                    eqs: self.constraints(true, nvars)?,
+                    geqs: self.constraints(false, nvars)?,
                 }))
             }
             "D" => {
                 let op = self.op()?;
                 let base = self.u()?;
-                if base as usize >= num_bases {
-                    return None; // dangling base reference
-                }
+                // A dangling base reference is malformed.
+                let base_nvars = *base_vars.get(usize::try_from(base).ok()?)?;
                 let nvars = self.len()?;
                 let mut vars = Vec::with_capacity(nvars);
                 for _ in 0..nvars {
@@ -447,13 +455,14 @@ impl<'a> R<'a> {
                 for _ in 0..nkeep {
                     keep.push(u32::try_from(self.u()?).ok()?);
                 }
+                let nvars = base_nvars + vars.len();
                 Some(MemoKey::Delta(DeltaKey {
                     op,
                     base,
                     vars,
                     keep,
-                    eqs: self.constraints(true)?,
-                    geqs: self.constraints(false)?,
+                    eqs: self.constraints(true, nvars)?,
+                    geqs: self.constraints(false, nvars)?,
                 }))
             }
             _ => None,
@@ -623,7 +632,8 @@ impl SolverCache {
         }
 
         let cache = SolverCache::new();
-        let mut num_bases = 0usize;
+        // Variable count of each loaded base, indexed by base id.
+        let mut base_vars: Vec<usize> = Vec::new();
         let mut num_entries = 0usize;
         for line in lines {
             let mut r = R::new(line);
@@ -631,16 +641,17 @@ impl SolverCache {
                 "B" => {
                     // Ids must be dense and in order so the rebuilt intern
                     // table assigns them identically.
-                    if r.u()? != num_bases as u64 {
+                    if r.u()? != base_vars.len() as u64 {
                         return None;
                     }
                     let form = r.base_form()?;
                     r.done()?;
-                    cache.insert_loaded_base(form, num_bases as u64);
-                    num_bases += 1;
+                    let id = base_vars.len() as u64;
+                    base_vars.push(form.vars.len());
+                    cache.insert_loaded_base(form, id);
                 }
                 "E" => {
-                    let key = r.key(num_bases)?;
+                    let key = r.key(&base_vars)?;
                     let cost = usize::try_from(r.u()?).ok()?;
                     let value = r.value()?;
                     r.done()?;
@@ -771,6 +782,56 @@ mod tests {
         // Garbage and empty input.
         assert!(SolverCache::deserialize("not a cache").is_none());
         assert!(SolverCache::deserialize("").is_none());
+    }
+
+    #[test]
+    fn out_of_range_variable_indices_are_rejected_under_a_valid_checksum() {
+        // Hand-built files re-stamped with a valid checksum, so only the
+        // structural checks stand between them and the solver types.
+        let stamped = |body: String| {
+            let body = format!("{}\n{body}", header());
+            format!("{body}C {:016x}\n", fnv64(body.as_bytes()))
+        };
+        // `x >= 0`-shaped constraints on variable `v`: a full key over
+        // one variable, a delta key over a one-variable base plus one
+        // delta variable, and a gist value over one variable.
+        let full = |v: u64| stamped(format!("E F 0 0 1 x 0 0 0 1 0 1 {v} 1 0 1 S 1\n"));
+        let delta = |v: u64| {
+            stamped(format!(
+                "B 0 0 1 x 0 0 0\nE D 0 0 1 y 0 0 0 1 0 1 {v} 1 0 1 S 1\n"
+            ))
+        };
+        let gist = |v: u64| {
+            stamped(format!(
+                "E F 2 0 1 x 0 0 0 0 1 G 0 1 z 0 0 0 1 0 1 {v} 1 0\n"
+            ))
+        };
+        // In range: every shape loads, so the rejections below are the
+        // index checks and not a malformed hand-built line.
+        for (what, text) in [("full", full(0)), ("delta", delta(1)), ("gist", gist(0))] {
+            let cache = SolverCache::deserialize(&text)
+                .unwrap_or_else(|| panic!("{what}: in-range file rejected"));
+            assert_eq!(cache.entry_count(), 1, "{what}");
+        }
+        // One past the table, then indices that used to panic in
+        // `VarId::from_index` (beyond u32) or size a coefficient vector
+        // by the index (24 GB for 3e9).
+        for v in [1, 3_000_000_000, 1 << 32] {
+            assert!(
+                SolverCache::deserialize(&full(v)).is_none(),
+                "full key, v={v}"
+            );
+            assert!(
+                SolverCache::deserialize(&gist(v)).is_none(),
+                "gist value, v={v}"
+            );
+        }
+        for v in [2, 3_000_000_000, 1 << 32] {
+            assert!(
+                SolverCache::deserialize(&delta(v)).is_none(),
+                "delta key, v={v}"
+            );
+        }
     }
 
     #[test]

@@ -20,10 +20,6 @@ pub struct SolverOptions {
     pub dark_shadow: bool,
     /// Run the quick syntactic redundancy pass on projection results.
     pub quick_redundancy: bool,
-    /// Consult the canonical-form memo cache (when one is attached to the
-    /// [`Budget`] via [`Budget::with_cache`]). Off means every query runs
-    /// cold even with a cache attached.
-    pub memo_cache: bool,
 }
 
 impl Default for SolverOptions {
@@ -31,7 +27,6 @@ impl Default for SolverOptions {
         SolverOptions {
             dark_shadow: true,
             quick_redundancy: true,
-            memo_cache: true,
         }
     }
 }
@@ -66,7 +61,7 @@ impl Budget {
     }
 
     /// Attaches a shared memo cache, consulted by the sat/project/gist
-    /// entry points while [`SolverOptions::memo_cache`] is on. Cached
+    /// entry points (a budget without one runs every query cold). Cached
     /// results are charged against this budget at their cold cost, so
     /// budget behavior is identical with and without the cache.
     #[must_use]
@@ -85,13 +80,9 @@ impl Budget {
         self.remaining
     }
 
-    /// The attached cache, if caching is both attached and enabled.
+    /// The attached cache, if any.
     pub(crate) fn active_cache(&self) -> Option<Arc<SolverCache>> {
-        if self.options.memo_cache {
-            self.cache.clone()
-        } else {
-            None
-        }
+        self.cache.clone()
     }
 
     /// Removes the cache (used while computing a miss, so nested queries

@@ -7,7 +7,7 @@
 //! Run with `cargo run --release --example lu_study`.
 
 use depend::{
-    analyze_program, dirvec, program_loops, Config, Legality, ReportOptions,
+    analyze_program, dirvec, program_loops, Config, DepGraph, KillView, Legality, ReportOptions,
 };
 use omega::Budget;
 
@@ -22,9 +22,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     // 1. The dependence tables.
+    let graph = DepGraph::new(&info, &analysis);
     let opts = ReportOptions::default();
     println!("live flow dependences:");
-    print!("{}", depend::live_flow_table(&depend::DepGraph::new(&info, &analysis), &opts));
+    print!("{}", depend::live_flow_table(&graph, &opts));
     println!();
 
     // 2. Restraint vectors and sign patterns per dependence.
@@ -70,7 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let legality = Legality::new(&info, &analysis);
     println!("loop verdicts:");
     for l in program_loops(&info) {
-        let parallel = legality.is_parallel(&l);
+        let parallel = graph
+            .loop_verdict(&l, KillView::PostKill)
+            .outright_parallel();
         let interchange = if l.depth == 1 {
             match legality.interchange_legal(&l, &mut budget) {
                 Ok(ok) => {

@@ -18,6 +18,12 @@ echo "==> cargo build --release --offline --locked (ledger benchmark package)"
 # APIs fail CI instead of the next benchmark run.
 cargo build --release --offline --locked --manifest-path ledger/Cargo.toml
 
+echo "==> cargo test -q --release --offline (ledger benchmark package)"
+# The ledger's own tests hold the benchmark's output checks (goldens,
+# reference renderings); a change that breaks them fails here rather
+# than in the next benchmark run.
+cargo test -q --release --offline --manifest-path ledger/Cargo.toml
+
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 

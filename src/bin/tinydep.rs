@@ -24,12 +24,12 @@
 //!   --json          emit all dependences as JSON
 //!   --signs         print partially compressed direction-vector sets
 //!                   (the paper's §2.1.1) for each live flow dependence
-//!   --threads=N     analyze on N worker threads (0 = one per core;
-//!                   the output is identical at every setting). With
-//!                   one input the pairs of that program fan out; with
+//!   --threads=N     analyze on a work pool of N threads (0 = one per
+//!                   core; the output is identical at every setting).
+//!                   One program's pair batches fan out on it; with
 //!                   several inputs (or --corpus) whole programs and
-//!                   their pair batches share one two-level work pool,
-//!                   so a lone heavy program still fills every worker
+//!                   their pair batches share the same pool, so a lone
+//!                   heavy program still fills every worker
 //!   --corpus        analyze every built-in corpus program in one run;
 //!                   reports print as `== NAME ==` sections in corpus
 //!                   order (text format only). Several FILE /

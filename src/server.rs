@@ -60,12 +60,12 @@
 //!
 //! Requests are batched: the first request is taken blocking, then up
 //! to [`MAX_BATCH`]`- 1` more are drained without waiting, and the
-//! batch fans out over one long-lived two-level [`depend::Pool`].
-//! Requests are the outer work items; each analysis additionally
-//! submits its pair-stage batches to the *same* pool (via
-//! [`depend::analyze_program_on`]), so a lone heavy request on an
-//! otherwise idle server fans its pairs across every worker instead of
-//! monopolizing one. The pool's merges preserve order at both levels,
+//! batch fans out over the two-level [`depend::Pool`] the server owns
+//! for its whole lifetime. Requests are the outer work items; each
+//! analysis additionally submits its pair-stage batches to the *same*
+//! pool (via [`depend::analyze_program_on`]), so a lone heavy request
+//! on an otherwise idle server fans its pairs across every worker
+//! instead of monopolizing one. The pool's merges preserve order at both levels,
 //! so responses come back in request order no matter which worker ran
 //! what. Every request sees the single shared [`omega::SolverCache`];
 //! per-request `Config` cache settings are fixed (memoization on, no
@@ -199,19 +199,14 @@ pub fn render_text_report(
     }
     if view.parallel {
         out.push_str("\nloop parallelism:\n");
-        let legality = depend::Legality::new(info, analysis);
         for l in depend::program_loops(info) {
-            let verdict = if legality.is_parallel(&l) {
-                "PARALLEL".to_string()
-            } else {
-                match legality.parallel_with_privatization(&l) {
-                    Some(arrays) if arrays.is_empty() => "PARALLEL".to_string(),
-                    Some(arrays) => format!(
-                        "PARALLEL after privatizing {}",
-                        arrays.into_iter().collect::<Vec<_>>().join(", ")
-                    ),
-                    None => "sequential".to_string(),
-                }
+            let verdict = match graph.loop_verdict(&l, depend::KillView::PostKill).privatize {
+                Some(arrays) if arrays.is_empty() => "PARALLEL".to_string(),
+                Some(arrays) => format!(
+                    "PARALLEL after privatizing {}",
+                    arrays.into_iter().collect::<Vec<_>>().join(", ")
+                ),
+                None => "sequential".to_string(),
             };
             let _ = writeln!(out, "  {:<6} depth {}: {}", l.var, l.depth, verdict);
         }
@@ -320,7 +315,7 @@ impl Response {
 /// pool, a warm row store. See the module docs for the protocol.
 pub struct Server {
     cache: Arc<omega::SolverCache>,
-    threads: usize,
+    pool: depend::Pool,
     cache_file: Option<PathBuf>,
     requests: AtomicU64,
     shutdown: AtomicBool,
@@ -339,23 +334,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 impl Server {
-    /// Creates a server with `threads` pool workers (`0` = one per
-    /// available core). With a `cache_file`, the persistent cache is
-    /// loaded now and saved back (atomically) at shutdown; a missing or
-    /// damaged file simply means a cold start.
+    /// Creates a server whose [`depend::Pool`] runs `threads` chunks
+    /// at once (`0` = one per available core) for the server's whole
+    /// lifetime. With a `cache_file`, the persistent cache is loaded now
+    /// and saved back (atomically) at shutdown; a missing or damaged
+    /// file simply means a cold start.
     pub fn new(threads: usize, cache_file: Option<PathBuf>) -> Server {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        };
         let cache = match &cache_file {
             Some(path) => omega::SolverCache::load_from(path),
             None => omega::SolverCache::new(),
         };
         Server {
             cache: Arc::new(cache),
-            threads,
+            pool: depend::Pool::new(threads),
             cache_file,
             requests: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -371,28 +362,18 @@ impl Server {
     /// `None` for a blank line. Processing is synchronous and
     /// `&self`-only, so any number of requests may be handled
     /// concurrently; ordering is the caller's concern (the run loops
-    /// preserve request order). Analyses run single-threaded; the run
-    /// loops use [`Server::handle_line_on`] to fan pair batches onto
-    /// their shared pool.
+    /// preserve request order). An analysis fans its pair-stage batches
+    /// onto the server's pool, so one heavy request can use every
+    /// worker. A panic while handling the request is caught here, at the
+    /// request boundary, and turned into an `"internal error"` response
+    /// — the daemon and the rest of the batch are unaffected.
     pub fn handle_line(&self, line: &str) -> Option<Response> {
-        self.handle_line_on(line, None)
-    }
-
-    /// [`Server::handle_line`] with an optional shared [`depend::Pool`]:
-    /// when given, an `analyze` request fans its pair-stage batches onto
-    /// that pool, so one heavy request can use every worker. A panic
-    /// while handling the request is caught here, at the request
-    /// boundary, and turned into an `"internal error"` response — the
-    /// daemon and the rest of the batch are unaffected.
-    pub fn handle_line_on(&self, line: &str, pool: Option<&depend::Pool>) -> Option<Response> {
         let trimmed = line.trim();
         if trimmed.is_empty() {
             return None;
         }
         self.requests.fetch_add(1, Ordering::Relaxed);
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.dispatch(trimmed, pool)
-        })) {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.dispatch(trimmed))) {
             Ok(resp) => Some(resp),
             Err(payload) => {
                 // Re-parse just for the id: the panic may have struck
@@ -409,7 +390,7 @@ impl Server {
         }
     }
 
-    fn dispatch(&self, trimmed: &str, pool: Option<&depend::Pool>) -> Response {
+    fn dispatch(&self, trimmed: &str) -> Response {
         let req = match json::parse(trimmed) {
             Ok(v) => v,
             Err(e) => return Response::error(None, &format!("bad request: {e}")),
@@ -428,7 +409,7 @@ impl Server {
             }
             "stats" => Response::ok(id, &format!("\"stats\":{}", self.stats_json()), false),
             "shutdown" => Response::ok(id, "\"shutdown\":true", true),
-            "analyze" => match self.try_analyze(&req, pool) {
+            "analyze" => match self.try_analyze(&req) {
                 Ok(report) => Response::ok(
                     id,
                     &format!("\"report\":\"{}\"", json::escape(&report)),
@@ -436,7 +417,7 @@ impl Server {
                 ),
                 Err(e) => Response::error(id, &e),
             },
-            "parallelize" => match self.try_parallelize(&req, pool) {
+            "parallelize" => match self.try_parallelize(&req) {
                 Ok(report) => Response::ok(
                     id,
                     &format!("\"report\":\"{}\"", json::escape(&report)),
@@ -477,33 +458,25 @@ impl Server {
         Ok((program, info))
     }
 
-    /// Runs dependence analysis under the server's cache-pinned config.
-    /// With a shared pool, the request's pair batches interleave with
-    /// the other requests' on the same workers; without one, the request
-    /// runs sequentially.
+    /// Runs dependence analysis under the server's cache-pinned config,
+    /// on the server's pool: the request's pair batches interleave with
+    /// the other requests' on the same workers.
     fn run_analysis(
         &self,
         info: &tiny::ProgramInfo,
         config: &Config,
-        pool: Option<&depend::Pool>,
     ) -> Result<depend::Analysis, String> {
-        match pool {
-            Some(pool) => {
-                depend::analyze_program_on(pool, info, config, Some(Arc::clone(&self.cache)))
-            }
-            None => depend::analyze_program_with_cache(info, config, Some(Arc::clone(&self.cache))),
-        }
-        .map_err(|e| format!("analysis failed: {e}"))
+        depend::analyze_program_on(&self.pool, info, config, Some(Arc::clone(&self.cache)))
+            .map_err(|e| format!("analysis failed: {e}"))
     }
 
-    fn try_analyze(&self, req: &Json, pool: Option<&depend::Pool>) -> Result<String, String> {
+    fn try_analyze(&self, req: &Json) -> Result<String, String> {
         let opts = AnalyzeOptions::from_request(req)?;
         let (_, info) = Self::resolve_program(req, opts.fortran)?;
         // The server owns the cache, so the per-run cache knobs are
         // pinned here.
         let config = Config {
             storage_kills: opts.storage_kills,
-            threads: 1,
             memo_cache: true,
             cache_file: None,
             ..if opts.standard {
@@ -512,7 +485,7 @@ impl Server {
                 Config::extended()
             }
         };
-        let analysis = self.run_analysis(&info, &config, pool)?;
+        let analysis = self.run_analysis(&info, &config)?;
         Ok(match opts.format {
             Format::Json => {
                 let graph = depend::DepGraph::new(&info, &analysis);
@@ -539,17 +512,16 @@ impl Server {
     /// program. Honors the `fortran` and `storage_kills` options; the
     /// analysis is always the extended one (the report's point is the
     /// kills-on/off delta).
-    fn try_parallelize(&self, req: &Json, pool: Option<&depend::Pool>) -> Result<String, String> {
+    fn try_parallelize(&self, req: &Json) -> Result<String, String> {
         let opts = AnalyzeOptions::from_request(req)?;
         let (program, info) = Self::resolve_program(req, opts.fortran)?;
         let config = Config {
             storage_kills: opts.storage_kills,
-            threads: 1,
             memo_cache: true,
             cache_file: None,
             ..Config::extended()
         };
-        let analysis = self.run_analysis(&info, &config, pool)?;
+        let analysis = self.run_analysis(&info, &config)?;
         let graph = depend::DepGraph::new(&info, &analysis);
         Ok(depend::render_parallelize_report(&program, &graph))
     }
@@ -633,14 +605,13 @@ impl Server {
             }
         });
         let stdout = std::io::stdout();
-        // One two-level pool for the server's lifetime: requests are
-        // the outer items, and each analysis feeds its pair batches
-        // back into the same pool (see the module docs).
-        let pool = depend::Pool::new(self.threads);
+        // Requests are the outer items on the server's pool, and each
+        // analysis feeds its pair batches back into the same pool (see
+        // the module docs).
         'serve: while let Some(batch) = Self::take_batch(&rx) {
-            let responses = pool.map_infallible(batch, |_, line| {
-                self.handle_line_on(&line, Some(&pool))
-            });
+            let responses = self
+                .pool
+                .map_infallible(batch, |_, line| self.handle_line(&line));
             let mut out = stdout.lock();
             let mut stop = false;
             for resp in responses.into_iter().flatten() {
@@ -679,16 +650,14 @@ impl Server {
         let _ = std::fs::remove_file(path);
         let listener = UnixListener::bind(path)?;
         let (jtx, jrx) = mpsc::channel::<Job>();
-        let pool = depend::Pool::new(self.threads);
-        let pool = &pool;
 
         std::thread::scope(|scope| -> std::io::Result<()> {
             // The batching dispatcher: same loop shape as stdio mode,
             // with responses routed back to their connection.
             scope.spawn(move || {
                 while let Some(batch) = Self::take_batch(&jrx) {
-                    let responses = pool.map_infallible(batch, |_, job: Job| {
-                        (job.reply, self.handle_line_on(&job.line, Some(pool)))
+                    let responses = self.pool.map_infallible(batch, |_, job: Job| {
+                        (job.reply, self.handle_line(&job.line))
                     });
                     let mut stop = false;
                     for (reply, resp) in responses {

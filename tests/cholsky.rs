@@ -193,7 +193,7 @@ fn cholsky_epss_is_privatizable_thanks_to_kill_analysis() {
     // EPSS carries nothing across J iterations and privatizes. Standard
     // analysis keeps the stale carried flow and blocks exactly the
     // transformation the paper's introduction motivates.
-    use depend::{program_loops, Legality};
+    use depend::{program_loops, DepGraph, KillView};
     use tiny::ast::name_key;
 
     let program = tiny::Program::parse(tiny::corpus::CHOLSKY).unwrap();
@@ -205,16 +205,16 @@ fn cholsky_epss_is_privatizable_thanks_to_kill_analysis() {
         .expect("the decomposition J loop");
 
     let ext = analyze_program(&info, &Config::extended()).unwrap();
-    let ext_legality = Legality::new(&info, &ext);
+    let ext_graph = DepGraph::new(&info, &ext);
     assert!(
-        ext_legality.privatizable("epss", j_loop),
+        ext_graph.privatizable("epss", j_loop, KillView::PostKill),
         "extended analysis: EPSS has no live carried flow"
     );
 
     let std = analyze_program(&info, &Config::standard()).unwrap();
-    let std_legality = Legality::new(&info, &std);
+    let std_graph = DepGraph::new(&info, &std);
     assert!(
-        !std_legality.privatizable("epss", j_loop),
+        !std_graph.privatizable("epss", j_loop, KillView::PostKill),
         "standard analysis: the false carried flow on EPSS blocks privatization"
     );
 }

@@ -6,6 +6,7 @@
 //! result.
 
 use std::path::PathBuf;
+use std::process::Command;
 
 use depend::{analyze_program, Config, ReportOptions};
 
@@ -321,4 +322,40 @@ fn damaged_cache_files_fall_back_to_a_cold_run() {
             "{tag}: damaged cache file was not ignored"
         );
     }
+}
+
+#[test]
+fn a_checksummed_file_naming_an_unknown_variable_runs_the_cli_cold() {
+    // A term on variable 2^32 under a valid checksum: the loader used to
+    // panic in `VarId::from_index`, so `tinydep` exited 101. The header
+    // comes from a real save, so a version bump cannot turn this into a
+    // header-mismatch test.
+    let path = temp_cache("unknown_variable");
+    omega::SolverCache::new().save_to(&path).unwrap();
+    let saved = std::fs::read_to_string(&path).unwrap();
+    let header = saved.lines().next().unwrap();
+    let body = format!("{header}\nE F 0 0 1 x 0 0 0 1 0 1 4294967296 1 0 1 S 1\n");
+    std::fs::write(&path, format!("{body}C {:016x}\n", fnv64(body.as_bytes()))).unwrap();
+
+    let run = |extra: &[String]| {
+        Command::new(env!("CARGO_BIN_EXE_tinydep"))
+            .args(["--parallelize", "--corpus", "--threads=2"])
+            .args(extra)
+            .output()
+            .unwrap()
+    };
+    let hostile = run(&[format!("--cache-file={}", path.display())]);
+    let _ = std::fs::remove_file(&path);
+    let plain = run(&[]);
+    assert!(plain.status.success());
+    assert_eq!(
+        hostile.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&hostile.stderr)
+    );
+    assert!(
+        hostile.stdout == plain.stdout,
+        "the hostile cache file changed the report"
+    );
 }
