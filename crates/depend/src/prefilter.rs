@@ -74,7 +74,7 @@ impl PrefilterStats {
     }
 
     /// Accumulates another counter set (parallel-worker merge).
-    pub(crate) fn absorb(&mut self, other: PrefilterStats) {
+    pub fn absorb(&mut self, other: PrefilterStats) {
         self.gcd += other.gcd;
         self.range += other.range;
         self.symbolic_range += other.symbolic_range;

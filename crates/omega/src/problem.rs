@@ -18,16 +18,11 @@ pub struct SolverOptions {
     /// it forces splinter enumeration whenever elimination is inexact —
     /// the ablation that shows why the dark shadow matters.
     pub dark_shadow: bool,
-    /// Run the quick syntactic redundancy pass on projection results.
-    pub quick_redundancy: bool,
 }
 
 impl Default for SolverOptions {
     fn default() -> Self {
-        SolverOptions {
-            dark_shadow: true,
-            quick_redundancy: true,
-        }
+        SolverOptions { dark_shadow: true }
     }
 }
 

@@ -177,14 +177,10 @@ impl Problem {
 /// quick redundancy removal and pinned-variable demotion.
 pub(crate) fn project_prepared(p: Problem, budget: &mut Budget) -> Result<Projection> {
     let (real, mut dark, mut splinters, exact) = tableau::project_parts(&p, budget)?;
-    if budget.options().quick_redundancy {
-        dark.remove_redundant_quick();
-    }
+    dark.remove_redundant_quick();
     demote_pinned(&mut dark);
     for s in &mut splinters {
-        if budget.options().quick_redundancy {
-            s.remove_redundant_quick();
-        }
+        s.remove_redundant_quick();
         demote_pinned(s);
     }
     Ok(Projection {

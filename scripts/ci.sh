@@ -74,16 +74,23 @@ for t in 2 8 16; do
         exit 1
     fi
 done
-# The corpus CHOLSKY section must equal the one-shot report, which the
-# golden pins (the serve test below closes the loop with the server op).
-par_cholsky=$(cargo run -q --release --offline --bin tinydep -- --parallelize corpus:cholsky)
-par_section=$(printf '%s\n' "$par_base" \
-    | awk '/^== cholsky ==$/{on=1; next} /^== /{on=0} on')
-if [ "$par_cholsky" != "$par_section" ]; then
-    echo "ci.sh: FAIL: --parallelize corpus section differs from the one-shot report" >&2
-    exit 1
-fi
-if [ "$par_cholsky" != "$(cat tests/golden/cholsky_parallelize.txt)" ]; then
+# A single input runs the corpus path with one program, so every
+# program's one-shot report must equal its `== NAME ==` section of the
+# whole-corpus run, as text and under --parallelize.
+tinydep="${CARGO_TARGET_DIR:-target}/release/tinydep"
+for flag in "" --parallelize; do
+    if [ -z "$flag" ]; then corpus_out=$corpus_t1; else corpus_out=$par_base; fi
+    for name in $("$tinydep" --list-corpus); do
+        one_shot=$("$tinydep" $flag "corpus:$name")
+        section=$(printf '%s\n' "$corpus_out" \
+            | awk -v head="== $name ==" '$0 == head {on=1; next} /^== /{on=0} on')
+        if [ "$one_shot" != "$section" ]; then
+            echo "ci.sh: FAIL: tinydep $flag corpus:$name differs from its corpus section" >&2
+            exit 1
+        fi
+    done
+done
+if [ "$("$tinydep" --parallelize corpus:cholsky)" != "$(cat tests/golden/cholsky_parallelize.txt)" ]; then
     echo "ci.sh: FAIL: --parallelize corpus:cholsky differs from the golden" >&2
     exit 1
 fi

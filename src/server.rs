@@ -1,4 +1,5 @@
-//! Analysis server mode: a long-lived `tinydep --serve` daemon.
+//! Analysis server mode: a long-lived `tinydep --serve` daemon, and the
+//! request model the command line shares with it.
 //!
 //! A one-shot `tinydep` run pays the full cost of cold caches on every
 //! invocation: the canonical-form memo cache starts empty and the
@@ -8,6 +9,17 @@
 //! [`omega::SolverCache`] and the process-wide row store warm across
 //! requests, so repeat queries (and the heavily shared sub-problems of
 //! *different* programs) are served from cache.
+//!
+//! # One request model
+//!
+//! An [`AnalyzeOptions`] describes one report: which analysis to run
+//! ([`AnalyzeOptions::config`]) and how to render it
+//! ([`AnalyzeOptions::render`], the only `match` over the output
+//! [`Format`]). The server decodes it from a request's `options`
+//! object; `tinydep` builds the same value from its flags and runs every
+//! input through the same [`front_end`]. So a report is byte-identical
+//! whichever door it came through, and a new output format is added in
+//! one place.
 //!
 //! # Protocol
 //!
@@ -44,17 +56,16 @@
 //! {"id":7,"ok":false,"error":"parse error: ..."}
 //! ```
 //!
-//! `parallelize` takes the same `source`/`corpus` input (honoring the
-//! `fortran` and `storage_kills` options) and returns the
+//! `parallelize` is `analyze` with [`Format::Parallelize`]: the
 //! `tinydep --parallelize` decision report — annotated source, the DOT
-//! graph of surviving dependences, and the kills-on/off summary line —
-//! byte-identical to the one-shot run.
+//! graph of surviving dependences, and the kills-on/off summary line.
+//! It honors the `fortran` and `storage_kills` options and always runs
+//! the extended analysis.
 //!
 //! Reports are **byte-identical** to what a one-shot `tinydep` run with
 //! the same flags prints: both paths render through
-//! [`render_text_report`] (or the shared JSON/DOT emitters), and the
-//! solver's determinism contract guarantees cache state can never leak
-//! into a result.
+//! [`AnalyzeOptions::render`], and the solver's determinism contract
+//! guarantees cache state can never leak into a result.
 //!
 //! # Concurrency and cache sharing
 //!
@@ -71,10 +82,11 @@
 //! per-request `Config` cache settings are fixed (memoization on, no
 //! per-request cache file).
 //!
-//! In socket mode each connection gets a reader thread, but all
-//! requests funnel into the one batching dispatcher, so M concurrent
-//! clients share the pool and the cache exactly like one pipelined
-//! client.
+//! Stdio and socket mode run the same batching loop and differ only in
+//! how a response is delivered. In socket mode each connection gets a
+//! reader thread, but all requests funnel into the one loop, so M
+//! concurrent clients share the pool and the cache exactly like one
+//! pipelined client.
 //!
 //! # Panic containment
 //!
@@ -104,15 +116,17 @@
 //! at startup and saves it (atomically — temp file plus rename) once at
 //! shutdown. Shutdown happens on `{"op":"shutdown"}` or, in stdio mode,
 //! on EOF. Requests already read when a shutdown request is processed
-//! are still answered.
+//! are still answered. In socket mode a shutdown also ends every other
+//! open connection: each gets the responses it is owed, then reads EOF,
+//! so an idle client cannot keep the server (or the cache save) waiting.
 
 use std::fmt::Write as _;
 use std::io::{BufRead as _, Write as _};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
-use depend::{Config, ReportOptions};
+use depend::{Config, DepGraph, ReportOptions};
 
 use crate::json::{self, Json};
 
@@ -134,22 +148,23 @@ pub struct ReportView {
 }
 
 /// Renders the default text report exactly as one-shot `tinydep` prints
-/// it — the single rendering path shared by the CLI and the server, so
-/// a server response is byte-identical to the one-shot run with the
-/// same flags.
+/// it: [`AnalyzeOptions::render`] with [`Format::Text`].
 pub fn render_text_report(
     info: &tiny::ProgramInfo,
     analysis: &depend::Analysis,
     view: &ReportView,
 ) -> String {
-    let graph = depend::DepGraph::new(info, analysis);
+    text_report(&DepGraph::new(info, analysis), view)
+}
+
+fn text_report(graph: &DepGraph<'_>, view: &ReportView) -> String {
     let ropts = ReportOptions::default();
     let mut out = String::new();
     out.push_str("live flow dependences:\n");
-    out.push_str(&depend::live_flow_table(&graph, &ropts));
+    out.push_str(&depend::live_flow_table(graph, &ropts));
     if graph.dead_flows().next().is_some() {
         out.push_str("\ndead flow dependences:\n");
-        out.push_str(&depend::dead_flow_table(&graph, &ropts));
+        out.push_str(&depend::dead_flow_table(graph, &ropts));
     }
     if view.all {
         out.push_str("\nanti dependences:\n");
@@ -164,7 +179,7 @@ pub fn render_text_report(
     if view.signs {
         out.push_str("\npartially compressed direction-vector sets (live flows):\n");
         let mut budget = omega::Budget::default();
-        for d in analysis.live_flows() {
+        for d in graph.analysis().live_flows() {
             if d.common == 0 {
                 continue;
             }
@@ -199,7 +214,7 @@ pub fn render_text_report(
     }
     if view.parallel {
         out.push_str("\nloop parallelism:\n");
-        for l in depend::program_loops(info) {
+        for l in depend::program_loops(graph.info()) {
             let verdict = match graph.loop_verdict(&l, depend::KillView::PostKill).privatize {
                 Some(arrays) if arrays.is_empty() => "PARALLEL".to_string(),
                 Some(arrays) => format!(
@@ -214,28 +229,44 @@ pub fn render_text_report(
     out
 }
 
-/// Output format of an `analyze` request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
+/// Output format of a report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Format {
+    /// The dependence tables (`tinydep`'s default, request format
+    /// `"text"`), with the sections [`ReportView`] selects.
+    #[default]
     Text,
+    /// Every dependence as JSON (`--json`, `"json"`).
     Json,
+    /// The Graphviz dependence graph (`--dot`, `"dot"`); `all` adds the
+    /// anti and output edges.
     Dot,
+    /// The parallelization decision report (`--parallelize`, the
+    /// `parallelize` op).
+    Parallelize,
 }
 
-/// Per-request analysis options, decoded from the `options` object.
-#[derive(Debug, Clone, Copy)]
-struct AnalyzeOptions {
-    standard: bool,
-    all: bool,
-    parallel: bool,
-    storage_kills: bool,
-    signs: bool,
-    fortran: bool,
-    format: Format,
+/// One report: the analysis to run and how to render it. `tinydep`
+/// builds it from its flags, the server from a request's `options`.
+/// The default is the extended analysis as a plain text report.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AnalyzeOptions {
+    /// Standard analysis only: no refinement, covering or killing
+    /// (`--standard`). Ignored by [`Format::Parallelize`], whose point is
+    /// the kills-on/off delta.
+    pub standard: bool,
+    /// Also run kill analysis on output dependences (`--storage-kills`).
+    pub storage_kills: bool,
+    /// Parse the source as fixed-form FORTRAN (`--fortran`).
+    pub fortran: bool,
+    /// The text report's optional sections.
+    pub view: ReportView,
+    /// The output format.
+    pub format: Format,
 }
 
 impl AnalyzeOptions {
-    fn from_request(req: &Json) -> Result<AnalyzeOptions, String> {
+    fn from_request(req: &Json, op: &str) -> Result<AnalyzeOptions, String> {
         let opts = req.get("options");
         let flag = |key: &str| -> Result<bool, String> {
             match opts.and_then(|o| o.get(key)) {
@@ -245,33 +276,85 @@ impl AnalyzeOptions {
                     .ok_or_else(|| format!("option {key:?} must be a boolean")),
             }
         };
-        let format = match opts.and_then(|o| o.get("format")) {
-            None => Format::Text,
-            Some(v) => match v.as_str() {
-                Some("text") => Format::Text,
-                Some("json") => Format::Json,
-                Some("dot") => Format::Dot,
-                _ => return Err("option \"format\" must be \"text\", \"json\" or \"dot\"".into()),
-            },
+        let format = match opts.and_then(|o| o.get("format")).map(Json::as_str) {
+            None | Some(Some("text")) => Format::Text,
+            Some(Some("json")) => Format::Json,
+            Some(Some("dot")) => Format::Dot,
+            _ => return Err("option \"format\" must be \"text\", \"json\" or \"dot\"".into()),
         };
         Ok(AnalyzeOptions {
             standard: flag("standard")?,
-            all: flag("all")?,
-            parallel: flag("parallel")?,
             storage_kills: flag("storage_kills")?,
-            signs: flag("signs")?,
             fortran: flag("fortran")?,
-            format,
+            view: ReportView {
+                all: flag("all")?,
+                signs: flag("signs")?,
+                parallel: flag("parallel")?,
+            },
+            format: if op == "parallelize" {
+                Format::Parallelize
+            } else {
+                format
+            },
         })
     }
 
-    fn view(&self) -> ReportView {
-        ReportView {
-            all: self.all,
-            signs: self.signs,
-            parallel: self.parallel,
+    /// The analysis this report needs, with the default thread count and
+    /// cache settings (the caller owns those).
+    pub fn config(&self) -> Config {
+        Config {
+            storage_kills: self.storage_kills,
+            ..if self.standard && self.format != Format::Parallelize {
+                Config::standard()
+            } else {
+                Config::extended()
+            }
         }
     }
+
+    /// Renders the report over `graph`, the dependence graph of
+    /// `program`'s analysis.
+    pub fn render(&self, program: &tiny::Program, graph: &DepGraph<'_>) -> String {
+        match self.format {
+            Format::Text => text_report(graph, &self.view),
+            Format::Json => depend::report::to_json(graph),
+            Format::Dot => depend::dot::to_dot(
+                graph,
+                &depend::dot::DotOptions {
+                    antis: self.view.all,
+                    outputs: self.view.all,
+                    dead: true,
+                },
+            ),
+            Format::Parallelize => depend::render_parallelize_report(program, graph),
+        }
+    }
+}
+
+/// Parses `source` — as FORTRAN when `fortran` is set or `name` has a
+/// `.f`/`.f77`/`.for`/`.F` extension, as `tiny` otherwise — and runs the
+/// `tiny` semantic analysis.
+///
+/// # Errors
+///
+/// The parse or semantic error, as text.
+pub fn front_end(
+    name: &str,
+    source: &str,
+    fortran: bool,
+) -> Result<(tiny::Program, tiny::ProgramInfo), String> {
+    let is_fortran = fortran
+        || [".f", ".f77", ".for", ".F"]
+            .iter()
+            .any(|ext| name.ends_with(ext));
+    let parsed = if is_fortran {
+        tiny::fortran::parse(source)
+    } else {
+        tiny::Program::parse(source)
+    };
+    let program = parsed.map_err(|e| e.to_string())?;
+    let info = tiny::analyze(&program).map_err(|e| e.to_string())?;
+    Ok((program, info))
 }
 
 /// One response line, plus whether the request asked the server to stop.
@@ -318,7 +401,6 @@ pub struct Server {
     pool: depend::Pool,
     cache_file: Option<PathBuf>,
     requests: AtomicU64,
-    shutdown: AtomicBool,
 }
 
 /// Best-effort text of a caught panic payload (`panic!` with a string
@@ -349,7 +431,6 @@ impl Server {
             pool: depend::Pool::new(threads),
             cache_file,
             requests: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
         }
     }
 
@@ -409,15 +490,7 @@ impl Server {
             }
             "stats" => Response::ok(id, &format!("\"stats\":{}", self.stats_json()), false),
             "shutdown" => Response::ok(id, "\"shutdown\":true", true),
-            "analyze" => match self.try_analyze(&req) {
-                Ok(report) => Response::ok(
-                    id,
-                    &format!("\"report\":\"{}\"", json::escape(&report)),
-                    false,
-                ),
-                Err(e) => Response::error(id, &e),
-            },
-            "parallelize" => match self.try_parallelize(&req) {
+            "analyze" | "parallelize" => match self.try_analyze(&req, op) {
                 Ok(report) => Response::ok(
                     id,
                     &format!("\"report\":\"{}\"", json::escape(&report)),
@@ -432,98 +505,30 @@ impl Server {
         }
     }
 
-    /// Resolves the request's `source`/`corpus` field into a parsed and
-    /// semantically analyzed program — shared by `analyze` and
-    /// `parallelize`.
-    fn resolve_program(
-        req: &Json,
-        fortran: bool,
-    ) -> Result<(tiny::Program, tiny::ProgramInfo), String> {
-        let source: String = if let Some(name) = req.get("corpus").and_then(Json::as_str) {
-            tiny::corpus::by_name(name)
-                .map(|e| e.source.to_string())
-                .ok_or_else(|| format!("no corpus program `{name}`"))?
-        } else if let Some(src) = req.get("source").and_then(Json::as_str) {
-            src.to_string()
+    /// Handles `analyze` and `parallelize`: resolves the request's
+    /// `corpus`/`source` field through [`front_end`] and runs the
+    /// analysis on the server's pool and cache, so the request's pair
+    /// batches interleave with the other requests' on the same workers.
+    fn try_analyze(&self, req: &Json, op: &str) -> Result<String, String> {
+        let opts = AnalyzeOptions::from_request(req, op)?;
+        let (name, source) = if let Some(name) = req.get("corpus").and_then(Json::as_str) {
+            let entry =
+                tiny::corpus::by_name(name).ok_or_else(|| format!("no corpus program `{name}`"))?;
+            (name, entry.source)
+        } else if let Some(source) = req.get("source").and_then(Json::as_str) {
+            ("", source)
         } else {
             return Err("request needs a \"source\" or \"corpus\" field".into());
         };
-        let parsed = if fortran {
-            tiny::fortran::parse(&source)
-        } else {
-            tiny::Program::parse(&source)
-        };
-        let program = parsed.map_err(|e| e.to_string())?;
-        let info = tiny::analyze(&program).map_err(|e| e.to_string())?;
-        Ok((program, info))
-    }
-
-    /// Runs dependence analysis under the server's cache-pinned config,
-    /// on the server's pool: the request's pair batches interleave with
-    /// the other requests' on the same workers.
-    fn run_analysis(
-        &self,
-        info: &tiny::ProgramInfo,
-        config: &Config,
-    ) -> Result<depend::Analysis, String> {
-        depend::analyze_program_on(&self.pool, info, config, Some(Arc::clone(&self.cache)))
-            .map_err(|e| format!("analysis failed: {e}"))
-    }
-
-    fn try_analyze(&self, req: &Json) -> Result<String, String> {
-        let opts = AnalyzeOptions::from_request(req)?;
-        let (_, info) = Self::resolve_program(req, opts.fortran)?;
-        // The server owns the cache, so the per-run cache knobs are
-        // pinned here.
-        let config = Config {
-            storage_kills: opts.storage_kills,
-            memo_cache: true,
-            cache_file: None,
-            ..if opts.standard {
-                Config::standard()
-            } else {
-                Config::extended()
-            }
-        };
-        let analysis = self.run_analysis(&info, &config)?;
-        Ok(match opts.format {
-            Format::Json => {
-                let graph = depend::DepGraph::new(&info, &analysis);
-                depend::report::to_json(&graph)
-            }
-            Format::Dot => {
-                let graph = depend::DepGraph::new(&info, &analysis);
-                depend::dot::to_dot(
-                    &graph,
-                    &depend::dot::DotOptions {
-                        antis: opts.all,
-                        outputs: opts.all,
-                        dead: true,
-                    },
-                )
-            }
-            Format::Text => render_text_report(&info, &analysis, &opts.view()),
-        })
-    }
-
-    /// Handles a `parallelize` request: the full decision-engine report
-    /// (annotated source, surviving-dependence DOT graph, summary),
-    /// byte-identical to one-shot `tinydep --parallelize` on the same
-    /// program. Honors the `fortran` and `storage_kills` options; the
-    /// analysis is always the extended one (the report's point is the
-    /// kills-on/off delta).
-    fn try_parallelize(&self, req: &Json) -> Result<String, String> {
-        let opts = AnalyzeOptions::from_request(req)?;
-        let (program, info) = Self::resolve_program(req, opts.fortran)?;
-        let config = Config {
-            storage_kills: opts.storage_kills,
-            memo_cache: true,
-            cache_file: None,
-            ..Config::extended()
-        };
-        let analysis = self.run_analysis(&info, &config)?;
-        let graph = depend::DepGraph::new(&info, &analysis);
-        Ok(depend::render_parallelize_report(&program, &graph))
+        let (program, info) = front_end(name, source, opts.fortran)?;
+        let analysis = depend::analyze_program_on(
+            &self.pool,
+            &info,
+            &opts.config(),
+            Some(Arc::clone(&self.cache)),
+        )
+        .map_err(|e| format!("analysis failed: {e}"))?;
+        Ok(opts.render(&program, &DepGraph::new(&info, &analysis)))
     }
 
     /// Row-store and solver-cache counters as a JSON object — the body
@@ -562,6 +567,40 @@ impl Server {
         )
     }
 
+    /// The one serve loop behind both transports. Each batch is one
+    /// blocking receive plus up to [`MAX_BATCH`]` - 1` more requests
+    /// drained without waiting; it is answered on the pool (requests are
+    /// the outer items, each analysis feeds its pair batches back into
+    /// the same pool) and handed to `deliver` as `(reply, response)`
+    /// pairs in request order, blank lines dropped. The row store is
+    /// swept after every batch. Returns when `requests` closes or after
+    /// the batch holding a `shutdown`.
+    fn serve<R: Send>(
+        &self,
+        requests: &mpsc::Receiver<(String, R)>,
+        mut deliver: impl FnMut(Vec<(R, Response)>) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        while let Ok(first) = requests.recv() {
+            let mut batch = vec![first];
+            batch.extend(requests.try_iter().take(MAX_BATCH - 1));
+            let answered: Vec<(R, Response)> = self
+                .pool
+                .map_infallible(batch, |_, (line, reply)| (reply, self.handle_line(&line)))
+                .into_iter()
+                .filter_map(|(reply, resp)| Some((reply, resp?)))
+                .collect();
+            let stop = answered.iter().any(|(_, resp)| resp.shutdown);
+            deliver(answered)?;
+            // Keep the row-store index flat: rows die as request-local
+            // problems drop; sweep their Weak residue between batches.
+            omega::row_store_gc();
+            if stop {
+                break;
+            }
+        }
+        Ok(())
+    }
+
     fn save_cache(&self) {
         if let Some(path) = &self.cache_file {
             if let Err(e) = self.cache.save_to(path) {
@@ -570,63 +609,32 @@ impl Server {
         }
     }
 
-    /// Takes one batch off a request channel: blocking receive for the
-    /// first item, then drain without waiting up to [`MAX_BATCH`].
-    /// `None` means the channel is closed.
-    fn take_batch<T>(rx: &mpsc::Receiver<T>) -> Option<Vec<T>> {
-        let first = rx.recv().ok()?;
-        let mut batch = vec![first];
-        while batch.len() < MAX_BATCH {
-            match rx.try_recv() {
-                Ok(item) => batch.push(item),
-                Err(_) => break,
-            }
-        }
-        Some(batch)
-    }
-
     /// Serves line-delimited JSON over stdin/stdout until EOF or a
     /// `shutdown` request, then saves the persistent cache (if
     /// configured). Responses are written in request order.
     pub fn run_stdio(&self) -> std::io::Result<()> {
-        let (tx, rx) = mpsc::channel::<String>();
+        let (tx, rx) = mpsc::channel();
         // Reader thread: decouples blocking stdin reads from batch
         // processing, so a batch forms from whatever has arrived. The
         // thread exits on EOF, or on a failed send once `rx` is
         // dropped; it is detached rather than joined because it may be
         // parked in a blocking read when the server shuts down.
         std::thread::spawn(move || {
-            let stdin = std::io::stdin();
-            for line in stdin.lock().lines() {
+            for line in std::io::stdin().lock().lines() {
                 let Ok(line) = line else { break };
-                if tx.send(line).is_err() {
+                if tx.send((line, ())).is_err() {
                     break;
                 }
             }
         });
         let stdout = std::io::stdout();
-        // Requests are the outer items on the server's pool, and each
-        // analysis feeds its pair batches back into the same pool (see
-        // the module docs).
-        'serve: while let Some(batch) = Self::take_batch(&rx) {
-            let responses = self
-                .pool
-                .map_infallible(batch, |_, line| self.handle_line(&line));
+        self.serve(&rx, |answered| {
             let mut out = stdout.lock();
-            let mut stop = false;
-            for resp in responses.into_iter().flatten() {
+            for ((), resp) in answered {
                 writeln!(out, "{}", resp.line)?;
-                stop |= resp.shutdown;
             }
-            out.flush()?;
-            drop(out);
-            // Keep the row-store index flat: rows die as request-local
-            // problems drop; sweep their Weak residue between batches.
-            omega::row_store_gc();
-            if stop {
-                break 'serve;
-            }
-        }
+            out.flush()
+        })?;
         self.save_cache();
         Ok(())
     }
@@ -634,67 +642,62 @@ impl Server {
     /// Serves line-delimited JSON over a Unix domain socket at `path`
     /// until a `shutdown` request, then saves the persistent cache (if
     /// configured). Each connection is read by its own thread, but all
-    /// requests funnel into one batching dispatcher on the shared
-    /// worker pool; per connection, responses come back in request
-    /// order. A stale socket file at `path` is replaced; the file is
-    /// removed again on shutdown.
+    /// requests funnel into the one serve loop on the shared worker
+    /// pool; per connection, responses come back in request order. On
+    /// shutdown every other open connection gets the responses it is
+    /// owed and then reads EOF. A stale socket file at `path` is
+    /// replaced; the file is removed again on shutdown.
     #[cfg(unix)]
     pub fn run_unix(&self, path: &std::path::Path) -> std::io::Result<()> {
         use std::os::unix::net::{UnixListener, UnixStream};
-
-        struct Job {
-            line: String,
-            reply: mpsc::Sender<Response>,
-        }
+        use std::sync::{Mutex, PoisonError, Weak};
 
         let _ = std::fs::remove_file(path);
         let listener = UnixListener::bind(path)?;
-        let (jtx, jrx) = mpsc::channel::<Job>();
+        let (tx, rx) = mpsc::channel::<(String, mpsc::Sender<Response>)>();
+        // The open connections; `None` once the server stops accepting.
+        let open: Mutex<Option<Vec<Weak<UnixStream>>>> = Mutex::new(Some(Vec::new()));
+        let open = &open;
 
-        std::thread::scope(|scope| -> std::io::Result<()> {
-            // The batching dispatcher: same loop shape as stdio mode,
-            // with responses routed back to their connection.
+        std::thread::scope(|scope| {
             scope.spawn(move || {
-                while let Some(batch) = Self::take_batch(&jrx) {
-                    let responses = self.pool.map_infallible(batch, |_, job: Job| {
-                        (job.reply, self.handle_line(&job.line))
-                    });
-                    let mut stop = false;
-                    for (reply, resp) in responses {
-                        if let Some(resp) = resp {
-                            stop |= resp.shutdown;
-                            let _ = reply.send(resp);
-                        }
+                let _ = self.serve(&rx, |answered| {
+                    for (reply, resp) in answered {
+                        let _ = reply.send(resp);
                     }
-                    omega::row_store_gc();
-                    if stop {
-                        self.shutdown.store(true, Ordering::SeqCst);
-                        // Unblock the accept loop below.
-                        let _ = UnixStream::connect(path);
-                        break;
-                    }
+                    Ok(())
+                });
+                drop(rx);
+                // End every connection's reads: its thread writes the
+                // responses it is owed, reads EOF and closes the socket.
+                let conns = open.lock().unwrap_or_else(PoisonError::into_inner).take();
+                for conn in conns.into_iter().flatten().filter_map(|c| c.upgrade()) {
+                    let _ = conn.shutdown(std::net::Shutdown::Read);
                 }
+                // Unblock the accept loop below.
+                let _ = UnixStream::connect(path);
             });
 
             for conn in listener.incoming() {
-                if self.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
                 let Ok(stream) = conn else { continue };
-                let jtx = jtx.clone();
+                let stream = Arc::new(stream);
+                match open.lock().unwrap_or_else(PoisonError::into_inner).as_mut() {
+                    Some(conns) => {
+                        conns.retain(|c| c.strong_count() > 0);
+                        conns.push(Arc::downgrade(&stream));
+                    }
+                    None => break,
+                }
+                let tx = tx.clone();
                 scope.spawn(move || {
-                    let Ok(read_half) = stream.try_clone() else {
-                        return;
-                    };
-                    let reader = std::io::BufReader::new(read_half);
-                    let mut writer = std::io::BufWriter::new(stream);
-                    for line in reader.lines() {
+                    let mut writer = std::io::BufWriter::new(&*stream);
+                    for line in std::io::BufReader::new(&*stream).lines() {
                         let Ok(line) = line else { break };
-                        let (rtx, rrx) = mpsc::channel();
-                        if jtx.send(Job { line, reply: rtx }).is_err() {
-                            break; // dispatcher shut down
+                        let (reply, response) = mpsc::channel();
+                        if tx.send((line, reply)).is_err() {
+                            break; // the serve loop has stopped
                         }
-                        let Ok(resp) = rrx.recv() else {
+                        let Ok(resp) = response.recv() else {
                             continue; // blank line: no response
                         };
                         if writeln!(writer, "{}", resp.line).is_err() || writer.flush().is_err() {
@@ -706,11 +709,7 @@ impl Server {
                     }
                 });
             }
-            // Closing the job channel ends the dispatcher (if a client
-            // vanished without sending `shutdown`, e.g. bind errors).
-            drop(jtx);
-            Ok(())
-        })?;
+        });
 
         let _ = std::fs::remove_file(path);
         self.save_cache();
@@ -769,13 +768,12 @@ mod tests {
             .unwrap();
         assert!(r.line.starts_with("{\"id\":1,\"ok\":true,\"report\":\""), "{}", r.line);
 
-        let program = tiny::Program::parse(
-            tiny::corpus::by_name("example3").expect("corpus program").source,
-        )
-        .unwrap();
-        let info = tiny::analyze(&program).unwrap();
-        let analysis = depend::analyze_program(&info, &Config::extended()).unwrap();
-        let expected = render_text_report(&info, &analysis, &ReportView::default());
+        // The CLI's run path: the front end, then a one-program corpus.
+        let source = tiny::corpus::by_name("example3").expect("corpus program").source;
+        let (_, info) = front_end("example3", source, false).unwrap();
+        let infos = [info];
+        let analyses = depend::analyze_corpus(&infos, &Config::extended()).unwrap();
+        let expected = render_text_report(&infos[0], &analyses[0], &ReportView::default());
         let expected_line = format!(
             "{{\"id\":1,\"ok\":true,\"report\":\"{}\"}}",
             json::escape(&expected)

@@ -160,3 +160,68 @@ fn json_output_parses_mentally() {
     assert!(stdout.contains("\"status\": \"dead\""), "{stdout}");
     assert!(stdout.contains("\"srcAccess\": \"a(n)\""), "{stdout}");
 }
+
+#[test]
+fn help_lists_every_option() {
+    let out = tinydep().arg("--help").output().unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    for flag in "--standard --fortran --all --parallel --parallelize --storage-kills --dot \
+                 --json --signs --threads=N --corpus --no-cache --cache-file=PATH --stats \
+                 --serve --serve=PATH --list-corpus"
+        .split_whitespace()
+    {
+        assert!(
+            stdout.lines().any(|l| l.split_whitespace().next() == Some(flag)),
+            "{flag} undocumented:\n{stdout}"
+        );
+    }
+}
+
+#[test]
+fn stats_are_printed_by_every_run_shape() {
+    let runs: [&[&str]; 4] = [
+        &["--stats", "corpus:example1"],
+        &["--stats", "corpus:example1", "corpus:example2"],
+        &["--parallelize", "--stats", "corpus:example1", "corpus:example2"],
+        &["--parallelize", "--corpus", "--stats", "--threads=2"],
+    ];
+    for args in runs {
+        let out = tinydep().args(args).output().unwrap();
+        assert!(out.status.success(), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        for prefix in ["cache: ", "prefilter: ", "alloc: ", "rows: "] {
+            assert!(
+                stderr.lines().any(|l| l.starts_with(prefix)),
+                "{args:?}: no `{prefix}` line on stderr:\n{stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn conflicting_flags_are_rejected() {
+    let path = std::env::temp_dir().join(format!("tinydep_reject_{}.cache", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let cache_arg = format!("--cache-file={}", path.display());
+    let mut cases: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["--no-cache", &cache_arg, "corpus:example1"], "--no-cache"),
+        (vec!["--json", "--dot", "corpus:example1"], "--dot"),
+        (vec!["--serve", "--json", "--all", "--fortran"], "--json"),
+    ];
+    // Under `--serve` reports are chosen per request.
+    for flag in "--standard --all --parallel --parallelize --storage-kills --fortran --dot \
+                 --json --signs --no-cache"
+        .split_whitespace()
+    {
+        cases.push((vec!["--serve", flag], flag));
+    }
+    for (args, culprit) in cases {
+        let out = tinydep().args(&args).stdin(Stdio::null()).output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(!out.status.success(), "{args:?} was accepted");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        assert!(stderr.contains(culprit), "{args:?}: {stderr}");
+    }
+    assert!(!path.exists(), "a rejected run wrote the cache file");
+}

@@ -221,7 +221,7 @@ fn soak_bounded_rows_warm_hits_and_byte_identical_reports() {
 
 #[test]
 fn a_panicking_request_is_contained_to_its_response() {
-    let mut s = Session::start(&["--threads=4"]);
+    let mut s = Session::start(&["--threads=4", "--stats"]);
     // A burst with a panicking request in the middle: every request in
     // the batch still answers, in order, and only the offender errors.
     s.send("{\"id\":1,\"op\":\"analyze\",\"corpus\":\"example2\"}");
@@ -343,11 +343,28 @@ fn server_cache_file_is_saved_at_shutdown_and_warms_the_next_start() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Connects to a socket server, waiting for its listener to come up.
+/// The socket file appears at `bind(2)` but the server only accepts
+/// after `listen(2)` — a separate syscall inside `UnixListener::bind` —
+/// so a connect in that window is refused; retry it away here.
+#[cfg(unix)]
+fn connect(sock: &std::path::Path) -> std::os::unix::net::UnixStream {
+    let mut waited = 0;
+    loop {
+        match std::os::unix::net::UnixStream::connect(sock) {
+            Ok(s) => return s,
+            Err(e) => {
+                assert!(waited < 10_000, "server never accepted: {e}");
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                waited += 20;
+            }
+        }
+    }
+}
+
 #[cfg(unix)]
 #[test]
 fn concurrent_socket_clients_match_the_goldens() {
-    use std::os::unix::net::UnixStream;
-
     let sock = std::env::temp_dir().join(format!("omega_serve_{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&sock);
     let mut child = tinydep()
@@ -355,23 +372,6 @@ fn concurrent_socket_clients_match_the_goldens() {
         .arg("--threads=4")
         .spawn()
         .expect("socket server starts");
-    // Wait for the listener to come up. The socket file appears at
-    // `bind(2)` but the server only accepts after `listen(2)` — a
-    // separate syscall inside `UnixListener::bind` — so a connect in
-    // that window is refused; retry it away here and in the clients.
-    let connect = |sock: &std::path::Path| -> UnixStream {
-        let mut waited = 0;
-        loop {
-            match UnixStream::connect(sock) {
-                Ok(s) => return s,
-                Err(e) => {
-                    assert!(waited < 10_000, "server never accepted: {e}");
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    waited += 20;
-                }
-            }
-        }
-    };
 
     // Each request kind must reproduce its golden byte-for-byte — the
     // same files the one-shot CLI is gated on at every thread count.
@@ -394,7 +394,6 @@ fn concurrent_socket_clients_match_the_goldens() {
         for client in 0..8 {
             let sock = &sock;
             let cases = &cases;
-            let connect = &connect;
             scope.spawn(move || {
                 let stream = connect(sock);
                 let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -434,4 +433,54 @@ fn concurrent_socket_clients_match_the_goldens() {
     let status = child.wait().expect("server exits");
     assert!(status.success());
     assert!(!sock.exists(), "socket file not removed at shutdown");
+}
+
+#[cfg(unix)]
+#[test]
+fn socket_shutdown_closes_idle_connections() {
+    use std::time::{Duration, Instant};
+
+    let sock = std::env::temp_dir().join(format!("omega_serve_idle_{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let mut child = tinydep()
+        .arg(format!("--serve={}", sock.display()))
+        .arg("--threads=2")
+        .spawn()
+        .expect("socket server starts");
+
+    // Client A talks once, then idles with its connection open.
+    let idle = connect(&sock);
+    idle.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut idle_reader = BufReader::new(idle.try_clone().unwrap());
+    writeln!(&idle, "{{\"id\":1,\"op\":\"ping\"}}").unwrap();
+    let mut line = String::new();
+    idle_reader.read_line(&mut line).unwrap();
+    assert_eq!(line, "{\"id\":1,\"ok\":true,\"pong\":true}\n");
+
+    // Client B shuts the server down.
+    let stopper = connect(&sock);
+    writeln!(&stopper, "{{\"id\":2,\"op\":\"shutdown\"}}").unwrap();
+    line.clear();
+    BufReader::new(&stopper).read_line(&mut line).unwrap();
+    assert_eq!(line, "{\"id\":2,\"ok\":true,\"shutdown\":true}\n");
+
+    // The server exits although A is still connected.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("server status") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            let _ = std::fs::remove_file(&sock);
+            panic!("server still running 10 s after shutdown with an idle client connected");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "server exited with {status}");
+    assert!(!sock.exists(), "socket file not removed at shutdown");
+    // A reads EOF: the server closed its connection.
+    line.clear();
+    assert_eq!(idle_reader.read_line(&mut line).unwrap(), 0, "{line}");
 }
