@@ -12,7 +12,11 @@ use crate::error::Result;
 /// sufficient test the paper's implementation uses — fast and usually
 /// enough); if that fails and `formula_fallback` is set, run the exact
 /// check by asking whether `p ∧ ¬q₁ ∧ … ∧ ¬qₙ` is satisfiable through the
-/// Presburger layer.
+/// Presburger layer. That check searches the product of `p`'s pieces and
+/// each `¬qᵢ`'s pieces depth first ([`Formula::is_satisfiable`]), through
+/// `budget`'s memo cache, so it usually stops at the first satisfiable
+/// leaf; a query past the budget or the formula depth guard stays
+/// conservative (not implied).
 ///
 /// # Errors
 ///

@@ -1,14 +1,31 @@
 //! A Presburger-formula layer on top of conjunctions (§3.2).
 //!
 //! Formulas are built from linear atoms over a shared variable space with
-//! `∧`, `∨`, `¬`, `∃` and `∀`. Validity and satisfiability are decided by
-//! rewriting to disjunctive normal form, using the Omega test's projection
-//! for existential quantifiers (splinters become extra disjuncts).
+//! `∧`, `∨`, `¬`, `∃` and `∀`. Quantifiers are eliminated by rewriting to
+//! disjunctive normal form ([`Formula::dnf`]), using the Omega test's
+//! projection for existential quantifiers (splinters become extra
+//! disjuncts).
+//!
+//! Satisfiability ([`Formula::is_satisfiable`], and validity through it)
+//! never builds the whole formula's DNF. Each top-level conjunct is
+//! expanded on its own, and the product of those expansions is searched
+//! depth first: a partial conjunction that is infeasible prunes every
+//! leaf below it, and the first satisfiable leaf ends the search. The §4
+//! fallback query `p ∧ ¬q₁ ∧ … ∧ ¬qₙ` has a product that grows
+//! exponentially with `n`, and its leaves are mostly either pruned early
+//! or satisfiable at once.
+//!
+//! Every DNF piece keeps its own existentials: the wildcards of a
+//! divisibility atom or a projection, and a quantified variable that a
+//! projection leaves in a stride, live in columns past the formula's
+//! space, and conjoining two pieces renumbers one side's so they never
+//! share a column.
 //!
 //! The paper deliberately does not characterize the subclass it decides
 //! efficiently; the same is true here — deeply alternating quantifiers can
 //! blow up in DNF size, but the shapes dependence analysis needs
-//! (`∀x. p ⇒ ∃y. q`) stay small.
+//! (`∀x. p ⇒ ∃y. q`) stay small. A work budget and a depth guard turn
+//! the pathological ones into [`Error::TooComplex`](crate::Error).
 
 use crate::linexpr::{Constraint, LinExpr, Relation};
 use crate::problem::{Budget, Problem};
@@ -162,16 +179,28 @@ impl Formula {
 
     /// Satisfiability over the free variables.
     ///
+    /// The DNF of the whole formula is never built: each top-level
+    /// conjunct is expanded on its own, and their product is searched
+    /// depth first, smallest factor first. Every partial conjunction is
+    /// checked (through the memo cache, when one is attached) and an
+    /// infeasible one prunes its whole subtree; the first satisfiable leaf
+    /// answers `true`. Each visited node charges the budget.
+    ///
     /// # Errors
     ///
     /// Propagates solver errors.
     pub fn is_satisfiable(&self, space: &Problem, budget: &mut Budget) -> Result<bool> {
-        for d in self.dnf(space, budget)? {
-            if d.is_satisfiable_with(budget)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        let nnf = self.to_nnf(false);
+        // Depths as in `dnf`: an `And`'s conjuncts sit one level below it.
+        let mut factors = match &nnf {
+            Formula::And(fs) => fs
+                .iter()
+                .map(|f| f.dnf_nnf(space, budget, 1))
+                .collect::<Result<Vec<_>>>()?,
+            f => vec![f.dnf_nnf(space, budget, 0)?],
+        };
+        factors.sort_by_key(Vec::len);
+        search_product(&space_copy(space), &factors, space.num_vars(), budget)
     }
 
     /// Validity: true for **all** integer values of the free variables.
@@ -344,9 +373,7 @@ impl Formula {
                     budget.spend(acc.len() * parts.len())?;
                     for a in &acc {
                         for b in &parts {
-                            let mut c = a.clone();
-                            c.and(b)?;
-                            next.push(c);
+                            next.push(conjoin(a, b, space.num_vars())?);
                         }
                     }
                     acc = next;
@@ -368,7 +395,7 @@ impl Formula {
                     let proj = p.project_with(&keep, budget)?;
                     for piece in proj.into_problems() {
                         if !piece.is_known_infeasible() {
-                            out.push(piece);
+                            out.push(localize(piece, &keep, space));
                         }
                     }
                 }
@@ -401,6 +428,95 @@ impl Formula {
 
 /// Recursion guard for deeply alternating formulas.
 const MAX_FORMULA_DEPTH: usize = 64;
+
+/// Whether `acc` conjoined with one piece of every factor is satisfiable
+/// for some choice of pieces: a depth-first walk that drops a branch as
+/// soon as its partial conjunction is infeasible.
+fn search_product(
+    acc: &Problem,
+    factors: &[Vec<Problem>],
+    width: usize,
+    budget: &mut Budget,
+) -> Result<bool> {
+    let Some((first, rest)) = factors.split_first() else {
+        return Ok(true);
+    };
+    for piece in first {
+        budget.spend(1)?;
+        let c = conjoin(acc, piece, width)?;
+        if c.is_satisfiable_with(budget)? && search_product(&c, rest, width, budget)? {
+            return Ok(true);
+        }
+    }
+    Ok(false)
+}
+
+/// `acc ∧ piece` for two DNF pieces over a space of `width` columns.
+///
+/// A piece's columns past `width` are its own existentials (the `α`, `ρ`
+/// of a divisibility atom, a projection's wildcards). They are renumbered
+/// past `acc`'s columns, so two pieces' existentials never alias.
+fn conjoin(acc: &Problem, piece: &Problem, width: usize) -> Result<Problem> {
+    let mut c = acc.clone();
+    let shift = c.num_vars() - width;
+    if shift == 0 || piece.num_vars() <= width {
+        c.and(piece)?;
+        return Ok(c);
+    }
+    // Both tables extend the space's `width` columns, which stay put.
+    for _ in width..piece.num_vars() {
+        c.add_wildcard();
+    }
+    for k in piece.eqs.iter().chain(&piece.geqs) {
+        let mut k = k.clone();
+        k.map_expr(|e| {
+            let mut moved = LinExpr::constant_expr(e.constant());
+            for (v, a) in e.terms() {
+                let i = v.index();
+                moved.set_coef(VarId::from_index(if i < width { i } else { i + shift }), a);
+            }
+            *e = moved;
+        });
+        c.add_constraint(k);
+    }
+    c.known_infeasible |= piece.known_infeasible;
+    Ok(c)
+}
+
+/// Gives a projection piece its own existentials. A variable of `space`
+/// that the piece still mentions but did not keep (a quantified variable
+/// left in a stride) moves to a fresh wildcard past the table, where
+/// [`conjoin`] keeps it apart from every other piece and
+/// [`Formula::from_problem`] sees it as bound. The space's own wildcard
+/// columns stay put: `from_problem` binds them again at every use, and
+/// moving them would give each level of a `∀ → ∃ → ∀` recursion a new
+/// problem instead of a memo hit.
+fn localize(mut piece: Problem, keep: &[VarId], space: &Problem) -> Problem {
+    let stale: Vec<VarId> = space
+        .var_ids()
+        .filter(|&v| space.var_info(v).kind() != VarKind::Wildcard && !keep.contains(&v))
+        .filter(|&v| {
+            piece
+                .eqs
+                .iter()
+                .chain(&piece.geqs)
+                .any(|k| k.expr().coef(v) != 0)
+        })
+        .collect();
+    for v in stale {
+        let w = piece.add_wildcard();
+        for k in piece.eqs.iter_mut().chain(piece.geqs.iter_mut()) {
+            let a = k.expr().coef(v);
+            if a != 0 {
+                k.map_expr(|e| {
+                    e.set_coef(v, 0);
+                    e.set_coef(w, a);
+                });
+            }
+        }
+    }
+    piece
+}
 
 fn space_copy(space: &Problem) -> Problem {
     let mut p = space.clone();
@@ -517,6 +633,125 @@ mod tests {
         );
         let mut b = Budget::default();
         assert!(even.implies(mod4).is_valid(&s, &mut b).unwrap());
+    }
+
+    /// `0 ≤ x ≤ 7 ∧ ¬(x = 0) ∧ … ∧ ¬(x = 7)`: unsatisfiable, but only
+    /// after a search through many feasible partial conjunctions.
+    fn excluded_interval(s: &Problem, x: VarId) -> Formula {
+        let mut p = s.clone();
+        p.add_geq(LinExpr::var(x));
+        p.add_geq(LinExpr::term(-1, x).plus_const(7));
+        let mut parts = vec![Formula::from_problem(&p)];
+        for i in 0..8 {
+            let mut q = s.clone();
+            q.add_eq(LinExpr::var(x).plus_const(-i));
+            parts.push(Formula::not(Formula::from_problem(&q)));
+        }
+        Formula::and(parts)
+    }
+
+    #[test]
+    fn budget_bounds_the_product_search() {
+        let (s, x, _) = space_xy();
+        let f = excluded_interval(&s, x);
+        assert!(!f.is_satisfiable(&s, &mut Budget::default()).unwrap());
+        for n in [0, 1, 5, 30] {
+            assert_eq!(
+                f.is_satisfiable(&s, &mut Budget::new(n)),
+                Err(crate::Error::TooComplex { budget: n }),
+                "a budget of {n} steps must stop the search",
+            );
+        }
+    }
+
+    #[test]
+    fn every_visited_node_charges_the_budget() {
+        // `x ≥ 0` first (one piece), then k constant-false pieces under
+        // it: k + 1 nodes, none of them costly for the solver. The second
+        // run is served from the memo cache and must charge as much.
+        let (s, x, _) = space_xy();
+        let k = 6;
+        let dead_ends = (1..=k)
+            .map(|i| Formula::geq0(LinExpr::constant_expr(-i)))
+            .collect();
+        let f = Formula::and(vec![Formula::or(dead_ends), Formula::geq0(LinExpr::var(x))]);
+        let cache = std::sync::Arc::new(crate::SolverCache::new());
+        let spent: Vec<usize> = (0..2)
+            .map(|_| {
+                let mut b = Budget::default().with_cache(cache.clone());
+                assert!(!f.is_satisfiable(&s, &mut b).unwrap());
+                crate::problem::DEFAULT_BUDGET - b.remaining()
+            })
+            .collect();
+        assert!(spent[0] > k as usize, "{} steps for {} nodes", spent[0], k + 1);
+        assert_eq!(spent[0], spent[1], "a memo hit must charge its cold cost");
+    }
+
+    #[test]
+    fn existentials_of_separate_conjuncts_stay_separate() {
+        // (∃y. x = 2y) ∧ (∃y. z = 3y) at x = 2, z = 6: y = 1 and y = 2.
+        // Projection leaves y in each piece's stride; it must not become
+        // one shared y, nor a free one.
+        let mut s = Problem::new();
+        let x = s.add_var("x", VarKind::Input);
+        let y = s.add_var("y", VarKind::Input);
+        let z = s.add_var("z", VarKind::Input);
+        let f = Formula::and(vec![
+            Formula::eq0(LinExpr::var(x).plus_const(-2)),
+            Formula::eq0(LinExpr::var(z).plus_const(-6)),
+            Formula::exists(vec![y], Formula::eq0(LinExpr::var(x).plus_term(-2, y))),
+            Formula::exists(vec![y], Formula::eq0(LinExpr::var(z).plus_term(-3, y))),
+        ]);
+        let mut b = Budget::default();
+        assert!(f.is_satisfiable(&s, &mut b).unwrap());
+        // ∀y. ¬(x = 2y) is "x is odd", not "x ≠ 2y for the free y".
+        let odd = Formula::forall(
+            vec![y],
+            Formula::not(Formula::eq0(LinExpr::var(x).plus_term(-2, y))),
+        );
+        let at = |v: i64| {
+            Formula::and(vec![
+                Formula::eq0(LinExpr::var(x).plus_const(-v)),
+                odd.clone(),
+            ])
+        };
+        assert!(at(3).is_satisfiable(&s, &mut b).unwrap());
+        assert!(!at(4).is_satisfiable(&s, &mut b).unwrap());
+    }
+
+    #[test]
+    fn negated_bounded_stride_gives_up_on_the_depth_guard() {
+        // Shrunk from a kill query of a generated program: is
+        // 1 ≤ y ≤ m ∧ ¬∃w. (y = 3 − 2w ∧ 1 ≤ w ≤ m) satisfiable? (Yes,
+        // y = 2.) `w` sits in the stride and in the bounds, so it is not a
+        // lone stride wildcard and the negation is `∀w`. Projecting the
+        // `∃w` inside it keeps the same shape (`y = 3 − 2α` with `α`
+        // bounded), `from_problem` wraps that piece in `∃α`, its negation
+        // is `∀α`, and the `∀ → ∃ → ∀` cycle ends at the depth guard.
+        // This pins today's conservative give-up.
+        let mut s = Problem::new();
+        let y = s.add_var("y", VarKind::Input);
+        let m = s.add_var("m", VarKind::Symbolic);
+        let mut p = s.clone();
+        p.add_geq(LinExpr::var(y).plus_const(-1));
+        p.add_geq(LinExpr::var(m).plus_term(-1, y));
+        let mut q = s.clone();
+        let w = q.add_wildcard();
+        q.add_eq(LinExpr::term(2, w).plus_term(1, y).plus_const(-3));
+        q.add_geq(LinExpr::var(m).plus_term(-1, w));
+        q.add_geq(LinExpr::var(w).plus_const(-1));
+        let mut space = p.clone();
+        space.extend_space_to(&q).unwrap();
+        let f = Formula::and(vec![
+            Formula::from_problem(&p),
+            Formula::not(Formula::from_problem(&q)),
+        ]);
+        assert_eq!(
+            f.is_satisfiable(&space, &mut Budget::default()),
+            Err(crate::Error::TooComplex {
+                budget: MAX_FORMULA_DEPTH
+            })
+        );
     }
 
     #[test]

@@ -270,3 +270,238 @@ fn regression_negative_coefficient_eq_atom() {
     })]);
     check_value(&spec, all_props);
 }
+
+// ---- the §4 fallback's shape: p ∧ ¬q₁ ∧ … ∧ ¬qₙ ----
+
+/// A stride row `g | a·x + b·y + c`, stored in its conjunction as the
+/// equality `a·x + b·y + c − g·w = 0` over a lone wildcard `w` (the `eq`
+/// flag of `row` is unused).
+#[derive(Debug, Clone)]
+struct StrideSpec {
+    row: AtomSpec,
+    g: i64,
+}
+
+/// One conjunction over (x, y): linear rows plus an optional stride.
+#[derive(Debug, Clone)]
+struct ConjSpec {
+    rows: Vec<AtomSpec>,
+    stride: Option<StrideSpec>,
+}
+
+/// `p` (boxed to `[-BOX, BOX]²` when built, so brute force is exact)
+/// and the `qᵢ` it is tested against.
+#[derive(Debug, Clone)]
+struct FallbackSpec {
+    p: Vec<AtomSpec>,
+    qs: Vec<ConjSpec>,
+}
+
+fn gen_conj(rng: &mut Rng) -> ConjSpec {
+    let n = rng.gen_range_usize(2..=4);
+    let mut rows: Vec<AtomSpec> = (0..n).map(|_| gen_atom(rng)).collect();
+    let stride = rng.gen_bool(0.5).then(|| StrideSpec {
+        row: rows.pop().expect("two rows or more"),
+        g: rng.gen_range_i64(2..=4),
+    });
+    ConjSpec { rows, stride }
+}
+
+fn gen_fallback(rng: &mut Rng) -> FallbackSpec {
+    let n = rng.gen_range_usize(2..=4);
+    let p = (0..n).map(|_| gen_atom(rng)).collect();
+    let n = rng.gen_range_usize(2..=6);
+    FallbackSpec {
+        p,
+        qs: (0..n).map(|_| gen_conj(rng)).collect(),
+    }
+}
+
+fn shrink_atom(a: &AtomSpec) -> Vec<AtomSpec> {
+    (a.a, a.b, a.c, a.eq)
+        .shrink()
+        .into_iter()
+        .map(|(a, b, c, eq)| AtomSpec { a, b, c, eq })
+        .collect()
+}
+
+fn shrink_conj(q: &ConjSpec) -> Vec<ConjSpec> {
+    let mut out = Vec::new();
+    if let Some(s) = &q.stride {
+        let mut smaller = vec![None];
+        if s.g > 2 {
+            smaller.push(Some(StrideSpec {
+                g: s.g - 1,
+                ..s.clone()
+            }));
+        }
+        smaller.extend(
+            shrink_atom(&s.row)
+                .into_iter()
+                .map(|row| Some(StrideSpec { row, g: s.g })),
+        );
+        out.extend(smaller.into_iter().map(|stride| ConjSpec {
+            rows: q.rows.clone(),
+            stride,
+        }));
+    }
+    out.extend(
+        harness::prop::shrink_vec(&q.rows, shrink_atom, 0)
+            .into_iter()
+            .map(|rows| ConjSpec {
+                rows,
+                stride: q.stride.clone(),
+            }),
+    );
+    out
+}
+
+fn shrink_fallback(f: &FallbackSpec) -> Vec<FallbackSpec> {
+    let mut out: Vec<FallbackSpec> = harness::prop::shrink_vec(&f.qs, shrink_conj, 1)
+        .into_iter()
+        .map(|qs| FallbackSpec { p: f.p.clone(), qs })
+        .collect();
+    out.extend(
+        harness::prop::shrink_vec(&f.p, shrink_atom, 0)
+            .into_iter()
+            .map(|p| FallbackSpec {
+                p,
+                qs: f.qs.clone(),
+            }),
+    );
+    out
+}
+
+fn atom_expr(a: &AtomSpec, x: VarId, y: VarId) -> LinExpr {
+    LinExpr::term(a.a, x).plus_term(a.b, y).plus_const(a.c)
+}
+
+fn conj_problem(
+    s: &Problem,
+    rows: &[AtomSpec],
+    stride: Option<&StrideSpec>,
+    x: VarId,
+    y: VarId,
+) -> Problem {
+    let mut p = s.clone();
+    for a in rows {
+        if a.eq {
+            p.add_eq(atom_expr(a, x, y));
+        } else {
+            p.add_geq(atom_expr(a, x, y));
+        }
+    }
+    if let Some(st) = stride {
+        let w = p.add_var("w", VarKind::Wildcard);
+        p.add_eq(atom_expr(&st.row, x, y).plus_term(-st.g, w));
+    }
+    p
+}
+
+fn conj_holds(rows: &[AtomSpec], stride: Option<&StrideSpec>, xv: i64, yv: i64) -> bool {
+    rows.iter().all(|a| eval(&Spec::Atom(a.clone()), xv, yv))
+        && stride.is_none_or(|st| (st.row.a * xv + st.row.b * yv + st.row.c) % st.g == 0)
+}
+
+/// `p ∧ ¬q₁ ∧ … ∧ ¬qₙ` — the query `implies_union` falls back to — and
+/// `{p} ⊆ q₁ ∪ … ∪ qₙ` agree with brute force over the box, and with the
+/// eager reference that builds the whole DNF before testing any piece.
+fn prop_fallback_shape(f: &FallbackSpec) -> Result<(), String> {
+    let (s, x, y) = space2();
+    let mut rows = f.p.clone();
+    for (a, b) in [(1, 0), (-1, 0), (0, 1), (0, -1)] {
+        rows.push(AtomSpec {
+            a,
+            b,
+            c: BOX,
+            eq: false,
+        });
+    }
+    let p = conj_problem(&s, &rows, None, x, y);
+    let qs: Vec<Problem> =
+        f.qs.iter()
+            .map(|q| conj_problem(&s, &q.rows, q.stride.as_ref(), x, y))
+            .collect();
+    let mut space = p.clone();
+    for q in &qs {
+        space.extend_space_to(q).map_err(|e| e.to_string())?;
+    }
+    let mut parts = vec![Formula::from_problem(&p)];
+    parts.extend(qs.iter().map(|q| Formula::not(Formula::from_problem(q))));
+    let query = Formula::and(parts);
+    let brute = (-BOX..=BOX).any(|xv| {
+        (-BOX..=BOX).any(|yv| {
+            conj_holds(&rows, None, xv, yv)
+                && !f
+                    .qs
+                    .iter()
+                    .any(|q| conj_holds(&q.rows, q.stride.as_ref(), xv, yv))
+        })
+    });
+
+    let sat = query
+        .is_satisfiable(&space, &mut omega::Budget::default())
+        .map_err(|e| e.to_string())?;
+    prop_assert_eq!(sat, brute, "is_satisfiable vs brute force");
+
+    let union = qs
+        .iter()
+        .cloned()
+        .map(omega::ProblemSet::from)
+        .fold(omega::ProblemSet::empty(), omega::ProblemSet::union);
+    let subset = omega::ProblemSet::from(p)
+        .is_subset_of(&union, &mut omega::Budget::default())
+        .map_err(|e| e.to_string())?;
+    prop_assert_eq!(subset, !brute, "is_subset_of vs brute force");
+
+    // The eager reference, kept only here: the whole DNF, then any
+    // satisfiable piece. Its product can be far larger than anything the
+    // search visits, so a case whose product outgrows the budget skips
+    // this comparison (the brute-force ones above still ran).
+    let mut budget = omega::Budget::new(200_000);
+    let eager = query.dnf(&space, &mut budget).and_then(|pieces| {
+        pieces.iter().try_fold(false, |any, d| {
+            Ok(any || d.is_satisfiable_with(&mut budget)?)
+        })
+    });
+    match eager {
+        Ok(v) => prop_assert_eq!(v, sat, "eager DNF reference vs search"),
+        Err(omega::Error::TooComplex { .. }) => {}
+        Err(e) => return Err(format!("eager reference: {e}")),
+    }
+    Ok(())
+}
+
+#[test]
+fn fallback_shape_matches_brute_force_and_the_eager_dnf() {
+    check_with(
+        &Config::with_cases(512),
+        gen_fallback,
+        shrink_fallback,
+        prop_fallback_shape,
+    );
+}
+
+/// The first witness the property found: two strides negated in one
+/// query. `¬(2 | −x) ∧ ¬(2 | 5)` holds at x = 1, but the two `g ∤ e`
+/// expansions once shared their `α`, `ρ` columns, forcing `−x = 5`.
+#[test]
+fn regression_negated_strides_do_not_share_wildcards() {
+    let stride = |a, c| ConjSpec {
+        rows: vec![],
+        stride: Some(StrideSpec {
+            row: AtomSpec {
+                a,
+                b: 0,
+                c,
+                eq: false,
+            },
+            g: 2,
+        }),
+    };
+    let spec = FallbackSpec {
+        p: vec![],
+        qs: vec![stride(-1, 0), stride(0, 5)],
+    };
+    check_value(&spec, prop_fallback_shape);
+}

@@ -27,6 +27,15 @@ cargo test -q --release --offline --manifest-path ledger/Cargo.toml
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+echo "==> formula-fallback differential property under two more seeds (release)"
+# The depth-first search behind Formula::is_satisfiable is checked
+# against brute force and the eager DNF on random p ∧ ¬q₁ ∧ … ∧ ¬qₙ
+# queries; extra seeds widen that search at well under a second each.
+for seed in 0x5eed0001 0x5eed0002; do
+    HARNESS_SEED=$seed cargo test -q --release --offline -p omega --test formula_prop \
+        fallback_shape_matches_brute_force_and_the_eager_dnf >/dev/null
+done
+
 echo "==> bench smoke run (quick mode)"
 HARNESS_BENCH_QUICK=1 cargo bench --offline -p bench --bench omega_solver >/dev/null
 HARNESS_BENCH_QUICK=1 cargo bench --offline -p bench --bench parallel_scaling >/dev/null

@@ -240,3 +240,56 @@ fn single_pair_analysis_is_microseconds_scale() {
         "per-pair analysis {per_pair:?} exceeds {limit_us} us"
     );
 }
+
+/// Allocations of a warm single-threaded extended `stepped_reset`
+/// analysis (release profile). Its kill tests take the exact formula
+/// fallback `p ∧ ¬q₁ ∧ … ∧ ¬qₙ`. History: 1,165,584 when the fallback
+/// built the query's whole DNF before testing a piece; 9,651 (debug
+/// profile 9,673) with the depth-first search over the product.
+const STEPPED_RESET_ALLOC_BUDGET: u64 = 9_651;
+
+/// Memo-cache lookups of the same analysis (fresh cache). History:
+/// 41,599 with the whole DNF; 309 with the depth-first search.
+const STEPPED_RESET_LOOKUPS: u64 = 309;
+
+/// Whether `got` lies within ±10% of `pinned`.
+fn within_band(got: u64, pinned: u64) -> bool {
+    got.abs_diff(pinned) <= pinned / 10
+}
+
+/// The extended `stepped_reset` analysis, threads=1, after a warm-up run
+/// of the same config: its allocation count on this thread and its memo
+/// lookups.
+fn stepped_reset_counts() -> (u64, u64) {
+    let program = tiny::Program::parse(tiny::corpus::STEPPED_RESET).unwrap();
+    let info = tiny::analyze(&program).unwrap();
+    let config = Config {
+        threads: 1,
+        ..Config::extended()
+    };
+    let _ = analyze_program(&info, &config).unwrap();
+    let before = harness::alloc::thread_allocs();
+    let a = analyze_program(&info, &config).unwrap();
+    let allocs = harness::alloc::thread_allocs() - before;
+    (allocs, a.stats.cache.lookups())
+}
+
+#[test]
+fn stepped_reset_formula_fallback_stays_within_allocation_band() {
+    let (allocs, _) = stepped_reset_counts();
+    assert!(
+        within_band(allocs, STEPPED_RESET_ALLOC_BUDGET),
+        "extended stepped_reset analysis allocated {allocs} times, outside \
+         {STEPPED_RESET_ALLOC_BUDGET} ± 10%: the formula fallback changed cost"
+    );
+}
+
+#[test]
+fn stepped_reset_formula_fallback_stays_within_lookup_band() {
+    let (_, lookups) = stepped_reset_counts();
+    assert!(
+        within_band(lookups, STEPPED_RESET_LOOKUPS),
+        "extended stepped_reset analysis made {lookups} memo lookups, outside \
+         {STEPPED_RESET_LOOKUPS} ± 10%: the formula fallback changed shape"
+    );
+}
