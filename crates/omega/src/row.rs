@@ -48,7 +48,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 
 use crate::linexpr::LinExpr;
 
@@ -90,11 +90,34 @@ const SHARD_COUNT: usize = 16;
 /// amortized O(1) per drop — and bounds resident dead entries.
 const GC_DEAD_THRESHOLD: usize = 4096;
 
-type Shard = Mutex<HashMap<u64, Vec<Weak<Row>>>>;
+/// One shard of the store: its buckets and the intern counters, which
+/// every intern bumps under the shard lock it already holds. Padded so
+/// that no two shards' locks and counters share a cache line.
+#[repr(align(128))]
+#[derive(Default)]
+struct Shard(Mutex<ShardMap>);
+
+#[derive(Default)]
+struct ShardMap {
+    buckets: HashMap<u64, Vec<Weak<Row>>>,
+    /// [`intern`] calls landing in this shard.
+    interns: u64,
+    /// Interns resolved to an existing live row (shared, not minted).
+    shared: u64,
+    /// Mints into a bucket that held a dead entry of the same content
+    /// hash — almost certainly a re-mint of content that died earlier.
+    reminted: u64,
+}
+
+impl Shard {
+    fn lock(&self) -> MutexGuard<'_, ShardMap> {
+        self.0.lock().expect("row store poisoned")
+    }
+}
 
 fn store() -> &'static [Shard; SHARD_COUNT] {
     static STORE: OnceLock<[Shard; SHARD_COUNT]> = OnceLock::new();
-    STORE.get_or_init(|| std::array::from_fn(|_| Mutex::new(HashMap::new())))
+    STORE.get_or_init(|| std::array::from_fn(|_| Shard::default()))
 }
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(0);
@@ -102,13 +125,6 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 /// Approximate count of dead weak entries resident in the store: bumped
 /// by every row drop, reset by sweeps, decremented by in-passing prunes.
 static DEAD_HINT: AtomicUsize = AtomicUsize::new(0);
-/// Total [`intern`] calls.
-static INTERNS: AtomicU64 = AtomicU64::new(0);
-/// Interns resolved to an existing live row (shared, not minted).
-static SHARED: AtomicU64 = AtomicU64::new(0);
-/// Mints into a bucket that held a dead entry of the same content hash —
-/// almost certainly a re-mint of content that died earlier.
-static REMINTED: AtomicU64 = AtomicU64::new(0);
 /// Full-store sweeps run (threshold-triggered or explicit).
 static SWEEPS: AtomicU64 = AtomicU64::new(0);
 /// Dead weak entries removed by sweeps (in-passing prunes not counted).
@@ -139,11 +155,16 @@ fn content_hash(expr: &LinExpr) -> u64 {
 /// crosses [`GC_DEAD_THRESHOLD`], every shard is swept (see the module
 /// docs on garbage collection).
 pub(crate) fn intern(expr: LinExpr) -> Arc<Row> {
-    INTERNS.fetch_add(1, Ordering::Relaxed);
     let hash = content_hash(&expr);
-    let shard = &store()[(hash as usize) & (SHARD_COUNT - 1)];
-    let mut map = shard.lock().expect("row store poisoned");
-    let bucket = map.entry(hash).or_default();
+    let mut shard = store()[(hash as usize) & (SHARD_COUNT - 1)].lock();
+    shard.interns += 1;
+    let ShardMap {
+        buckets,
+        shared,
+        reminted,
+        ..
+    } = &mut *shard;
+    let bucket = buckets.entry(hash).or_default();
     let mut found = None;
     let mut pruned = 0usize;
     bucket.retain(|weak| match weak.upgrade() {
@@ -175,18 +196,18 @@ pub(crate) fn intern(expr: LinExpr) -> Arc<Row> {
         }
     }
     if let Some(row) = found {
-        SHARED.fetch_add(1, Ordering::Relaxed);
+        *shared += 1;
         return row;
     }
     if pruned > 0 {
-        REMINTED.fetch_add(1, Ordering::Relaxed);
+        *reminted += 1;
     }
     let row = Arc::new(Row {
         expr,
         id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
     });
     bucket.push(Arc::downgrade(&row));
-    drop(map);
+    drop(shard);
     if DEAD_HINT.load(Ordering::Relaxed) >= GC_DEAD_THRESHOLD {
         gc();
     }
@@ -200,7 +221,7 @@ pub(crate) fn intern(expr: LinExpr) -> Arc<Row> {
 pub fn gc() -> usize {
     let mut removed = 0usize;
     for shard in store() {
-        let mut map = shard.lock().expect("row store poisoned");
+        let map = &mut shard.lock().buckets;
         for bucket in map.values_mut() {
             bucket.retain(|weak| {
                 let live = weak.strong_count() > 0;
@@ -285,13 +306,17 @@ impl RowStoreStats {
 pub fn stats() -> RowStoreStats {
     let mut shards = Vec::with_capacity(SHARD_COUNT);
     let (mut live, mut dead) = (0usize, 0usize);
+    let (mut interns, mut shared, mut reminted) = (0u64, 0u64, 0u64);
     for shard in store() {
-        let map = shard.lock().expect("row store poisoned");
+        let shard = shard.lock();
+        interns += shard.interns;
+        shared += shard.shared;
+        reminted += shard.reminted;
         let mut s = RowShardStats {
-            buckets: map.len(),
+            buckets: shard.buckets.len(),
             ..RowShardStats::default()
         };
-        for bucket in map.values() {
+        for bucket in shard.buckets.values() {
             for weak in bucket {
                 if weak.strong_count() > 0 {
                     s.live += 1;
@@ -308,9 +333,9 @@ pub fn stats() -> RowStoreStats {
         built: NEXT_ID.load(Ordering::Relaxed),
         live,
         dead,
-        interns: INTERNS.load(Ordering::Relaxed),
-        shared: SHARED.load(Ordering::Relaxed),
-        reminted: REMINTED.load(Ordering::Relaxed),
+        interns,
+        shared,
+        reminted,
         sweeps: SWEEPS.load(Ordering::Relaxed),
         swept: SWEPT.load(Ordering::Relaxed),
         shards,
@@ -365,9 +390,8 @@ mod tests {
     /// `None` when the bucket itself has been dropped.
     fn bucket_occupancy(expr: &LinExpr) -> Option<(usize, usize)> {
         let hash = content_hash(expr);
-        let shard = &store()[(hash as usize) & (SHARD_COUNT - 1)];
-        let map = shard.lock().unwrap();
-        map.get(&hash).map(|bucket| {
+        let shard = store()[(hash as usize) & (SHARD_COUNT - 1)].lock();
+        shard.buckets.get(&hash).map(|bucket| {
             let live = bucket.iter().filter(|w| w.strong_count() > 0).count();
             (live, bucket.len() - live)
         })

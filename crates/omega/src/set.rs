@@ -90,23 +90,6 @@ impl ProblemSet {
         self
     }
 
-    /// Set intersection: the pairwise conjunction of pieces.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::SpaceMismatch`] for incompatible spaces.
-    pub fn intersect(&self, other: &ProblemSet) -> Result<ProblemSet> {
-        let mut pieces = Vec::with_capacity(self.pieces.len() * other.pieces.len());
-        for a in &self.pieces {
-            for b in &other.pieces {
-                let mut c = a.clone();
-                c.and(b)?;
-                pieces.push(c);
-            }
-        }
-        Ok(ProblemSet { pieces })
-    }
-
     /// Whether a concrete point is in the union.
     pub fn contains_point(&self, values: &[Coef]) -> bool {
         self.pieces.iter().any(|p| p.satisfies(values))
@@ -273,20 +256,6 @@ mod tests {
                 (0..=3).contains(&v) || (7..=9).contains(&v),
                 "x = {v}"
             );
-        }
-    }
-
-    #[test]
-    fn intersection() {
-        let (s, x) = space1();
-        let a = union_of(&interval(&s, x, 0, 5), &interval(&s, x, 10, 15)).unwrap();
-        let b = ProblemSet::from(interval(&s, x, 4, 11));
-        let c = a.intersect(&b).unwrap();
-        let mut budget = Budget::default();
-        assert!(c.is_satisfiable(&mut budget).unwrap());
-        for v in -1..17 {
-            let expect = (4..=5).contains(&v) || (10..=11).contains(&v);
-            assert_eq!(c.contains_point(&[v]), expect, "x = {v}");
         }
     }
 

@@ -27,6 +27,14 @@ cargo test -q --release --offline --manifest-path ledger/Cargo.toml
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+echo "==> harness tests 20 times at 16 test threads (release)"
+# The counting allocator's tests assert exact deltas of process-wide
+# counters, so they serialize on a lock; a test that skips it races the
+# others only now and then, and 20 runs make that race show here.
+for _ in $(seq 20); do
+    cargo test -q --release --offline -p harness -- --test-threads=16 >/dev/null
+done
+
 echo "==> formula-fallback differential property under two more seeds (release)"
 # The depth-first search behind Formula::is_satisfiable is checked
 # against brute force and the eager DNF on random p ∧ ¬q₁ ∧ … ∧ ¬qₙ
