@@ -4,14 +4,17 @@
 //! and classification statistics behind Figures 6 and 7.
 //!
 //! The driver is organized as a sequence of *stages* whose tasks are
-//! mutually independent (output pairs, flow pairs, per-read kill passes,
-//! anti pairs); each stage fans out as one batch on a [`Pool`] and merges
+//! mutually independent (write pairs, (write, read) pairs, per-read kill
+//! passes); each stage fans out as one batch on a [`Pool`] and merges
 //! its results in task order, so the analysis output is byte-identical
-//! at every thread count. All Omega queries of one analysis share a
-//! canonical-form memo cache ([`omega::SolverCache`]), and the §4.5
-//! quick pre-tests ([`crate::prefilter`]) reject obviously-independent
-//! pairs before a `Problem` is ever built; both report counters in
-//! [`Stats`].
+//! at every thread count. Each unordered access pair is one task that
+//! builds both of its dependences — the two output directions of a
+//! write pair, the flow and the anti dependence of a (write, read) pair
+//! — with one pre-filter run and one base satisfiability test. All
+//! Omega queries of one analysis share a canonical-form memo cache
+//! ([`omega::SolverCache`]), and the §4.5 quick pre-tests
+//! ([`crate::prefilter`]) reject obviously-independent pairs before a
+//! `Problem` is ever built; both report counters in [`Stats`].
 //!
 //! At corpus scale, [`analyze_corpus`] runs whole programs as outer work
 //! items on one shared [`Pool`] while each program's stages fan out as
@@ -33,7 +36,7 @@ use crate::cover::check_covering;
 use crate::dep::{AccessSite, DeadReason, DepKind, Dependence};
 use crate::error::Result;
 use crate::kill::check_kill;
-use crate::pairs::build_dependence;
+use crate::pairs::build_directed;
 use crate::parallel::Pool;
 use crate::prefilter::{prefilter_pair, PrefilterStats};
 use crate::refine::refine_dependence;
@@ -207,9 +210,24 @@ pub fn analyze_program(info: &ProgramInfo, config: &Config) -> Result<Analysis> 
 ///
 /// Propagates the first (lowest program index) solver error.
 pub fn analyze_corpus(infos: &[ProgramInfo], config: &Config) -> Result<Vec<Analysis>> {
-    with_config_cache(config, |cache| {
-        analyze_corpus_with_cache(infos, config, cache)
-    })
+    analyze_corpus_on(&Pool::new(config.threads), infos, config)
+}
+
+/// [`analyze_corpus`] on a caller-owned [`Pool`], so a caller can run its
+/// own stages around the analysis — `tinydep` parses and renders on the
+/// same pool. [`Config::threads`] is ignored: the pool's size decides the
+/// parallelism. The memo cache is built and persisted per [`Config`] as
+/// in [`analyze_corpus`].
+///
+/// # Errors
+///
+/// Propagates the first (lowest program index) solver error.
+pub fn analyze_corpus_on(
+    pool: &Pool,
+    infos: &[ProgramInfo],
+    config: &Config,
+) -> Result<Vec<Analysis>> {
+    with_config_cache(config, |cache| corpus_on(pool, infos, config, cache))
 }
 
 /// Runs `analyze` with the memo cache `config` asks for, and persists it.
@@ -270,9 +288,20 @@ pub fn analyze_corpus_with_cache(
     config: &Config,
     cache: Option<Arc<omega::SolverCache>>,
 ) -> Result<Vec<Analysis>> {
-    let pool = Pool::new(config.threads);
+    corpus_on(&Pool::new(config.threads), infos, config, cache)
+}
+
+/// The corpus driver behind every corpus entry point: whole programs as
+/// outer items on `pool`, each returned [`Stats::cache`] holding the
+/// cache's cumulative counters.
+fn corpus_on(
+    pool: &Pool,
+    infos: &[ProgramInfo],
+    config: &Config,
+    cache: Option<Arc<omega::SolverCache>>,
+) -> Result<Vec<Analysis>> {
     let mut analyses = pool.map(infos.iter().collect(), |_, info| {
-        analyze_with(info, config, &cache, &pool)
+        analyze_with(info, config, &cache, pool)
     })?;
     if let Some(cache) = &cache {
         // Uniform semantics regardless of completion order: every
@@ -335,54 +364,41 @@ fn analyze_with(
         }
     }
     let writes: Vec<usize> = info.stmts.iter().map(|s| s.label).collect();
-
-    // 1. All output dependences (they feed the quick tests), one task per
-    // write pair, merged in pair order.
-    let out_tasks: Vec<(usize, usize)> = writes
+    let write_arrays: Vec<String> = info
+        .stmts
         .iter()
-        .flat_map(|&w1| writes.iter().map(move |&w2| (w1, w2)))
+        .map(|s| name_key(&s.write.array))
         .collect();
-    let out_results = pool.map(out_tasks, |_, (w1, w2)| {
-        let a = info.stmt(w1);
-        let b = info.stmt(w2);
-        let mut pf = PrefilterStats::default();
-        if config.quick_tests && name_key(&a.write.array) == name_key(&b.write.array) {
-            let skip =
-                prefilter_pair(a, AccessSite::Write, b, AccessSite::Write, &info.assumptions);
-            pf.record(skip);
-            if skip.is_some() {
-                // Conservative by construction: the subscript equations
-                // have no integer solution, so build_dependence would
-                // have returned None (property-tested in tests/).
-                return Ok((None, pf));
-            }
-        }
-        let mut budget = fresh_budget(config, cache);
-        let dep = build_dependence(
-            info,
-            DepKind::Output,
-            a,
-            AccessSite::Write,
-            b,
-            AccessSite::Write,
-            &mut budget,
-        )?;
-        Ok((dep, pf))
+
+    // 1. All output dependences (they feed the quick tests): one task per
+    // unordered same-array write pair, building both directions, merged
+    // in (source, destination) statement order.
+    let out_tasks: Vec<(usize, usize)> = (0..writes.len())
+        .flat_map(|p1| (p1..writes.len()).map(move |p2| (p1, p2)))
+        .filter(|&(p1, p2)| write_arrays[p1] == write_arrays[p2])
+        .collect();
+    let out_results = pool.map(out_tasks, |_, (p1, p2)| {
+        let deps = output_pair(info, config, cache, writes[p1], writes[p2])?;
+        Ok(((p1, p2), deps))
     })?;
-    let mut outputs = Vec::new();
-    for (dep, pf) in out_results {
+    let mut keyed = Vec::new();
+    for ((p1, p2), ([fwd, bwd], pf)) in out_results {
         stats.prefilter.absorb(pf);
-        outputs.extend(dep);
+        keyed.extend(fwd.map(|d| ((p1, p2), d)));
+        keyed.extend(bwd.map(|d| ((p2, p1), d)));
     }
+    keyed.sort_unstable_by_key(|&(key, _)| key);
+    let mut outputs: Vec<Dependence> = keyed.into_iter().map(|(_, d)| d).collect();
     let self_output: BTreeSet<usize> = writes
         .iter()
         .copied()
         .filter(|&w| outputs.iter().any(|d| d.src.label == w && d.dst.label == w))
         .collect();
 
-    // 2. Per-pair flow analysis (construction + refinement + covering):
-    // one task per same-array (write, read) pair, in read-major order —
-    // exactly the iteration order of the sequential loop.
+    // 2. Per-pair flow analysis (construction + refinement + covering)
+    // and the anti dependence of the same two accesses: one task per
+    // same-array (write, read) pair, in read-major order — exactly the
+    // iteration order of the sequential loop.
     let flow_tasks: Vec<(usize, usize)> = reads
         .iter()
         .enumerate()
@@ -390,26 +406,24 @@ fn analyze_with(
             let read_array = name_key(&info.stmt(read_label).reads[read_idx].array);
             writes
                 .iter()
-                .filter(move |&&w| name_key(&info.stmt(w).write.array) == read_array)
-                .map(move |&w| (read_pos, w))
+                .zip(&write_arrays)
+                .filter(move |&(_, array)| *array == read_array)
+                .map(move |(&w, _)| (read_pos, w))
         })
         .collect();
-    // Remember each task's read position before the dispatch consumes the
-    // vector: the merge below folds results back per read without
-    // recomputing the task list.
-    let merge_order: Vec<usize> = flow_tasks.iter().map(|&(read_pos, _)| read_pos).collect();
     let flow_results = pool.map(flow_tasks, |_, (read_pos, w)| {
         let (read_label, read_idx) = reads[read_pos];
-        analyze_flow_pair(info, config, cache, &self_output, read_label, read_idx, w)
+        let pair = access_pair(info, config, cache, &self_output, read_label, read_idx, w)?;
+        Ok((read_pos, pair))
     })?;
     let mut flows_by_read: Vec<Vec<(Dependence, u64)>> =
         (0..reads.len()).map(|_| Vec::new()).collect();
-    for (read_pos, (pair_stat, dep, pf)) in merge_order.into_iter().zip(flow_results) {
-        stats.prefilter.absorb(pf);
-        stats.pairs.push(pair_stat);
-        if let Some(pair) = dep {
-            flows_by_read[read_pos].push(pair);
-        }
+    let mut antis = Vec::new();
+    for (read_pos, pair) in flow_results {
+        stats.prefilter.absorb(pair.prefilter);
+        stats.pairs.push(pair.stat);
+        flows_by_read[read_pos].extend(pair.flow);
+        antis.extend(pair.anti);
     }
 
     // 3. Pairwise kills among the flow dependences to each read. Reads
@@ -434,53 +448,6 @@ fn analyze_with(
     for (flows_here, kill_stats) in kill_results {
         flows.extend(flows_here.into_iter().map(|(d, _)| d));
         stats.kills.extend(kill_stats);
-    }
-
-    // 4. Anti dependences (reported unchanged, as in the paper): one task
-    // per same-array (read, write) pair.
-    let anti_tasks: Vec<(usize, usize, usize)> = reads
-        .iter()
-        .flat_map(|&(read_label, read_idx)| {
-            let read_array = name_key(&info.stmt(read_label).reads[read_idx].array);
-            writes
-                .iter()
-                .filter(move |&&w| name_key(&info.stmt(w).write.array) == read_array)
-                .map(move |&w| (read_label, read_idx, w))
-        })
-        .collect();
-    let anti_results = pool.map(anti_tasks, |_, (read_label, read_idx, w)| {
-        let dst = info.stmt(read_label);
-        let wst = info.stmt(w);
-        let mut pf = PrefilterStats::default();
-        if config.quick_tests {
-            let skip = prefilter_pair(
-                dst,
-                AccessSite::Read(read_idx),
-                wst,
-                AccessSite::Write,
-                &info.assumptions,
-            );
-            pf.record(skip);
-            if skip.is_some() {
-                return Ok((None, pf));
-            }
-        }
-        let mut budget = fresh_budget(config, cache);
-        let dep = build_dependence(
-            info,
-            DepKind::Anti,
-            dst,
-            AccessSite::Read(read_idx),
-            wst,
-            AccessSite::Write,
-            &mut budget,
-        )?;
-        Ok((dep, pf))
-    })?;
-    let mut antis = Vec::new();
-    for (dep, pf) in anti_results {
-        stats.prefilter.absorb(pf);
-        antis.extend(dep);
     }
 
     storage_kill_passes(info, config, cache, &mut outputs, &mut antis)?;
@@ -508,9 +475,77 @@ fn fresh_budget(config: &Config, cache: &Option<Arc<omega::SolverCache>>) -> Bud
     }
 }
 
-/// Stage-2 task: dependence construction plus the extended analysis
-/// (refinement then covering) for one same-array (write, read) pair.
-fn analyze_flow_pair(
+/// Stage-1 task: the output dependences of one unordered same-array
+/// write pair `(w1, w2)`, as `[w1 → w2, w2 → w1]` (the second is `None`
+/// for a self pair). The §4.5 pre-filter runs once for both directions —
+/// a rejected pair has no common element, whichever access is the
+/// source — and the second direction reuses the first's base verdict.
+fn output_pair(
+    info: &ProgramInfo,
+    config: &Config,
+    cache: &Option<Arc<omega::SolverCache>>,
+    w1: usize,
+    w2: usize,
+) -> Result<([Option<Dependence>; 2], PrefilterStats)> {
+    let a = info.stmt(w1);
+    let b = info.stmt(w2);
+    let mut pf = PrefilterStats::default();
+    if config.quick_tests {
+        let skip = prefilter_pair(
+            a,
+            AccessSite::Write,
+            b,
+            AccessSite::Write,
+            &info.assumptions,
+        );
+        pf.record(skip);
+        if skip.is_some() {
+            // Conservative by construction: the subscript equations have
+            // no integer solution, so build_dependence would have
+            // returned None (property-tested in tests/).
+            return Ok(([None, None], pf));
+        }
+    }
+    let build = |src, dst, base_feasible| {
+        build_directed(
+            info,
+            DepKind::Output,
+            src,
+            AccessSite::Write,
+            dst,
+            AccessSite::Write,
+            base_feasible,
+            &mut fresh_budget(config, cache),
+        )
+    };
+    let (fwd, base_feasible) = build(a, b, false)?;
+    let bwd = if w1 != w2 && base_feasible {
+        build(b, a, true)?.0
+    } else {
+        None
+    };
+    Ok(([fwd, bwd], pf))
+}
+
+/// What the stage-2 task found for one (write, read) access pair.
+struct AccessPair {
+    /// The flow's Figure 6/7 record: its construction and extended
+    /// analysis only, not the anti dependence built after it.
+    stat: PairStat,
+    /// The flow dependence and its extended-analysis time.
+    flow: Option<(Dependence, u64)>,
+    /// The anti dependence read → write (reported unchanged, as in the
+    /// paper).
+    anti: Option<Dependence>,
+    prefilter: PrefilterStats,
+}
+
+/// Stage-2 task: for one same-array (write, read) pair, dependence
+/// construction plus the extended analysis (refinement then covering) of
+/// the flow, then the anti dependence of the same two accesses. The
+/// §4.5 pre-filter runs once for both, and the anti reuses the flow's
+/// base verdict.
+fn access_pair(
     info: &ProgramInfo,
     config: &Config,
     cache: &Option<Arc<omega::SolverCache>>,
@@ -518,17 +553,17 @@ fn analyze_flow_pair(
     read_label: usize,
     read_idx: usize,
     w: usize,
-) -> Result<(PairStat, Option<(Dependence, u64)>, PrefilterStats)> {
+) -> Result<AccessPair> {
     let dst = info.stmt(read_label);
     let src = info.stmt(w);
-    let mut pf = PrefilterStats::default();
-    let no_dep_stat = |std_ns: u64| PairStat {
+    let mut prefilter = PrefilterStats::default();
+    let mut stat = PairStat {
         src: w,
         dst: read_label,
         read_idx,
         array: src.write.array.clone(),
-        std_ns,
-        ext_ns: std_ns,
+        std_ns: 0,
+        ext_ns: 0,
         class: PairClass::NoTest,
         dep_found: false,
     };
@@ -542,40 +577,77 @@ fn analyze_flow_pair(
             AccessSite::Read(read_idx),
             &info.assumptions,
         );
-        pf.record(skip);
+        prefilter.record(skip);
         if skip.is_some() {
-            return Ok((no_dep_stat(t0.elapsed().as_nanos() as u64), None, pf));
+            stat.std_ns = t0.elapsed().as_nanos() as u64;
+            stat.ext_ns = stat.std_ns;
+            return Ok(AccessPair {
+                stat,
+                flow: None,
+                anti: None,
+                prefilter,
+            });
         }
     }
-    let mut budget = fresh_budget(config, cache);
-    let dep = build_dependence(
+    let (dep, base_feasible) = build_directed(
         info,
         DepKind::Flow,
         src,
         AccessSite::Write,
         dst,
         AccessSite::Read(read_idx),
-        &mut budget,
+        false,
+        &mut fresh_budget(config, cache),
     )?;
-    let std_ns = t0.elapsed().as_nanos() as u64;
-
-    let Some(mut dep) = dep else {
-        return Ok((no_dep_stat(std_ns), None, pf));
+    stat.std_ns = t0.elapsed().as_nanos() as u64;
+    stat.ext_ns = stat.std_ns;
+    let flow = match dep {
+        None => None,
+        Some(mut dep) => {
+            let t1 = Instant::now();
+            stat.class = extend_flow(info, config, cache, self_output.contains(&w), &mut dep)?;
+            stat.ext_ns += t1.elapsed().as_nanos() as u64;
+            stat.dep_found = true;
+            Some((dep, stat.ext_ns))
+        }
     };
+    let anti = if base_feasible {
+        build_directed(
+            info,
+            DepKind::Anti,
+            dst,
+            AccessSite::Read(read_idx),
+            src,
+            AccessSite::Write,
+            true,
+            &mut fresh_budget(config, cache),
+        )?
+        .0
+    } else {
+        None
+    };
+    Ok(AccessPair {
+        stat,
+        flow,
+        anti,
+        prefilter,
+    })
+}
 
-    // Extended analysis: refinement then covering (the paper performs
-    // refinement first so loop-independent covers are recognized). Budget
-    // exhaustion means "the test did not succeed" — sound, since both
-    // analyses only remove information.
-    let t1 = Instant::now();
+/// The extended analysis of one flow dependence — refinement then
+/// covering (the paper performs refinement first so loop-independent
+/// covers are recognized) — and its Figure 6 class. Budget exhaustion
+/// means "the test did not succeed": sound, since both analyses only
+/// remove information.
+fn extend_flow(
+    info: &ProgramInfo,
+    config: &Config,
+    cache: &Option<Arc<omega::SolverCache>>,
+    src_has_self_output: bool,
+    dep: &mut Dependence,
+) -> Result<PairClass> {
     let mut budget = fresh_budget(config, cache);
-    let r = match refine_dependence(
-        info,
-        &mut dep,
-        self_output.contains(&w),
-        config,
-        &mut budget,
-    ) {
+    let r = match refine_dependence(info, dep, src_has_self_output, config, &mut budget) {
         Ok(r) => r,
         Err(crate::Error::Solver(omega::Error::TooComplex { .. })) => {
             crate::refine::RefineOutcome {
@@ -586,7 +658,7 @@ fn analyze_flow_pair(
         Err(e) => return Err(e),
     };
     let mut budget = fresh_budget(config, cache);
-    let c = match check_covering(info, &mut dep, config, &mut budget) {
+    let c = match check_covering(info, dep, config, &mut budget) {
         Ok(c) => c,
         Err(crate::Error::Solver(omega::Error::TooComplex { .. })) => {
             crate::cover::CoverOutcome {
@@ -596,27 +668,13 @@ fn analyze_flow_pair(
         }
         Err(e) => return Err(e),
     };
-    let ext_ns = std_ns + t1.elapsed().as_nanos() as u64;
-
-    let consulted = r.consulted_omega || c.consulted_omega;
-    let split = r.split || c.split;
-    let stat = PairStat {
-        src: w,
-        dst: read_label,
-        read_idx,
-        array: src.write.array.clone(),
-        std_ns,
-        ext_ns,
-        class: if !consulted {
-            PairClass::NoTest
-        } else if split {
-            PairClass::Split
-        } else {
-            PairClass::General
-        },
-        dep_found: true,
-    };
-    Ok((stat, Some((dep, ext_ns)), pf))
+    Ok(if !(r.consulted_omega || c.consulted_omega) {
+        PairClass::NoTest
+    } else if r.split || c.split {
+        PairClass::Split
+    } else {
+        PairClass::General
+    })
 }
 
 /// Stage-3 task: the pairwise kill analysis for one read.

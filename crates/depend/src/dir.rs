@@ -238,6 +238,15 @@ pub fn range_of<P: ProblemLike>(
 /// for each common loop `l`, the interval of `dst_l − src_l`.
 /// Returns `None` when the problem is unsatisfiable (no dependence).
 ///
+/// `fixed` has one entry per common loop: `Some(d)` when the query's own
+/// equalities already pin `dst_l − src_l = d` (the levels before an order
+/// case's carrier, every level of a loop-independent case, a refined
+/// exact prefix). Those levels read as `exact(d)` without a projection —
+/// the answer [`range_of`] would give on a satisfiable problem. The other
+/// levels run [`range_of`], which also establishes satisfiability; when
+/// every level is pinned (or there are no common loops), one
+/// satisfiability query does.
+///
 /// # Errors
 ///
 /// Propagates solver errors.
@@ -245,17 +254,24 @@ pub fn distance_summary<P: ProblemLike>(
     p: &P,
     src_iters: &[VarId],
     dst_iters: &[VarId],
-    common: usize,
+    fixed: &[Option<i64>],
     budget: &mut Budget,
 ) -> Result<Option<DirectionVector>> {
-    let mut entries = Vec::with_capacity(common);
-    for l in 0..common {
+    let mut entries = Vec::with_capacity(fixed.len());
+    for (l, pin) in fixed.iter().enumerate() {
+        if let Some(d) = *pin {
+            entries.push(DirEntry::exact(d));
+            continue;
+        }
         let mut expr = LinExpr::var(dst_iters[l]);
         expr.add_coef(src_iters[l], -1)?;
         match range_of(p, &expr, budget)? {
             None => return Ok(None),
             Some(e) => entries.push(e),
         }
+    }
+    if fixed.iter().all(Option::is_some) && !p.is_satisfiable_with(budget)? {
+        return Ok(None);
     }
     Ok(Some(DirectionVector(entries)))
 }
@@ -350,7 +366,7 @@ mod tests {
         p.add_eq(e);
         p.constrain_lt(&LinExpr::var(i1), &LinExpr::var(j1)).unwrap();
         let mut b = Budget::default();
-        let v = distance_summary(&p, &[i1, i2], &[j1, j2], 2, &mut b)
+        let v = distance_summary(&p, &[i1, i2], &[j1, j2], &[None, None], &mut b)
             .unwrap()
             .unwrap();
         assert_eq!(v.0[0].lo, Some(1));

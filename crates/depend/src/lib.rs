@@ -57,8 +57,8 @@ pub mod terminate;
 pub mod transform;
 
 pub use analysis::{
-    analyze_corpus, analyze_corpus_with_cache, analyze_program, analyze_program_on, Analysis,
-    KillStat, PairClass, PairStat, Stats,
+    analyze_corpus, analyze_corpus_on, analyze_corpus_with_cache, analyze_program,
+    analyze_program_on, Analysis, KillStat, PairClass, PairStat, Stats,
 };
 pub use config::Config;
 pub use cover::{check_covering, CoverOutcome};

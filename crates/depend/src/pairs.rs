@@ -53,14 +53,46 @@ pub fn build_dependence(
     dst_site: AccessSite,
     budget: &mut Budget,
 ) -> Result<Option<Dependence>> {
+    let (dep, _) = build_directed(info, kind, src, src_site, dst, dst_site, false, budget)?;
+    Ok(dep)
+}
+
+/// [`build_dependence`], also reporting whether the pair's base — the
+/// two iteration spaces, the subscript equality and the assumptions,
+/// before any order case — may be satisfiable. The base does not depend
+/// on the direction, so the analysis driver builds the mirrored direction
+/// of an access pair with `base_feasible` set from the first direction's
+/// verdict, which skips re-solving it (an unsatisfiable base means
+/// neither direction exists, and the caller does not build the second).
+///
+/// # Errors
+///
+/// Propagates solver errors.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn build_directed(
+    info: &tiny::ProgramInfo,
+    kind: DepKind,
+    src: &StmtInfo,
+    src_site: AccessSite,
+    dst: &StmtInfo,
+    dst_site: AccessSite,
+    base_feasible: bool,
+    budget: &mut Budget,
+) -> Result<(Option<Dependence>, bool)> {
     let src_acc = access_of(src, src_site);
     let dst_acc = access_of(dst, dst_site);
     if name_key(&src_acc.array) != name_key(&dst_acc.array) {
-        return Ok(None);
+        return Ok((None, false));
     }
 
     let common = src.common_loops(dst);
     let lex = executes_before(src, src_site, dst, dst_site);
+    let orders = order_cases(common, lex);
+    if base_feasible && orders.is_empty() {
+        // Nothing to build, and no base to intern: a base no query
+        // references is the first a memo-cache sweep evicts.
+        return Ok((None, true));
+    }
 
     let mut space = Space::new(&info.syms);
     let src_vars = space.bind_stmt("i", src);
@@ -78,22 +110,25 @@ pub fn build_dependence(
     // pass (§4.1–4.4) derives from this context as a constraint delta.
     let ctx = PairContext::new(base, budget);
 
-    match ctx.derive().is_satisfiable_with(budget) {
-        Ok(false) => return Ok(None),
-        Ok(true) => {}
-        // Conservative: keep analyzing as if a dependence may exist.
-        Err(omega::Error::TooComplex { .. }) => {}
-        Err(e) => return Err(e.into()),
+    if !base_feasible {
+        match ctx.derive().is_satisfiable_with(budget) {
+            Ok(false) => return Ok((None, false)),
+            Ok(true) => {}
+            // Conservative: keep analyzing as if a dependence may exist.
+            Err(omega::Error::TooComplex { .. }) => {}
+            Err(e) => return Err(e.into()),
+        }
     }
 
     let mut cases = Vec::new();
-    for case in order_cases(common, lex) {
+    for case in orders {
         let mut dp = ctx.derive();
         add_order(&mut dp, case, &src_vars, &dst_vars, common)?;
         // Budget exhaustion inside a summary degrades to the
         // all-unknown vector: the dependence is conservatively assumed
         // with no direction information, as a production compiler must.
-        let summary = match distance_summary(&dp, &src_vars.iters, &dst_vars.iters, common, budget)
+        let fixed = case.fixed_distances(common);
+        let summary = match distance_summary(&dp, &src_vars.iters, &dst_vars.iters, &fixed, budget)
         {
             Ok(None) => continue, // this order case is infeasible
             Ok(Some(s)) => s,
@@ -115,9 +150,9 @@ pub fn build_dependence(
     }
 
     if cases.is_empty() {
-        return Ok(None);
+        return Ok((None, true));
     }
-    Ok(Some(Dependence {
+    let dep = Dependence {
         kind,
         src: AccessRef {
             label: src.label,
@@ -132,7 +167,8 @@ pub fn build_dependence(
         refined: false,
         covering: false,
         dead: None,
-    }))
+    };
+    Ok((Some(dep), true))
 }
 
 #[cfg(test)]

@@ -40,6 +40,12 @@ pub enum SkipReason {
 }
 
 /// Per-reason counters for pre-filter outcomes across an analysis.
+///
+/// The counts are of *unordered* same-array access pairs: the driver
+/// tests a (write, read) pair once for its flow and its anti dependence,
+/// and a write pair once for both output directions (a self pair is one
+/// pair). A rejected pair has no common element whichever access is the
+/// source, so neither direction is built.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefilterStats {
     /// Pairs rejected by the GCD test.

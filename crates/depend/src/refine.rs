@@ -172,11 +172,18 @@ pub fn refine_dependence(
         if !dp.is_satisfiable_with(budget)? {
             continue; // refined away
         }
+        // The order case and the refined exact prefix pin their levels.
+        let mut fixed = case.order.fixed_distances(dep.common);
+        for (pin, entry) in fixed.iter_mut().zip(&prefix) {
+            if entry.is_exact() {
+                *pin = entry.lo;
+            }
+        }
         let summary = crate::dir::distance_summary(
             &dp,
             &case.src_vars.iters,
             &case.dst_vars.iters,
-            dep.common,
+            &fixed,
             budget,
         )?;
         let Some(summary) = summary else { continue };

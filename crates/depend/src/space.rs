@@ -294,6 +294,19 @@ pub enum OrderCase {
     LoopIndependent,
 }
 
+impl OrderCase {
+    /// The distances this case's own equalities pin, one entry per common
+    /// loop: `Some(0)` on the levels before the carrier (every level of
+    /// the loop-independent case), `None` where the distance is free.
+    pub(crate) fn fixed_distances(self, common: usize) -> Vec<Option<i64>> {
+        let pinned = match self {
+            OrderCase::CarriedAt(level) => level - 1,
+            OrderCase::LoopIndependent => common,
+        };
+        (0..common).map(|l| (l < pinned).then_some(0)).collect()
+    }
+}
+
 impl std::fmt::Display for OrderCase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -460,6 +473,23 @@ mod tests {
         );
         assert_eq!(order_cases(0, false), vec![]);
         assert_eq!(order_cases(0, true), vec![OrderCase::LoopIndependent]);
+    }
+
+    #[test]
+    fn order_cases_pin_the_levels_before_their_carrier() {
+        assert_eq!(
+            OrderCase::CarriedAt(1).fixed_distances(3),
+            vec![None, None, None]
+        );
+        assert_eq!(
+            OrderCase::CarriedAt(3).fixed_distances(3),
+            vec![Some(0), Some(0), None]
+        );
+        assert_eq!(
+            OrderCase::LoopIndependent.fixed_distances(2),
+            vec![Some(0), Some(0)]
+        );
+        assert_eq!(OrderCase::LoopIndependent.fixed_distances(0), vec![]);
     }
 
     #[test]

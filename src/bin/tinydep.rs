@@ -19,8 +19,9 @@
 
 use std::io::Read as _;
 use std::process::ExitCode;
+use std::time::Instant;
 
-use depend::{analyze_corpus, Config, DepGraph};
+use depend::{analyze_corpus_on, decide_loops, Config, DepGraph, ParallelizeSummary, Pool};
 use omega_repro::server::{front_end, AnalyzeOptions, Format, Server};
 
 /// Count allocations so `--stats` can report them alongside the solver
@@ -185,10 +186,14 @@ fn read_input(input: &str) -> Result<String, String> {
 }
 
 /// The one run path: every input (a single one is a one-program corpus)
-/// through the front end, one `analyze_corpus` call on a shared pool and
-/// cache, then a report per program — under a `== NAME ==` header in
-/// corpus mode, which `--parallelize` closes with the corpus table.
+/// through the front end, one corpus analysis on a shared cache, then a
+/// report per program — under a `== NAME ==` header in corpus mode,
+/// which `--parallelize` closes with the corpus table. The front end,
+/// the analysis and the rendering all run on one [`Pool`]; each stage
+/// merges in input order, so the first error and the output are those of
+/// a sequential run.
 fn run(opts: &Options) -> Result<(), String> {
+    let t0 = Instant::now();
     let named: Vec<(String, String)> = if opts.corpus_all {
         tiny::corpus::all()
             .into_iter()
@@ -200,50 +205,61 @@ fn run(opts: &Options) -> Result<(), String> {
             .map(|input| Ok((input.clone(), read_input(input)?)))
             .collect::<Result<_, String>>()?
     };
-    let mut programs = Vec::with_capacity(named.len());
-    let mut infos = Vec::with_capacity(named.len());
-    for (name, source) in &named {
-        let (program, info) = front_end(name, source, opts.report.fortran).map_err(|e| {
+    let pool = Pool::new(opts.threads);
+    let parsed = pool.map_infallible(named.iter().collect(), |_, (name, source)| {
+        front_end(name, source, opts.report.fortran).map_err(|e| {
             if opts.corpus_mode {
                 format!("{name}: {e}")
             } else {
                 e
             }
-        })?;
-        programs.push(program);
-        infos.push(info);
-    }
+        })
+    });
+    let (programs, infos): (Vec<_>, Vec<_>) = parsed
+        .into_iter()
+        .collect::<Result<Vec<_>, String>>()?
+        .into_iter()
+        .unzip();
+    let front_end_ms = ms_since(t0);
+
+    let t0 = Instant::now();
     let alloc_before = harness::alloc::snapshot();
     let config = Config {
-        threads: opts.threads,
         memo_cache: !opts.no_cache,
         cache_file: opts.cache_file.clone(),
         ..opts.report.config()
     };
-    let analyses = analyze_corpus(&infos, &config).map_err(|e| format!("analysis failed: {e}"))?;
+    let analyses =
+        analyze_corpus_on(&pool, &infos, &config).map_err(|e| format!("analysis failed: {e}"))?;
     let alloc_after = harness::alloc::snapshot();
+    let analysis_ms = ms_since(t0);
     if opts.stats {
         print_stats(&analyses, alloc_before, alloc_after);
     }
-    // The corpus table's `NEWLY` column is the paper's headline: loops
-    // parallelizable only once false dependences are killed.
-    let mut rows: Vec<(&str, depend::ParallelizeSummary)> = Vec::new();
-    for ((name, _), (program, (info, analysis))) in named
-        .iter()
-        .zip(programs.iter().zip(infos.iter().zip(&analyses)))
-    {
+
+    let t0 = Instant::now();
+    let table = opts.corpus_mode && opts.report.format == Format::Parallelize;
+    let rendered = pool.map_infallible(
+        programs.iter().zip(&infos).zip(&analyses).collect(),
+        |_, ((program, info), analysis)| {
+            let graph = DepGraph::new(info, analysis);
+            let report = opts.report.render(program, &graph);
+            // The corpus table's `NEWLY` column is the paper's headline:
+            // loops parallelizable only once false dependences are killed.
+            let summary = table.then(|| ParallelizeSummary::of(&decide_loops(&graph)));
+            (report, summary)
+        },
+    );
+    let mut rows: Vec<(&str, ParallelizeSummary)> = Vec::new();
+    for ((name, _), (report, summary)) in named.iter().zip(rendered) {
         if opts.corpus_mode {
             println!("== {name} ==");
         }
-        let graph = DepGraph::new(info, analysis);
-        print!("{}", opts.report.render(program, &graph));
-        if opts.corpus_mode && opts.report.format == Format::Parallelize {
-            let summary = depend::ParallelizeSummary::of(&depend::decide_loops(&graph));
-            rows.push((name, summary));
-        }
+        print!("{report}");
+        rows.extend(summary.map(|s| (name.as_str(), s)));
     }
     if !rows.is_empty() {
-        let mut total = depend::ParallelizeSummary::default();
+        let mut total = ParallelizeSummary::default();
         println!("== corpus parallelize summary ==");
         println!("PROGRAM                LOOPS  PARALLEL  OUTRIGHT  WITHOUT-KILLS  NEWLY");
         for (name, s) in &rows {
@@ -258,7 +274,22 @@ fn run(opts: &Options) -> Result<(), String> {
             "TOTAL", total.loops, total.parallel, total.outright, total.pre_parallel, total.newly
         );
     }
+    let render_ms = ms_since(t0);
+    if opts.stats {
+        eprintln!(
+            "time: front end {front_end_ms:.1} ms, analysis {analysis_ms:.1} ms, \
+             render {render_ms:.1} ms"
+        );
+    }
+    // The process is about to exit, which returns every block at once:
+    // freeing the analyses, infos and programs one by one first would
+    // only add a serial tail after the last line is printed.
+    std::mem::forget((analyses, infos, programs));
     Ok(())
+}
+
+fn ms_since(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1e3
 }
 
 /// The `--stats` lines on stderr. Every analysis carries the same

@@ -85,6 +85,48 @@ fn parse_errors_are_reported_with_position() {
 }
 
 #[test]
+fn the_first_front_end_error_wins_at_every_thread_count() {
+    // Input 2 fails to parse and input 4 fails semantic analysis; the
+    // front end runs on the pool, and the error reported must still be
+    // input 2's, as in a sequential run.
+    let dir = std::env::temp_dir().join(format!("tinydep_first_error_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sources = [
+        "sym n; for i := 1 to n do a(i) := a(i-1); endfor",
+        "for i := 1 to n do a(i) := 0;",
+        "sym n; for i := 1 to n do b(i) := a(i); endfor",
+        "sym n; for i := 1 to n do for i := 1 to n do a(i) := 0; endfor endfor",
+        "sym n; for i := 1 to n do c(i) := 1; endfor",
+    ];
+    let paths: Vec<_> = sources
+        .iter()
+        .enumerate()
+        .map(|(k, src)| {
+            let path = dir.join(format!("p{}.t", k + 1));
+            std::fs::write(&path, src).unwrap();
+            path
+        })
+        .collect();
+    let run = |threads: &str| tinydep().arg(threads).args(&paths).output().unwrap();
+    let one = run("--threads=1");
+    let eight = run("--threads=8");
+    std::fs::remove_dir_all(&dir).unwrap();
+    let stderr = String::from_utf8(one.stderr).unwrap();
+    assert!(!one.status.success());
+    assert!(
+        stderr.contains("p2.t: ") && stderr.contains("endfor"),
+        "{stderr}"
+    );
+    assert!(one.stdout.is_empty(), "a report was printed");
+    assert_eq!(one.status.code(), eight.status.code());
+    assert_eq!(stderr, String::from_utf8(eight.stderr).unwrap());
+    assert!(
+        eight.stdout.is_empty(),
+        "a report was printed at --threads=8"
+    );
+}
+
+#[test]
 fn unknown_corpus_program_fails_cleanly() {
     let out = tinydep().arg("corpus:nope").output().unwrap();
     assert!(!out.status.success());
@@ -190,7 +232,7 @@ fn stats_are_printed_by_every_run_shape() {
         let out = tinydep().args(args).output().unwrap();
         assert!(out.status.success(), "{args:?}");
         let stderr = String::from_utf8(out.stderr).unwrap();
-        for prefix in ["cache: ", "prefilter: ", "alloc: ", "rows: "] {
+        for prefix in ["cache: ", "prefilter: ", "alloc: ", "rows: ", "time: "] {
             assert!(
                 stderr.lines().any(|l| l.starts_with(prefix)),
                 "{args:?}: no `{prefix}` line on stderr:\n{stderr}"

@@ -5,14 +5,24 @@
 //! * no panics, no solver errors within budget;
 //! * the extended analysis only removes dependences or tightens vectors;
 //! * every dead flow has a live killer/coverer writing the same array;
-//! * value sources only shrink.
+//! * value sources only shrink;
+//! * the anti and output dependences the driver builds from shared
+//!   per-pair work equal a stand-alone build of each directed pair, and
+//!   every case summary equals a per-level projection of its problem.
 //!
 //! Runs on the in-repo `harness` property framework.
+
+use std::sync::Arc;
 
 use harness::prop::{check, check_value, Config, Shrink};
 use harness::{prop_assert, prop_assert_eq, Rng};
 
-use depend::{analyze_program, Config as AnalysisConfig};
+use depend::dir::{range_of, DirEntry};
+use depend::{
+    analyze_program, build_dependence, AccessSite, Config as AnalysisConfig, DepCase, DepKind,
+    Dependence,
+};
+use omega::{Budget, LinExpr, SolverCache};
 use tiny::ast::name_key;
 
 /// A compact program description that always produces a valid, analyzable
@@ -211,6 +221,158 @@ fn prop_pipeline_invariants(spec: &ProgSpec) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// What a dependence must agree on with its reference: its access pair,
+/// and per order case the restraint vector and the distance summary.
+fn shape(d: &Dependence) -> String {
+    let cases: Vec<String> = d
+        .cases
+        .iter()
+        .map(|c| format!("{} {}", c.order, c.summary))
+        .collect();
+    format!(
+        "{} {:?} -> {:?} [{}]",
+        d.kind,
+        d.src,
+        d.dst,
+        cases.join("; ")
+    )
+}
+
+/// The summary route the driver replaced for pinned levels, kept as the
+/// reference: one `range_of` projection per common loop. `None` when a
+/// projection ran out of budget (the driver then degrades the case).
+fn projected_summary(d: &Dependence, case: &DepCase, budget: &Budget) -> Option<Vec<DirEntry>> {
+    let mut budget = budget.clone();
+    (0..d.common)
+        .map(|l| {
+            let mut expr = LinExpr::var(case.dst_vars.iters[l]);
+            expr.add_coef(case.src_vars.iters[l], -1).unwrap();
+            match range_of(&case.delta, &expr, &mut budget) {
+                Ok(Some(entry)) => Some(entry),
+                Ok(None) => panic!("a reported case is infeasible: {d:?}"),
+                Err(_) => None,
+            }
+        })
+        .collect()
+}
+
+/// The shared per-pair work property: each anti and output dependence of
+/// the analysis — built alongside its pair's flow or mirrored output
+/// direction, with one pre-filter run and one base test — equals what
+/// `build_dependence` builds for that directed pair alone with a fresh
+/// budget; and every case summary, including refined flows', equals the
+/// per-level projection that pinned levels skip. Checked with the memo
+/// cache on and off, each against references on the same route: a
+/// cached query solves the canonical form of its problem, and
+/// `range_of`'s syntactic bound reading can differ between the two
+/// forms (on either side of this change).
+fn prop_shared_pair_work(spec: &ProgSpec) -> Result<(), String> {
+    let src = render(spec);
+    let program = tiny::Program::parse(&src).map_err(|e| format!("{e}\n{src}"))?;
+    let info = tiny::analyze(&program).map_err(|e| format!("{e}\n{src}"))?;
+    for memo_cache in [true, false] {
+        let config = AnalysisConfig {
+            memo_cache,
+            ..AnalysisConfig::extended()
+        };
+        let analysis =
+            analyze_program(&info, &config).map_err(|e| format!("analysis failed: {e}\n{src}"))?;
+        let fresh_budget = || {
+            let budget = Budget::new(config.budget);
+            if memo_cache {
+                budget.with_cache(Arc::new(SolverCache::new()))
+            } else {
+                budget
+            }
+        };
+        let alone = |kind, a, a_site, b, b_site| {
+            build_dependence(&info, kind, a, a_site, b, b_site, &mut fresh_budget())
+                .map(|d| d.as_ref().map(shape))
+                .map_err(|e| format!("stand-alone build failed: {e}\n{src}"))
+        };
+
+        // Every directed pair, in the driver's merge order.
+        let mut outputs = Vec::new();
+        let mut antis = Vec::new();
+        for w1 in &info.stmts {
+            for w2 in &info.stmts {
+                outputs.extend(alone(
+                    DepKind::Output,
+                    w1,
+                    AccessSite::Write,
+                    w2,
+                    AccessSite::Write,
+                )?);
+            }
+        }
+        for r in &info.stmts {
+            // The driver analyzes each distinct read text of a statement
+            // once.
+            let mut seen = std::collections::BTreeSet::new();
+            for (idx, access) in r.reads.iter().enumerate() {
+                if !seen.insert(access.to_string()) {
+                    continue;
+                }
+                for w in &info.stmts {
+                    antis.extend(alone(
+                        DepKind::Anti,
+                        r,
+                        AccessSite::Read(idx),
+                        w,
+                        AccessSite::Write,
+                    )?);
+                }
+            }
+        }
+        let got: Vec<String> = analysis.outputs.iter().map(shape).collect();
+        prop_assert_eq!(
+            got,
+            outputs,
+            "output dependences, cache {}\n{}",
+            memo_cache,
+            &src
+        );
+        let got: Vec<String> = analysis.antis.iter().map(shape).collect();
+        prop_assert_eq!(
+            got,
+            antis,
+            "anti dependences, cache {}\n{}",
+            memo_cache,
+            &src
+        );
+
+        let all = analysis
+            .flows
+            .iter()
+            .chain(&analysis.antis)
+            .chain(&analysis.outputs);
+        let budget = fresh_budget();
+        for d in all {
+            for case in &d.cases {
+                if let Some(reference) = projected_summary(d, case, &budget) {
+                    prop_assert_eq!(
+                        &case.summary.0,
+                        &reference,
+                        "{} {:?} -> {:?}, {}, cache {}\n{}",
+                        d.kind,
+                        d.src,
+                        d.dst,
+                        case.order,
+                        memo_cache,
+                        &src
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn shared_pair_work_matches_directed_builds() {
+    check(&Config::with_cases(96), gen_spec, prop_shared_pair_work);
 }
 
 #[test]
