@@ -19,7 +19,7 @@
 //! gated on: programs and their pair batches share one pool, so the
 //! speedup reflects both levels together.
 
-use depend::{analyze_corpus, analyze_program, Config};
+use depend::{analyze_corpus, analyze_corpus_with_cache, analyze_program, Config};
 use harness::bench::Bench;
 
 #[global_allocator]
@@ -52,11 +52,7 @@ fn main() {
 
     // Ablations: the cache and the pre-filter, each off in isolation.
     b.bench("analysis/parallel/cholsky_t1_nocache", || {
-        let config = Config {
-            memo_cache: false,
-            ..Config::extended()
-        };
-        analyze_program(&info, &config).unwrap()
+        analyze_corpus_with_cache(std::slice::from_ref(&info), &Config::extended(), None).unwrap()
     });
     b.bench("analysis/parallel/cholsky_t1_noprefilter", || {
         let config = Config {

@@ -1,8 +1,9 @@
 //! Cold-vs-warm persistent-cache benchmark (the tentpole's budget
-//! contract): an extended CHOLSKY analysis with `Config::cache_file`
-//! set, measured from an empty cache file (cold — every solve runs and
-//! is inserted) and from a fully primed one (warm — every memoized
-//! query is served from the loaded cache).
+//! contract): an extended CHOLSKY analysis whose memo cache is loaded
+//! from a file before it and saved back after it, as `tinydep
+//! --cache-file` does, measured from an empty cache file (cold — every
+//! solve runs and is inserted) and from a fully primed one (warm —
+//! every memoized query is served from the loaded cache).
 //!
 //! Beyond the two timing lines, the bench emits a summary JSON line
 //!
@@ -19,7 +20,10 @@
 //! than asserted here; the smoke binary gates on the counters instead,
 //! which are deterministic.
 
-use depend::{analyze_program, Config, ReportOptions};
+use std::path::Path;
+use std::sync::Arc;
+
+use depend::{analyze_corpus_with_cache, Config, ReportOptions};
 use harness::bench::Bench;
 
 #[global_allocator]
@@ -42,6 +46,18 @@ fn render(info: &tiny::ProgramInfo, analysis: &depend::Analysis) -> String {
     )
 }
 
+/// One extended analysis with its memo cache loaded from `path` and
+/// saved back to it.
+fn analyze_with_file(info: &tiny::ProgramInfo, path: &Path) -> depend::Analysis {
+    let cache = Arc::new(omega::SolverCache::load_from(path));
+    let slice = std::slice::from_ref(info);
+    let analysis = analyze_corpus_with_cache(slice, &Config::extended(), Some(Arc::clone(&cache)))
+        .unwrap()
+        .remove(0);
+    cache.save_to(path).unwrap();
+    analysis
+}
+
 fn main() {
     let mut b = Bench::from_env().default_samples(10);
     let info = cholsky();
@@ -49,10 +65,6 @@ fn main() {
         "omega_warm_cache_bench_{}.cache",
         std::process::id()
     ));
-    let config = Config {
-        cache_file: Some(path.clone()),
-        ..Config::extended()
-    };
 
     // Cold: remove the cache file before every iteration so each run
     // starts from an empty cache and pays for every solve. The save at
@@ -61,23 +73,23 @@ fn main() {
     let cold_ns = b
         .bench("analysis/warm_cache/cholsky_cold", || {
             let _ = std::fs::remove_file(&path);
-            analyze_program(&info, &config).unwrap()
+            analyze_with_file(&info, &path)
         })
         .median_ns;
 
     // Prime the file once, then measure warm runs that load it each
     // iteration and answer every memoized query from it.
     let _ = std::fs::remove_file(&path);
-    let cold_run = analyze_program(&info, &config).unwrap();
+    let cold_run = analyze_with_file(&info, &path);
     let warm_ns = b
         .bench("analysis/warm_cache/cholsky_warm", || {
-            analyze_program(&info, &config).unwrap()
+            analyze_with_file(&info, &path)
         })
         .median_ns;
 
     // The contract: a warm run misses nothing, inserts nothing, and
     // reports exactly what the cold run reported.
-    let warm_run = analyze_program(&info, &config).unwrap();
+    let warm_run = analyze_with_file(&info, &path);
     let c = &warm_run.stats.cache;
     assert_eq!(
         c.hits,

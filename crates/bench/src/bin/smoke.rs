@@ -10,32 +10,23 @@
 //! multi-threaded wall time inside an overhead ceiling of sequential.
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use bench::{counters_line, run_corpus};
-use depend::{analyze_corpus, analyze_program, Config, ReportOptions};
+use depend::{analyze_corpus, analyze_corpus_with_cache, analyze_program, Config, ReportOptions};
 
 #[global_allocator]
 static ALLOC: harness::alloc::CountingAlloc = harness::alloc::CountingAlloc::new();
 
-/// Allocation count of the pre-interning solver core for one warm
-/// (memo-cache primed) single-threaded extended CHOLSKY analysis. The
-/// interned representation must at least halve it.
-const CHOLSKY_SEED_ALLOCS: u64 = 638_413; // measured on the pre-interning core (PR 4)
-
-/// Absolute ceilings for the same warm run on the dense tableau kernel
-/// (measured 102,742 allocations / ~27.7 ms, release). The wall gate
-/// takes the minimum of three runs to damp scheduler noise.
-const CHOLSKY_WARM_ALLOC_CEILING: u64 = 120_000;
-const CHOLSKY_WARM_MS_CEILING: u128 = 30;
-
-/// Absolute ceilings for a *cold* run of the same configuration (fresh
-/// solver cache, every delta query a memo miss). The allocation ceiling
-/// is pinned at the measured count (73,682 with `profile_cholsky`, each
-/// access pair built once and pinned distance levels not projected;
-/// 102,744 on the dense tableau, 100,950 with base checkpoints, 100,264
-/// with the single solver kernel); ~30 ms.
+/// Allocation ceiling for a *cold* single-threaded extended CHOLSKY
+/// analysis (fresh solver cache, every delta query a memo miss), pinned
+/// at the measured count (73,682 with `profile_cholsky`, each access
+/// pair built once and pinned distance levels not projected; 102,744 on
+/// the dense tableau, 100,950 with base checkpoints, 100,264 with the
+/// single solver kernel). The warm allocation and the warm and cold
+/// wall-clock gates of the same configuration live in
+/// `tests/perf_guard.rs`.
 const CHOLSKY_COLD_ALLOC_CEILING: u64 = 73_682;
-const CHOLSKY_COLD_MS_CEILING: u128 = 45;
 
 fn main() -> ExitCode {
     let runs = run_corpus(&Config::extended());
@@ -117,18 +108,24 @@ fn main() -> ExitCode {
         println!("smoke: determinism ok (threads 1/2/8 identical on CHOLSKY)");
     }
 
-    // Persistent-cache gate: a second analysis pointed at the same cache
-    // file must run fully warm (every lookup a hit, nothing inserted),
-    // beat the cold run's miss count, and report byte-for-byte what the
-    // cold run and a --no-cache run report.
+    // Persistent-cache gate: a second analysis whose cache is loaded from
+    // the file the first one saved must run fully warm (every lookup a
+    // hit, nothing inserted), beat the cold run's miss count, and report
+    // byte-for-byte what the cold run and a --no-cache run report.
     let path = std::env::temp_dir().join(format!("omega_smoke_{}.cache", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let config = Config {
-        cache_file: Some(path.clone()),
-        ..Config::extended()
+    let one = std::slice::from_ref(&cholsky.info);
+    let with_file = || {
+        let cache = Arc::new(omega::SolverCache::load_from(&path));
+        let analysis =
+            analyze_corpus_with_cache(one, &Config::extended(), Some(Arc::clone(&cache)))
+                .unwrap()
+                .remove(0);
+        cache.save_to(&path).expect("smoke: cache save failed");
+        analysis
     };
-    let cold = analyze_program(&cholsky.info, &config).unwrap();
-    let warm = analyze_program(&cholsky.info, &config).unwrap();
+    let cold = with_file();
+    let warm = with_file();
     let _ = std::fs::remove_file(&path);
     let (cc, wc) = (&cold.stats.cache, &warm.stats.cache);
     if wc.hits != wc.lookups() || wc.inserts != 0 || wc.misses >= cc.misses {
@@ -151,13 +148,10 @@ fn main() -> ExitCode {
             wc.lookups()
         );
     }
-    let no_cache = Config {
-        memo_cache: false,
-        ..Config::extended()
-    };
+    let no_cache = analyze_corpus_with_cache(one, &Config::extended(), None).unwrap();
     if render(&cold) != sequential
         || render(&warm) != sequential
-        || run(&no_cache) != sequential
+        || render(&no_cache[0]) != sequential
     {
         eprintln!("smoke: FAIL: CHOLSKY report differs across cache settings");
         ok = false;
@@ -165,75 +159,13 @@ fn main() -> ExitCode {
         println!("smoke: cache transparency ok (cold/warm/no-cache reports identical)");
     }
 
-    // Allocation gate: a warm single-threaded extended CHOLSKY analysis
-    // must allocate at most half of what the pre-interning core did.
-    // The per-thread counter only sees this thread's traffic, so the
-    // measurement is exact even under concurrent load.
-    let single = Config {
-        threads: 1,
-        ..Config::extended()
-    };
-    let _ = analyze_program(&cholsky.info, &single).unwrap();
+    // Cold allocation gate: a single-threaded run on a fresh cache, so
+    // every delta query is a memo miss and this bounds the solver
+    // kernel's miss path. Allocation counts are deterministic; the
+    // per-thread counter only sees this thread's traffic, so the count
+    // is exact even under concurrent load.
     let allocs_before = harness::alloc::thread_allocs();
-    let _ = analyze_program(&cholsky.info, &single).unwrap();
-    let warm_allocs = harness::alloc::thread_allocs() - allocs_before;
-    println!("smoke: warm CHOLSKY analysis performed {warm_allocs} allocations");
-    if CHOLSKY_SEED_ALLOCS > 0 && warm_allocs * 2 > CHOLSKY_SEED_ALLOCS {
-        eprintln!(
-            "smoke: FAIL: warm CHOLSKY allocated {warm_allocs} times \
-             (pre-interning core: {CHOLSKY_SEED_ALLOCS}; budget is half that)"
-        );
-        ok = false;
-    } else if CHOLSKY_SEED_ALLOCS > 0 {
-        println!(
-            "smoke: allocation ok ({warm_allocs} <= {} = seed {CHOLSKY_SEED_ALLOCS} / 2)",
-            CHOLSKY_SEED_ALLOCS / 2
-        );
-    }
-    if warm_allocs > CHOLSKY_WARM_ALLOC_CEILING {
-        eprintln!(
-            "smoke: FAIL: warm CHOLSKY allocated {warm_allocs} times \
-             (absolute ceiling {CHOLSKY_WARM_ALLOC_CEILING}): the dense \
-             tableau kernel stopped reusing its buffers"
-        );
-        ok = false;
-    } else {
-        println!(
-            "smoke: dense-kernel allocation ok ({warm_allocs} <= {CHOLSKY_WARM_ALLOC_CEILING})"
-        );
-    }
-
-    // Warm wall-clock gate for the same configuration: minimum of three
-    // runs, since a wall gate measures the machine as much as the code.
-    let warm_ms = (0..3)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            let _ = analyze_program(&cholsky.info, &single).unwrap();
-            t.elapsed().as_millis()
-        })
-        .min()
-        .unwrap();
-    if warm_ms > CHOLSKY_WARM_MS_CEILING {
-        eprintln!(
-            "smoke: FAIL: warm CHOLSKY analysis took {warm_ms} ms \
-             (ceiling {CHOLSKY_WARM_MS_CEILING} ms): the dense-kernel \
-             speedup regressed"
-        );
-        ok = false;
-    } else {
-        println!("smoke: dense-kernel wall time ok ({warm_ms} ms <= {CHOLSKY_WARM_MS_CEILING} ms)");
-    }
-
-    // Cold-path gates for the same single-threaded configuration: a
-    // fresh Config per run keeps every delta query a memo miss, so this
-    // bounds the solver kernel's miss path. Allocation counts are
-    // deterministic; the wall gate takes the minimum of three runs.
-    let cold_single = || Config {
-        threads: 1,
-        ..Config::extended()
-    };
-    let allocs_before = harness::alloc::thread_allocs();
-    let _ = analyze_program(&cholsky.info, &cold_single()).unwrap();
+    let _ = analyze_program(&cholsky.info, &Config::extended()).unwrap();
     let cold_allocs = harness::alloc::thread_allocs() - allocs_before;
     if cold_allocs > CHOLSKY_COLD_ALLOC_CEILING {
         eprintln!(
@@ -243,24 +175,6 @@ fn main() -> ExitCode {
         ok = false;
     } else {
         println!("smoke: cold allocation ok ({cold_allocs} <= {CHOLSKY_COLD_ALLOC_CEILING})");
-    }
-    let cold_ms = (0..3)
-        .map(|_| {
-            let config = cold_single();
-            let t = std::time::Instant::now();
-            let _ = analyze_program(&cholsky.info, &config).unwrap();
-            t.elapsed().as_millis()
-        })
-        .min()
-        .unwrap();
-    if cold_ms > CHOLSKY_COLD_MS_CEILING {
-        eprintln!(
-            "smoke: FAIL: cold CHOLSKY analysis took {cold_ms} ms \
-             (ceiling {CHOLSKY_COLD_MS_CEILING} ms): the miss path slowed down"
-        );
-        ok = false;
-    } else {
-        println!("smoke: cold wall time ok ({cold_ms} ms <= {CHOLSKY_COLD_MS_CEILING} ms)");
     }
 
     // Corpus-scaling gate: the two-level corpus driver must reproduce

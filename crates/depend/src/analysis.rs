@@ -11,7 +11,7 @@
 //! builds both of its dependences — the two output directions of a
 //! write pair, the flow and the anti dependence of a (write, read) pair
 //! — with one pre-filter run and one base satisfiability test. All
-//! Omega queries of one analysis share a canonical-form memo cache
+//! Omega queries share the caller's canonical-form memo cache
 //! ([`omega::SolverCache`]), and the §4.5 quick pre-tests
 //! ([`crate::prefilter`]) reject obviously-independent pairs before a
 //! `Problem` is ever built; both report counters in [`Stats`].
@@ -103,18 +103,12 @@ pub struct Stats {
     pub pairs: Vec<PairStat>,
     /// One record per kill test performed.
     pub kills: Vec<KillStat>,
-    /// Memo-cache counters for the analysis (all zero when
-    /// [`Config::memo_cache`] is off). For a caller-owned or corpus-wide
-    /// cache these are cumulative across every analysis that shared it.
+    /// Memo-cache counters, cumulative across every analysis that shared
+    /// the cache (all zero for an uncached run).
     pub cache: omega::CacheStats,
     /// §4.5 pre-filter counters (all zero when [`Config::quick_tests`]
     /// is off).
     pub prefilter: PrefilterStats,
-    /// True when [`Config::cache_file`] was set but writing the cache
-    /// back failed. The analysis itself is unaffected (the report is
-    /// complete and correct); a warning went to stderr. Callers that
-    /// rely on warm restarts should surface this.
-    pub cache_save_failed: bool,
 }
 
 /// The result of analyzing a program.
@@ -162,8 +156,8 @@ impl Analysis {
 }
 
 /// Runs the full analysis of §4 over a program, on a [`Pool`] of
-/// [`Config::threads`] built for this call, with the memo cache that
-/// [`Config::memo_cache`] and [`Config::cache_file`] ask for.
+/// [`Config::threads`] built for this call, with a fresh in-memory memo
+/// cache: [`analyze_corpus`] over a one-program slice.
 ///
 /// # Errors
 ///
@@ -183,102 +177,22 @@ impl Analysis {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn analyze_program(info: &ProgramInfo, config: &Config) -> Result<Analysis> {
-    let pool = Pool::new(config.threads);
-    let mut analyses = with_config_cache(config, |cache| {
-        Ok(vec![analyze_program_on(&pool, info, config, cache)?])
-    })?;
+    let mut analyses = analyze_corpus(std::slice::from_ref(info), config)?;
     Ok(analyses.pop().expect("one program, one analysis"))
 }
 
-/// Analyzes a whole corpus of programs on one shared two-level [`Pool`].
-///
-/// Programs are the outer work items; each program's analysis stages
-/// submit their pair batches to the *same* pool, so workers that finish
-/// their program steal pair chunks from programs still in flight — a
-/// lone heavy program (or a corpus smaller than the thread count) still
-/// fills every core. Every program's report is byte-identical to an
-/// [`analyze_program`] run at any thread count.
-///
-/// All programs share one memo cache, built per [`Config`] exactly like
-/// [`analyze_program`] (loaded from [`Config::cache_file`] when set,
-/// saved back once after the whole corpus). Each returned
-/// [`Stats::cache`] holds the corpus-cumulative counters. A failed save
-/// warns on stderr and sets [`Stats::cache_save_failed`] on every
-/// analysis.
+/// [`analyze_corpus_with_cache`] with a fresh in-memory memo cache
+/// shared by every program.
 ///
 /// # Errors
 ///
 /// Propagates the first (lowest program index) solver error.
 pub fn analyze_corpus(infos: &[ProgramInfo], config: &Config) -> Result<Vec<Analysis>> {
-    analyze_corpus_on(&Pool::new(config.threads), infos, config)
+    analyze_corpus_with_cache(infos, config, Some(Arc::new(omega::SolverCache::new())))
 }
 
-/// [`analyze_corpus`] on a caller-owned [`Pool`], so a caller can run its
-/// own stages around the analysis — `tinydep` parses and renders on the
-/// same pool. [`Config::threads`] is ignored: the pool's size decides the
-/// parallelism. The memo cache is built and persisted per [`Config`] as
-/// in [`analyze_corpus`].
-///
-/// # Errors
-///
-/// Propagates the first (lowest program index) solver error.
-pub fn analyze_corpus_on(
-    pool: &Pool,
-    infos: &[ProgramInfo],
-    config: &Config,
-) -> Result<Vec<Analysis>> {
-    with_config_cache(config, |cache| corpus_on(pool, infos, config, cache))
-}
-
-/// Runs `analyze` with the memo cache `config` asks for, and persists it.
-///
-/// Each solver-heavy operation gets a fresh budget so one pathological
-/// pair cannot starve the rest of the analysis; budget exhaustion in a
-/// §4 test degrades conservatively (no kill/cover/refinement claimed).
-/// All budgets share one memo cache, so structurally identical Omega
-/// problems are solved once per run regardless of which pair (or worker
-/// thread) reaches them first. With [`Config::cache_file`] the cache is
-/// loaded before the run — a missing, corrupt or stale file yields an
-/// empty cache, so the run is cold but correct — and saved back after it.
-fn with_config_cache(
-    config: &Config,
-    analyze: impl FnOnce(Option<Arc<omega::SolverCache>>) -> Result<Vec<Analysis>>,
-) -> Result<Vec<Analysis>> {
-    let cache = config.memo_cache.then(|| {
-        Arc::new(match &config.cache_file {
-            Some(path) => omega::SolverCache::load_from(path),
-            None => omega::SolverCache::new(),
-        })
-    });
-    let mut analyses = analyze(cache.clone())?;
-    if let (Some(cache), Some(path)) = (&cache, &config.cache_file) {
-        // An unwritable path must not fail the analysis (the report is
-        // complete), but it must not be silent either: the next run
-        // would silently go cold. The save itself is atomic (temp file
-        // + rename), so a crash or a concurrent writer can never leave
-        // a torn file behind.
-        if let Err(e) = cache.save_to(path) {
-            eprintln!(
-                "depend: warning: failed to save solver cache to {}: {e}",
-                path.display()
-            );
-            for a in &mut analyses {
-                a.stats.cache_save_failed = true;
-            }
-        }
-    }
-    Ok(analyses)
-}
-
-/// [`analyze_corpus`] with a caller-owned memo cache, on a pool of
-/// [`Config::threads`] built for this call.
-///
-/// With `Some(cache)`, [`Config::memo_cache`] and [`Config::cache_file`]
-/// are ignored: the caller owns the cache's lifetime and persistence
-/// (load it with [`omega::SolverCache::load_from`], save it with
-/// [`omega::SolverCache::save_to`]). With `None` this is a plain
-/// uncached run. Each returned [`Stats::cache`] holds the cache's
-/// cumulative counters.
+/// [`analyze_corpus_on`] on a [`Pool`] of [`Config::threads`] built for
+/// this call.
 ///
 /// # Errors
 ///
@@ -288,13 +202,34 @@ pub fn analyze_corpus_with_cache(
     config: &Config,
     cache: Option<Arc<omega::SolverCache>>,
 ) -> Result<Vec<Analysis>> {
-    corpus_on(&Pool::new(config.threads), infos, config, cache)
+    analyze_corpus_on(&Pool::new(config.threads), infos, config, cache)
 }
 
-/// The corpus driver behind every corpus entry point: whole programs as
-/// outer items on `pool`, each returned [`Stats::cache`] holding the
+/// Analyzes a whole corpus of programs on a caller-owned two-level
+/// [`Pool`] with a caller-owned memo cache — the entry point every other
+/// one wraps.
+///
+/// Programs are the outer work items; each program's analysis stages
+/// submit their pair batches to the *same* pool, so workers that finish
+/// their program steal pair chunks from programs still in flight — a
+/// lone heavy program (or a corpus smaller than the thread count) still
+/// fills every core. A one-program slice runs inline on the calling
+/// thread, so a caller already on the pool (the `tinydep --serve`
+/// daemon) queues no extra batch. [`Config::threads`] is ignored: the
+/// pool's size decides the parallelism. Every program's report is
+/// byte-identical at any thread count.
+///
+/// With `Some(cache)` every program shares it, and the caller owns its
+/// lifetime and whether it is persisted to a file (see
+/// [`omega::SolverCache`]); a long-lived caller passes the same cache for
+/// every call, so canonical solves stay warm. With `None` this is a
+/// plain uncached run. Each returned [`Stats::cache`] holds the
 /// cache's cumulative counters.
-fn corpus_on(
+///
+/// # Errors
+///
+/// Propagates the first (lowest program index) solver error.
+pub fn analyze_corpus_on(
     pool: &Pool,
     infos: &[ProgramInfo],
     config: &Config,
@@ -312,33 +247,6 @@ fn corpus_on(
         }
     }
     Ok(analyses)
-}
-
-/// Analyzes one program on a caller-owned [`Pool`] with a caller-owned
-/// memo cache: the analysis stages submit their pair batches to `pool`,
-/// so an otherwise idle server (or concurrent analyses sharing the pool)
-/// lends this analysis its workers. [`Config::threads`] is ignored — the
-/// pool's size decides the parallelism.
-///
-/// A long-lived caller — the `tinydep --serve` daemon — passes the same
-/// [`omega::SolverCache`] for every request so canonical solves stay
-/// warm across requests. Results are byte-identical to a fresh-cache run
-/// (the cache's determinism contract: a hit is indistinguishable, in
-/// value and budget consumption, from the cold computation). Cache
-/// ownership is as in [`analyze_corpus_with_cache`]; [`Analysis::stats`]
-/// reports the cache's *cumulative* counters, so per-request deltas are
-/// the caller's subtraction.
-///
-/// # Errors
-///
-/// Propagates solver errors, exactly like [`analyze_program`].
-pub fn analyze_program_on(
-    pool: &Pool,
-    info: &ProgramInfo,
-    config: &Config,
-    cache: Option<Arc<omega::SolverCache>>,
-) -> Result<Analysis> {
-    analyze_with(info, config, &cache, pool)
 }
 
 /// The driver body behind every entry point: each stage fans out as one
@@ -452,11 +360,6 @@ fn analyze_with(
 
     storage_kill_passes(info, config, cache, &mut outputs, &mut antis)?;
 
-    if let Some(cache) = cache {
-        // For a caller-owned cache these counters are cumulative across
-        // every analysis that shared it.
-        stats.cache = cache.stats();
-    }
     Ok(Analysis {
         flows,
         antis,
@@ -465,13 +368,30 @@ fn analyze_with(
     })
 }
 
-/// A per-query budget, sharing the analysis-wide memo cache when one is
-/// enabled.
+/// A per-query budget, sharing the caller's memo cache when there is
+/// one.
 fn fresh_budget(config: &Config, cache: &Option<Arc<omega::SolverCache>>) -> Budget {
     let b = Budget::new(config.budget);
     match cache {
         Some(c) => b.with_cache(c.clone()),
         None => b,
+    }
+}
+
+/// Runs one §4 test on its own fresh budget, so one pathological test
+/// cannot starve the rest of the analysis. `None` means the solver gave
+/// up (budget exhausted): the caller reads that as "the test did not
+/// succeed", which is sound because every §4 test only removes
+/// information.
+fn attempt<T>(
+    config: &Config,
+    cache: &Option<Arc<omega::SolverCache>>,
+    test: impl FnOnce(&mut Budget) -> Result<T>,
+) -> Result<Option<T>> {
+    match test(&mut fresh_budget(config, cache)) {
+        Ok(out) => Ok(Some(out)),
+        Err(crate::Error::Solver(omega::Error::TooComplex { .. })) => Ok(None),
+        Err(e) => Err(e),
     }
 }
 
@@ -636,9 +556,8 @@ fn access_pair(
 
 /// The extended analysis of one flow dependence — refinement then
 /// covering (the paper performs refinement first so loop-independent
-/// covers are recognized) — and its Figure 6 class. Budget exhaustion
-/// means "the test did not succeed": sound, since both analyses only
-/// remove information.
+/// covers are recognized) — and its Figure 6 class. A test that exhausts
+/// its budget consulted the Omega test but succeeded at nothing.
 fn extend_flow(
     info: &ProgramInfo,
     config: &Config,
@@ -646,28 +565,20 @@ fn extend_flow(
     src_has_self_output: bool,
     dep: &mut Dependence,
 ) -> Result<PairClass> {
-    let mut budget = fresh_budget(config, cache);
-    let r = match refine_dependence(info, dep, src_has_self_output, config, &mut budget) {
-        Ok(r) => r,
-        Err(crate::Error::Solver(omega::Error::TooComplex { .. })) => {
-            crate::refine::RefineOutcome {
-                consulted_omega: true,
-                ..Default::default()
-            }
-        }
-        Err(e) => return Err(e),
-    };
-    let mut budget = fresh_budget(config, cache);
-    let c = match check_covering(info, dep, config, &mut budget) {
-        Ok(c) => c,
-        Err(crate::Error::Solver(omega::Error::TooComplex { .. })) => {
-            crate::cover::CoverOutcome {
-                consulted_omega: true,
-                ..Default::default()
-            }
-        }
-        Err(e) => return Err(e),
-    };
+    let r = attempt(config, cache, |budget| {
+        refine_dependence(info, dep, src_has_self_output, config, budget)
+    })?
+    .unwrap_or(crate::refine::RefineOutcome {
+        consulted_omega: true,
+        ..Default::default()
+    });
+    let c = attempt(config, cache, |budget| {
+        check_covering(info, dep, config, budget)
+    })?
+    .unwrap_or(crate::cover::CoverOutcome {
+        consulted_omega: true,
+        ..Default::default()
+    });
     Ok(if !(r.consulted_omega || c.consulted_omega) {
         PairClass::NoTest
     } else if r.split || c.split {
@@ -816,17 +727,13 @@ fn kill_passes(
                 }
             }
 
-            let mut budget = fresh_budget(config, cache);
-            let out = match check_kill(info, victim, killer_label, config, &mut budget) {
-                Ok(o) => o,
-                Err(crate::Error::Solver(omega::Error::TooComplex { .. })) => {
-                    crate::kill::KillOutcome {
-                        consulted_omega: true,
-                        killed: false,
-                    }
-                }
-                Err(e) => return Err(e),
-            };
+            let out = attempt(config, cache, |budget| {
+                check_kill(info, victim, killer_label, config, budget)
+            })?
+            .unwrap_or(crate::kill::KillOutcome {
+                consulted_omega: true,
+                killed: false,
+            });
             if out.killed {
                 victim.dead = Some(DeadReason::Killed);
             }
@@ -850,7 +757,8 @@ fn kill_passes(
 /// again, and an anti dependence (read A -> write C) is dead when B
 /// always overwrites the read location first (C's ordering constraint
 /// is then carried through B). Runs sequentially: later tests skip
-/// dependences already found dead.
+/// dependences already found dead. Each test has its own budget, and one
+/// that exhausts it leaves its victim live.
 fn storage_kill_passes(
     info: &ProgramInfo,
     config: &Config,
@@ -861,7 +769,10 @@ fn storage_kill_passes(
     if !config.storage_kills {
         return Ok(());
     }
-    let mut budget = fresh_budget(config, cache);
+    let killed_by = |victim: &Dependence, killer: usize| -> Result<bool> {
+        Ok(attempt(config, cache, |budget| check_kill(info, victim, killer, config, budget))?
+            .is_some_and(|out| out.killed))
+    };
     {
         let out_pairs_anti: BTreeSet<(usize, usize)> = outputs
             .iter()
@@ -886,8 +797,7 @@ fn storage_kill_passes(
                 if config.quick_tests && !out_pairs_anti.contains(&(killer, dst_label)) {
                     continue;
                 }
-                let out = check_kill(info, &antis[v], killer, config, &mut budget)?;
-                if out.killed {
+                if killed_by(&antis[v], killer)? {
                     antis[v].dead = Some(DeadReason::Killed);
                     break;
                 }
@@ -924,8 +834,7 @@ fn storage_kill_passes(
                     {
                         continue;
                     }
-                    let out = check_kill(info, &outputs[v], killer, config, &mut budget)?;
-                    if out.killed {
+                    if killed_by(&outputs[v], killer)? {
                         outputs[v].dead = Some(DeadReason::Killed);
                         break;
                     }
@@ -1143,6 +1052,30 @@ mod storage_tests {
             "write 2 overwrites only even elements, so odd elements still \
              carry the output dependence from write 1 to write 3"
         );
+    }
+
+    #[test]
+    fn a_storage_kill_past_its_budget_leaves_the_victim_live() {
+        // Each storage kill test gets its own budget, and one that gives
+        // up kills nothing: the program still analyzes, and its flows
+        // are those of the run without storage kills.
+        let program = tiny::Program::parse(tiny::corpus::CHOLSKY).unwrap();
+        let info = tiny::analyze(&program).unwrap();
+        let tables = |storage_kills| {
+            let config = Config {
+                storage_kills,
+                budget: 1_000,
+                ..Config::extended()
+            };
+            let analysis = analyze_program(&info, &config).unwrap();
+            let graph = crate::DepGraph::new(&info, &analysis);
+            let opts = crate::ReportOptions::default();
+            (
+                crate::live_flow_table(&graph, &opts),
+                crate::dead_flow_table(&graph, &opts),
+            )
+        };
+        assert_eq!(tables(true), tables(false));
     }
 }
 

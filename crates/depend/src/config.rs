@@ -1,4 +1,9 @@
 //! Analysis configuration (and ablation switches for the benchmarks).
+//!
+//! A [`Config`] says which analyses run and how hard the solver may
+//! try, nothing else: where memoized Omega results live is the
+//! caller's choice, passed to
+//! [`analyze_corpus_on`](crate::analyze_corpus_on) as a value.
 
 /// Switches controlling which parts of the extended analysis run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,25 +36,9 @@ pub struct Config {
     /// loop. In [`analyze_corpus`](crate::analyze_corpus) programs and
     /// their pair batches compete for the same `threads` workers, never
     /// `programs × threads`. Results are byte-identical at every setting.
-    /// Ignored by [`analyze_program_on`](crate::analyze_program_on),
-    /// whose caller supplies the pool.
+    /// Ignored by [`analyze_corpus_on`](crate::analyze_corpus_on), whose
+    /// caller supplies the pool.
     pub threads: usize,
-    /// Share a canonical-form memo cache across all Omega queries of one
-    /// analysis (see [`omega::SolverCache`]).
-    pub memo_cache: bool,
-    /// Persist the memo cache to this file: loaded (if present and
-    /// readable) before the analysis and saved back after it, so repeat
-    /// runs over the same program skip the solves entirely. Corrupt,
-    /// stale or version-mismatched files are ignored (the run is simply
-    /// cold). Saves are atomic — written to a sibling temp file and
-    /// renamed into place — so a crash or a concurrent writer can never
-    /// leave a torn file behind. Only meaningful when
-    /// [`Config::memo_cache`] is on, and ignored entirely by
-    /// [`analyze_program_on`](crate::analyze_program_on) and
-    /// [`analyze_corpus_with_cache`](crate::analyze_corpus_with_cache),
-    /// where the caller (e.g. the `tinydep --serve` daemon) owns the
-    /// cache and decides when to load and save it.
-    pub cache_file: Option<std::path::PathBuf>,
 }
 
 impl Default for Config {
@@ -64,8 +53,6 @@ impl Default for Config {
             storage_kills: false,
             budget: omega::DEFAULT_BUDGET,
             threads: 1,
-            memo_cache: true,
-            cache_file: None,
         }
     }
 }

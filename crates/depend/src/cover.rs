@@ -3,13 +3,13 @@
 //! dependence kills every dependence into B from accesses that must
 //! precede A's writes.
 
-use omega::{Budget, ProblemLike};
+use omega::Budget;
 use tiny::ProgramInfo;
 
 use crate::config::Config;
 use crate::dep::Dependence;
 use crate::error::Result;
-use crate::logic::implies_union;
+use crate::logic::endpoint_implied;
 
 /// What the covering check did (for Figure 6 statistics).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -58,36 +58,7 @@ pub fn check_covering(
     out.consulted_omega = true;
     out.split = dep.cases.len() > 1;
 
-    let dst = info.stmt(dep.dst.label);
-    let space = &dep.cases[0].space;
-    let dst_vars = &dep.cases[0].dst_vars;
-
-    // Premise: j ∈ [B] plus the user assumptions.
-    let mut premise = space.problem();
-    space.add_iteration_space(&mut premise, dst, dst_vars)?;
-    space.add_assumptions(&mut premise, &info.assumptions)?;
-
-    // Witnesses: each order case of the dependence, with the source
-    // instance projected away.
-    let keep: Vec<omega::VarId> = dst_vars
-        .iters
-        .iter()
-        .copied()
-        .chain(space.sym_vars())
-        .collect();
-    let mut witnesses = Vec::new();
-    for case in &dep.cases {
-        // Project through the pair's delta handle: the shared base was
-        // canonicalized once when the case was built.
-        let proj = case.delta.project_with(&keep, budget)?;
-        for piece in proj.into_problems() {
-            if !piece.is_known_infeasible() {
-                witnesses.push(piece);
-            }
-        }
-    }
-
-    if implies_union(&premise, &witnesses, config.formula_fallback, budget)? {
+    if endpoint_implied(info, dep, true, config.formula_fallback, budget)? {
         dep.covering = true;
         out.covering = true;
     }

@@ -5,9 +5,9 @@
 //! and re-derive the same presentation data (access strings via
 //! [`access_of`], direction summaries, status tags) on its own. The
 //! [`DepGraph`] computes that once: it is the single IR that
-//! [`report`](crate::report), [`dot`](crate::dot),
-//! [`Legality`](crate::Legality), the `--parallel` report section and
-//! the [`parallelize`](crate::parallelize) decision engine consume.
+//! [`report`](crate::report), [`dot`](crate::dot), the `--parallel`
+//! report section and the [`parallelize`](crate::parallelize) decision
+//! engine consume.
 //!
 //! Edges keep a reference to their underlying [`Dependence`] (with its
 //! constraint problems and cases intact) plus the precomputed render

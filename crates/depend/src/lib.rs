@@ -11,9 +11,12 @@
 //! [`check_terminating`] — eliminate the false ones; [`analyze_program`]
 //! drives the whole thing and produces the Figure 3/4 tables plus the
 //! Figure 6/7 statistics; [`SymbolicPair`] answers the §5 symbolic
-//! questions; [`DepGraph`] turns the results into parallelism and
-//! privatization verdicts; and [`Legality`] adds the interchange and
-//! fusion tests.
+//! questions; and [`DepGraph`] turns the results into parallelism and
+//! privatization verdicts.
+//!
+//! Every analysis entry point wraps [`analyze_corpus_on`], which runs on
+//! the caller's [`Pool`] with the caller's memo cache
+//! ([`omega::SolverCache`]); the [`Config`] describes only the analysis.
 //!
 //! # Example
 //!
@@ -57,8 +60,8 @@ pub mod terminate;
 pub mod transform;
 
 pub use analysis::{
-    analyze_corpus, analyze_corpus_on, analyze_corpus_with_cache, analyze_program,
-    analyze_program_on, Analysis, KillStat, PairClass, PairStat, Stats,
+    analyze_corpus, analyze_corpus_on, analyze_corpus_with_cache, analyze_program, Analysis,
+    KillStat, PairClass, PairStat, Stats,
 };
 pub use config::Config;
 pub use cover::{check_covering, CoverOutcome};
@@ -73,7 +76,7 @@ pub use occur::{exists_under_property, ArrayProperty, Occurrence, OccurrenceTabl
 pub use symbolic::{increasing_scalars, SymbolicCondition, SymbolicPair};
 pub use report::{dead_flow_table, format_edge, live_flow_table, ReportOptions};
 pub use terminate::check_terminating;
-pub use transform::{program_loops, Legality, LoopRef};
+pub use transform::{program_loops, LoopRef};
 pub use dep::{AccessRef, AccessSite, DeadReason, DepCase, DepKind, Dependence};
 pub use dir::{DirEntry, DirectionVector};
 pub use error::{Error, Result};

@@ -2,8 +2,10 @@
 //! right-hand side is a union of conjunctions (the `∃` over several
 //! execution-order cases), with the exact Presburger-formula fallback.
 
-use omega::{Budget, Formula, Problem};
+use omega::{Budget, Formula, Problem, ProblemLike};
+use tiny::ProgramInfo;
 
+use crate::dep::Dependence;
 use crate::error::Result;
 
 /// Decides `p ⇒ q₁ ∨ … ∨ qₙ`.
@@ -59,6 +61,52 @@ pub fn implies_union(
         Err(e) => return Err(e.into()),
     };
     Ok(!sat)
+}
+
+/// Decides whether every instance of one endpoint `E` of `dep` — its
+/// destination when `at_dst`, else its source — takes part in it:
+///
+/// ```text
+/// ∀ e, Sym:  e ∈ [E] ∧ assumptions  ⇒  ∨_case ∃ (other endpoint). case
+/// ```
+///
+/// Each case is projected onto `E`'s iterators and the symbols through
+/// the pair's delta handle, so the shared base is canonicalized once.
+/// Covering (§4.2) asks this of the destination, termination (§4.3) of
+/// the source. `dep` must have at least one case.
+///
+/// # Errors
+///
+/// Propagates solver errors.
+pub(crate) fn endpoint_implied(
+    info: &ProgramInfo,
+    dep: &Dependence,
+    at_dst: bool,
+    formula_fallback: bool,
+    budget: &mut Budget,
+) -> Result<bool> {
+    let first = &dep.cases[0];
+    let (label, vars) = if at_dst {
+        (dep.dst.label, &first.dst_vars)
+    } else {
+        (dep.src.label, &first.src_vars)
+    };
+    let space = &first.space;
+    let mut premise = space.problem();
+    space.add_iteration_space(&mut premise, info.stmt(label), vars)?;
+    space.add_assumptions(&mut premise, &info.assumptions)?;
+
+    let keep: Vec<omega::VarId> = vars.iters.iter().copied().chain(space.sym_vars()).collect();
+    let mut witnesses = Vec::new();
+    for case in &dep.cases {
+        let proj = case.delta.project_with(&keep, budget)?;
+        witnesses.extend(
+            proj.into_problems()
+                .into_iter()
+                .filter(|piece| !piece.is_known_infeasible()),
+        );
+    }
+    implies_union(&premise, &witnesses, formula_fallback, budget)
 }
 
 #[cfg(test)]

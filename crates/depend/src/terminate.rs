@@ -5,13 +5,13 @@
 //! (Like the paper's implementation, the Figure 3/4 driver does not use
 //! termination for flow analysis; it is provided as a first-class API.)
 
-use omega::{Budget, ProblemLike};
+use omega::Budget;
 use tiny::ProgramInfo;
 
 use crate::config::Config;
 use crate::dep::Dependence;
 use crate::error::Result;
-use crate::logic::implies_union;
+use crate::logic::endpoint_implied;
 
 /// Checks whether `dep` (from access A to write B) terminates A:
 ///
@@ -31,30 +31,7 @@ pub fn check_terminating(
     if dep.cases.is_empty() || dep.cases.iter().any(|c| !c.exact_subscripts) {
         return Ok(false);
     }
-    let src = info.stmt(dep.src.label);
-    let space = &dep.cases[0].space;
-    let src_vars = &dep.cases[0].src_vars;
-
-    let mut premise = space.problem();
-    space.add_iteration_space(&mut premise, src, src_vars)?;
-    space.add_assumptions(&mut premise, &info.assumptions)?;
-
-    let keep: Vec<omega::VarId> = src_vars
-        .iters
-        .iter()
-        .copied()
-        .chain(space.sym_vars())
-        .collect();
-    let mut witnesses = Vec::new();
-    for case in &dep.cases {
-        let proj = case.delta.project_with(&keep, budget)?;
-        for piece in proj.into_problems() {
-            if !piece.is_known_infeasible() {
-                witnesses.push(piece);
-            }
-        }
-    }
-    implies_union(&premise, &witnesses, config.formula_fallback, budget)
+    endpoint_implied(info, dep, false, config.formula_fallback, budget)
 }
 
 #[cfg(test)]

@@ -1,14 +1,11 @@
 //! A case study: everything the library says about LU decomposition.
 //!
 //! Walks the full API surface on one kernel — dependence tables, exact
-//! distance sets, sign-pattern decompositions, parallelism, interchange
-//! and symbolic conditions.
+//! distance sets, sign-pattern decompositions and parallelism.
 //!
 //! Run with `cargo run --release --example lu_study`.
 
-use depend::{
-    analyze_program, dirvec, program_loops, Config, DepGraph, KillView, Legality, ReportOptions,
-};
+use depend::{analyze_program, dirvec, program_loops, Config, DepGraph, KillView, ReportOptions};
 use omega::Budget;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -67,33 +64,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!();
 
-    // 3. Transformation legality.
-    let legality = Legality::new(&info, &analysis);
+    // 3. Loop verdicts.
     println!("loop verdicts:");
     for l in program_loops(&info) {
         let parallel = graph
             .loop_verdict(&l, KillView::PostKill)
             .outright_parallel();
-        let interchange = if l.depth == 1 {
-            match legality.interchange_legal(&l, &mut budget) {
-                Ok(ok) => {
-                    if ok {
-                        ", interchange with inner loop: legal"
-                    } else {
-                        ", interchange with inner loop: ILLEGAL"
-                    }
-                }
-                Err(_) => "",
-            }
-        } else {
-            ""
-        };
         println!(
-            "  {:<3} depth {}: {}{}",
+            "  {:<3} depth {}: {}",
             l.var,
             l.depth,
-            if parallel { "PARALLEL" } else { "sequential" },
-            interchange
+            if parallel { "PARALLEL" } else { "sequential" }
         );
     }
     Ok(())

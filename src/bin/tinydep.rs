@@ -19,10 +19,11 @@
 
 use std::io::Read as _;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
-use depend::{analyze_corpus_on, decide_loops, Config, DepGraph, ParallelizeSummary, Pool};
-use omega_repro::server::{front_end, AnalyzeOptions, Format, Server};
+use depend::{analyze_corpus_on, decide_loops, DepGraph, ParallelizeSummary, Pool};
+use omega_repro::server::{front_end, load_cache, save_cache, AnalyzeOptions, Format, Server};
 
 /// Count allocations so `--stats` can report them alongside the solver
 /// counters.
@@ -186,8 +187,9 @@ fn read_input(input: &str) -> Result<String, String> {
 }
 
 /// The one run path: every input (a single one is a one-program corpus)
-/// through the front end, one corpus analysis on a shared cache, then a
-/// report per program — under a `== NAME ==` header in corpus mode,
+/// through the front end, one corpus analysis on a shared cache (loaded
+/// from and saved back to `--cache-file`, absent under `--no-cache`),
+/// then a report per program — under a `== NAME ==` header in corpus mode,
 /// which `--parallelize` closes with the corpus table. The front end,
 /// the analysis and the rendering all run on one [`Pool`]; each stage
 /// merges in input order, so the first error and the output are those of
@@ -224,13 +226,13 @@ fn run(opts: &Options) -> Result<(), String> {
 
     let t0 = Instant::now();
     let alloc_before = harness::alloc::snapshot();
-    let config = Config {
-        memo_cache: !opts.no_cache,
-        cache_file: opts.cache_file.clone(),
-        ..opts.report.config()
-    };
-    let analyses =
-        analyze_corpus_on(&pool, &infos, &config).map_err(|e| format!("analysis failed: {e}"))?;
+    let cache_file = opts.cache_file.as_deref();
+    let cache = (!opts.no_cache).then(|| Arc::new(load_cache(cache_file)));
+    let analyses = analyze_corpus_on(&pool, &infos, &opts.report.config(), cache.clone())
+        .map_err(|e| format!("analysis failed: {e}"))?;
+    if let Some(cache) = &cache {
+        save_cache(cache, cache_file);
+    }
     let alloc_after = harness::alloc::snapshot();
     let analysis_ms = ms_since(t0);
     if opts.stats {

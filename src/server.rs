@@ -74,13 +74,13 @@
 //! batch fans out over the two-level [`depend::Pool`] the server owns
 //! for its whole lifetime. Requests are the outer work items; each
 //! analysis additionally submits its pair-stage batches to the *same*
-//! pool (via [`depend::analyze_program_on`]), so a lone heavy request
+//! pool (via [`depend::analyze_corpus_on`] over a one-program slice,
+//! which runs inline on the request's worker), so a lone heavy request
 //! on an otherwise idle server fans its pairs across every worker
 //! instead of monopolizing one. The pool's merges preserve order at both levels,
 //! so responses come back in request order no matter which worker ran
-//! what. Every request sees the single shared [`omega::SolverCache`];
-//! per-request `Config` cache settings are fixed (memoization on, no
-//! per-request cache file).
+//! what. Every request passes the single shared [`omega::SolverCache`];
+//! a request cannot choose another cache or a cache file.
 //!
 //! Stdio and socket mode run the same batching loop and differ only in
 //! how a response is delivered. In socket mode each connection gets a
@@ -114,15 +114,16 @@
 //!
 //! With `--cache-file=PATH` the server loads the persistent cache once
 //! at startup and saves it (atomically — temp file plus rename) once at
-//! shutdown. Shutdown happens on `{"op":"shutdown"}` or, in stdio mode,
-//! on EOF. Requests already read when a shutdown request is processed
+//! shutdown, through the same [`load_cache`] and [`save_cache`] as a
+//! one-shot `tinydep` run. Shutdown happens on `{"op":"shutdown"}` or,
+//! in stdio mode, on EOF. Requests already read when a shutdown request is processed
 //! are still answered. In socket mode a shutdown also ends every other
 //! open connection: each gets the responses it is owed, then reads EOF,
 //! so an idle client cannot keep the server (or the cache save) waiting.
 
 use std::fmt::Write as _;
 use std::io::{BufRead as _, Write as _};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
@@ -299,8 +300,8 @@ impl AnalyzeOptions {
         })
     }
 
-    /// The analysis this report needs, with the default thread count and
-    /// cache settings (the caller owns those).
+    /// The analysis this report needs, with the default thread count
+    /// (the caller owns the pool and the memo cache).
     pub fn config(&self) -> Config {
         Config {
             storage_kills: self.storage_kills,
@@ -355,6 +356,27 @@ pub fn front_end(
     let program = parsed.map_err(|e| e.to_string())?;
     let info = tiny::analyze(&program).map_err(|e| e.to_string())?;
     Ok((program, info))
+}
+
+/// The memo cache a run starts from: loaded from `path` when one is
+/// given (a missing, damaged or stale file is a cold start), else empty.
+pub fn load_cache(path: Option<&Path>) -> omega::SolverCache {
+    path.map_or_else(omega::SolverCache::new, omega::SolverCache::load_from)
+}
+
+/// Saves `cache` to `path` when one is given. The save is atomic (temp
+/// file plus rename), so a crash or a concurrent writer never leaves a
+/// torn file. A failed save warns on stderr but fails nothing: the
+/// reports are complete, only the next run starts cold.
+pub fn save_cache(cache: &omega::SolverCache, path: Option<&Path>) {
+    if let Some(path) = path {
+        if let Err(e) = cache.save_to(path) {
+            eprintln!(
+                "tinydep: warning: failed to save solver cache to {}: {e}",
+                path.display()
+            );
+        }
+    }
 }
 
 /// One response line, plus whether the request asked the server to stop.
@@ -419,15 +441,10 @@ impl Server {
     /// Creates a server whose [`depend::Pool`] runs `threads` chunks
     /// at once (`0` = one per available core) for the server's whole
     /// lifetime. With a `cache_file`, the persistent cache is loaded now
-    /// and saved back (atomically) at shutdown; a missing or damaged
-    /// file simply means a cold start.
+    /// and saved back at shutdown ([`load_cache`], [`save_cache`]).
     pub fn new(threads: usize, cache_file: Option<PathBuf>) -> Server {
-        let cache = match &cache_file {
-            Some(path) => omega::SolverCache::load_from(path),
-            None => omega::SolverCache::new(),
-        };
         Server {
-            cache: Arc::new(cache),
+            cache: Arc::new(load_cache(cache_file.as_deref())),
             pool: depend::Pool::new(threads),
             cache_file,
             requests: AtomicU64::new(0),
@@ -521,14 +538,14 @@ impl Server {
             return Err("request needs a \"source\" or \"corpus\" field".into());
         };
         let (program, info) = front_end(name, source, opts.fortran)?;
-        let analysis = depend::analyze_program_on(
+        let analyses = depend::analyze_corpus_on(
             &self.pool,
-            &info,
+            std::slice::from_ref(&info),
             &opts.config(),
             Some(Arc::clone(&self.cache)),
         )
         .map_err(|e| format!("analysis failed: {e}"))?;
-        Ok(opts.render(&program, &DepGraph::new(&info, &analysis)))
+        Ok(opts.render(&program, &DepGraph::new(&info, &analyses[0])))
     }
 
     /// Row-store and solver-cache counters as a JSON object — the body
@@ -601,14 +618,6 @@ impl Server {
         Ok(())
     }
 
-    fn save_cache(&self) {
-        if let Some(path) = &self.cache_file {
-            if let Err(e) = self.cache.save_to(path) {
-                eprintln!("tinydep: saving cache to {}: {e}", path.display());
-            }
-        }
-    }
-
     /// Serves line-delimited JSON over stdin/stdout until EOF or a
     /// `shutdown` request, then saves the persistent cache (if
     /// configured). Responses are written in request order.
@@ -635,7 +644,7 @@ impl Server {
             }
             out.flush()
         })?;
-        self.save_cache();
+        save_cache(&self.cache, self.cache_file.as_deref());
         Ok(())
     }
 
@@ -712,7 +721,7 @@ impl Server {
         });
 
         let _ = std::fs::remove_file(path);
-        self.save_cache();
+        save_cache(&self.cache, self.cache_file.as_deref());
         Ok(())
     }
 }

@@ -8,8 +8,9 @@
 //! with the cache cold, warm from a file, or disabled.
 
 use std::process::Command;
+use std::sync::Arc;
 
-use depend::{analyze_corpus, analyze_program, Config, ReportOptions};
+use depend::{analyze_corpus, analyze_corpus_with_cache, analyze_program, Config, ReportOptions};
 
 fn cholsky() -> tiny::ProgramInfo {
     let program = tiny::Program::parse(tiny::corpus::CHOLSKY).unwrap();
@@ -17,9 +18,15 @@ fn cholsky() -> tiny::ProgramInfo {
 }
 
 fn render(info: &tiny::ProgramInfo, config: &Config) -> (String, String, String) {
-    let analysis = analyze_program(info, config).unwrap();
+    render_analysis(info, &analyze_program(info, config).unwrap())
+}
+
+fn render_analysis(
+    info: &tiny::ProgramInfo,
+    analysis: &depend::Analysis,
+) -> (String, String, String) {
     let ropts = ReportOptions::default();
-    let graph = depend::DepGraph::new(info, &analysis);
+    let graph = depend::DepGraph::new(info, analysis);
     (
         depend::live_flow_table(&graph, &ropts),
         depend::dead_flow_table(&graph, &ropts),
@@ -83,14 +90,9 @@ fn cholsky_pair_stats_are_identical_at_every_thread_count() {
 fn cholsky_report_is_identical_without_the_memo_cache() {
     let info = cholsky();
     let cached = render(&info, &Config::extended());
-    let cold = render(
-        &info,
-        &Config {
-            memo_cache: false,
-            ..Config::extended()
-        },
-    );
-    assert_eq!(cached, cold);
+    let uncached =
+        analyze_corpus_with_cache(std::slice::from_ref(&info), &Config::extended(), None).unwrap();
+    assert_eq!(cached, render_analysis(&info, &uncached[0]));
 }
 
 /// Every built-in corpus program, through the `tiny` front end.
@@ -155,10 +157,9 @@ fn corpus_driver_matches_the_standalone_driver_at_every_thread_count() {
     // And with the memo cache disabled entirely.
     let config = Config {
         threads: 8,
-        memo_cache: false,
         ..Config::extended()
     };
-    let analyses = analyze_corpus(&infos, &config).unwrap();
+    let analyses = analyze_corpus_with_cache(&infos, &config, None).unwrap();
     assert_eq!(
         render_corpus(&infos, &analyses),
         base,
@@ -183,14 +184,14 @@ fn corpus_driver_is_identical_with_a_cold_and_warm_persistent_cache() {
     for (label, threads) in [("cold", 8), ("warm", 1), ("warm", 8), ("warm", 16)] {
         let config = Config {
             threads,
-            cache_file: Some(path.clone()),
             ..Config::extended()
         };
-        let analyses = analyze_corpus(&infos, &config).unwrap();
-        assert!(
-            !analyses.iter().any(|a| a.stats.cache_save_failed),
-            "{label} threads={threads}: cache save failed"
-        );
+        let cache = Arc::new(omega::SolverCache::load_from(&path));
+        let analyses =
+            analyze_corpus_with_cache(&infos, &config, Some(Arc::clone(&cache))).unwrap();
+        cache
+            .save_to(&path)
+            .unwrap_or_else(|e| panic!("{label} threads={threads}: cache save failed: {e}"));
         assert_eq!(
             render_corpus(&infos, &analyses),
             base,

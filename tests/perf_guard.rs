@@ -164,14 +164,14 @@ fn cholsky_cold_analysis_stays_within_wall_budget() {
         },
     )
     .unwrap();
-    // Each iteration builds a fresh Config (fresh solver cache), so every
+    // Every `analyze_program` call builds a fresh solver cache, so every
     // run is cold; the minimum damps machine noise as in the warm gate.
+    let config = Config {
+        threads: 1,
+        ..Config::extended()
+    };
     let mut best = u128::MAX;
     for _ in 0..3 {
-        let config = Config {
-            threads: 1,
-            ..Config::extended()
-        };
         let t = Instant::now();
         let a = analyze_program(&info, &config).unwrap();
         best = best.min(t.elapsed().as_millis());

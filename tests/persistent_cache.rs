@@ -1,14 +1,14 @@
 //! The persistent solver cache is *transparent*: for every corpus
 //! program, a cold run that populates a cache file, a warm run served
-//! from it, and a `memo_cache: false` run must produce byte-identical
-//! reports — and a corrupt, truncated, or version-stale cache file must
-//! be ignored (the run is simply cold) rather than ever changing a
-//! result.
+//! from it, and an uncached run must produce byte-identical reports —
+//! and a corrupt, truncated, or version-stale cache file must be
+//! ignored (the run is simply cold) rather than ever changing a result.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::Arc;
 
-use depend::{analyze_program, Config, ReportOptions};
+use depend::{analyze_corpus_with_cache, analyze_program, Analysis, Config, ReportOptions};
 
 fn temp_cache(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -18,10 +18,25 @@ fn temp_cache(tag: &str) -> PathBuf {
     ))
 }
 
-fn render(info: &tiny::ProgramInfo, config: &Config) -> (String, String, String) {
-    let analysis = analyze_program(info, config).unwrap();
+/// One extended analysis with `cache` (`None`: uncached).
+fn analyze(info: &tiny::ProgramInfo, cache: Option<Arc<omega::SolverCache>>) -> Analysis {
+    analyze_corpus_with_cache(std::slice::from_ref(info), &Config::extended(), cache)
+        .unwrap()
+        .remove(0)
+}
+
+/// One extended analysis the way `tinydep --cache-file` runs it: the
+/// cache loaded from `path`, then saved back.
+fn analyze_with_file(info: &tiny::ProgramInfo, path: &Path) -> Analysis {
+    let cache = Arc::new(omega::SolverCache::load_from(path));
+    let analysis = analyze(info, Some(Arc::clone(&cache)));
+    cache.save_to(path).expect("cache save failed");
+    analysis
+}
+
+fn render(info: &tiny::ProgramInfo, analysis: &Analysis) -> (String, String, String) {
     let ropts = ReportOptions::default();
-    let graph = depend::DepGraph::new(info, &analysis);
+    let graph = depend::DepGraph::new(info, analysis);
     (
         depend::live_flow_table(&graph, &ropts),
         depend::dead_flow_table(&graph, &ropts),
@@ -35,21 +50,13 @@ fn cold_warm_and_uncached_reports_are_identical_across_the_corpus() {
     for entry in tiny::corpus::all() {
         let program = tiny::Program::parse(entry.source).unwrap();
         let info = tiny::analyze(&program).unwrap();
-        let cached = Config {
-            cache_file: Some(path.clone()),
-            ..Config::extended()
-        };
-        let uncached = Config {
-            memo_cache: false,
-            ..Config::extended()
-        };
         let _ = std::fs::remove_file(&path);
-        let cold = render(&info, &cached);
-        let warm = render(&info, &cached);
+        let cold = render(&info, &analyze_with_file(&info, &path));
+        let warm = render(&info, &analyze_with_file(&info, &path));
         assert_eq!(cold, warm, "{}: warm report diverged", entry.name);
         assert_eq!(
             cold,
-            render(&info, &uncached),
+            render(&info, &analyze(&info, None)),
             "{}: uncached report diverged",
             entry.name
         );
@@ -63,13 +70,9 @@ fn warm_run_is_served_entirely_from_the_cache_file() {
     let _ = std::fs::remove_file(&path);
     let program = tiny::Program::parse(tiny::corpus::CHOLSKY).unwrap();
     let info = tiny::analyze(&program).unwrap();
-    let config = Config {
-        cache_file: Some(path.clone()),
-        ..Config::extended()
-    };
-    let cold = analyze_program(&info, &config).unwrap();
+    let cold = analyze_with_file(&info, &path);
     assert!(path.exists(), "cold run did not write the cache file");
-    let warm = analyze_program(&info, &config).unwrap();
+    let warm = analyze_with_file(&info, &path);
     let _ = std::fs::remove_file(&path);
     let (cc, wc) = (&cold.stats.cache, &warm.stats.cache);
     assert!(cc.misses > 0, "cold run unexpectedly warm");
@@ -117,15 +120,11 @@ fn a_torn_file_is_ignored_and_the_next_save_recovers() {
     // not prevent the analysis from re-writing a valid file afterwards.
     let program = tiny::Program::parse(tiny::corpus::CHOLSKY).unwrap();
     let info = tiny::analyze(&program).unwrap();
-    let baseline = render(&info, &Config::extended());
+    let baseline = render(&info, &analyze_program(&info, &Config::extended()).unwrap());
 
     let path = temp_cache("torn");
     let _ = std::fs::remove_file(&path);
-    let config = Config {
-        cache_file: Some(path.clone()),
-        ..Config::extended()
-    };
-    analyze_program(&info, &config).unwrap();
+    analyze_with_file(&info, &path);
     let good = std::fs::read(&path).unwrap();
     assert_untorn(&good, "freshly saved");
 
@@ -134,13 +133,13 @@ fn a_torn_file_is_ignored_and_the_next_save_recovers() {
     std::fs::write(&path, &good[..cut]).unwrap();
 
     // Cold-but-correct run over the torn file, which also re-saves.
-    let report = render(&info, &config);
+    let report = render(&info, &analyze_with_file(&info, &path));
     assert_eq!(report, baseline, "torn cache changed the report");
     let rewritten = std::fs::read(&path).unwrap();
     assert_untorn(&rewritten, "re-saved over torn");
 
     // And the re-saved file serves a fully warm run.
-    let warm = analyze_program(&info, &config).unwrap();
+    let warm = analyze_with_file(&info, &path);
     assert_eq!(
         warm.stats.cache.hits,
         warm.stats.cache.lookups(),
@@ -158,11 +157,7 @@ fn concurrent_saves_never_produce_a_torn_file() {
     let info = tiny::analyze(&program).unwrap();
     let path = temp_cache("race");
     let _ = std::fs::remove_file(&path);
-    let config = Config {
-        cache_file: Some(path.clone()),
-        ..Config::extended()
-    };
-    analyze_program(&info, &config).unwrap();
+    analyze_with_file(&info, &path);
     let cache = omega::SolverCache::load_from(&path);
 
     std::thread::scope(|s| {
@@ -201,85 +196,15 @@ fn save_to_an_unwritable_path_errors_cleanly() {
 }
 
 #[test]
-fn a_failed_cache_save_is_surfaced_but_does_not_fail_the_analysis() {
-    // Regression: `analyze_program` used to swallow a failed cache save
-    // with `let _ = ...`, so users lost their warm starts silently. The
-    // analysis must still succeed with an unchanged report, but the
-    // failure must be surfaced in `Stats::cache_save_failed`.
-    //
-    // These tests may run as root, where read-only directory permissions
-    // don't block writes — so the unwritable path here is one whose
-    // parent is a regular file (NotADirectory fails for root too).
-    let blocker = temp_cache("save_blocker");
-    std::fs::write(&blocker, b"not a directory").unwrap();
-    let bad_path = blocker.join("cache.bin");
-
-    let program = tiny::Program::parse(tiny::corpus::CHOLSKY).unwrap();
-    let info = tiny::analyze(&program).unwrap();
-    let baseline = render(&info, &Config::extended());
-
-    let config = Config {
-        cache_file: Some(bad_path),
-        ..Config::extended()
-    };
-    let analysis = analyze_program(&info, &config).unwrap();
-    assert!(
-        analysis.stats.cache_save_failed,
-        "failed cache save was swallowed silently"
-    );
-    let ropts = ReportOptions::default();
-    let graph = depend::DepGraph::new(&info, &analysis);
-    let report = (
-        depend::live_flow_table(&graph, &ropts),
-        depend::dead_flow_table(&graph, &ropts),
-        depend::report::to_json(&graph),
-    );
-    assert_eq!(report, baseline, "failed save changed the report");
-
-    // A save that works leaves the flag clear.
-    let good = temp_cache("save_ok");
-    let _ = std::fs::remove_file(&good);
-    let config = Config {
-        cache_file: Some(good.clone()),
-        ..Config::extended()
-    };
-    let analysis = analyze_program(&info, &config).unwrap();
-    assert!(!analysis.stats.cache_save_failed);
-    let _ = std::fs::remove_file(&good);
-    let _ = std::fs::remove_file(&blocker);
-
-    // The corpus driver surfaces the same failure on every analysis.
-    let blocker = temp_cache("corpus_save_blocker");
-    std::fs::write(&blocker, b"not a directory").unwrap();
-    let config = Config {
-        threads: 2,
-        cache_file: Some(blocker.join("cache.bin")),
-        ..Config::extended()
-    };
-    let program2 = tiny::Program::parse(tiny::corpus::EXAMPLE_2).unwrap();
-    let infos = vec![info, tiny::analyze(&program2).unwrap()];
-    let analyses = depend::analyze_corpus(&infos, &config).unwrap();
-    assert!(
-        analyses.iter().all(|a| a.stats.cache_save_failed),
-        "corpus driver swallowed the failed save"
-    );
-    let _ = std::fs::remove_file(&blocker);
-}
-
-#[test]
 fn damaged_cache_files_fall_back_to_a_cold_run() {
     let program = tiny::Program::parse(tiny::corpus::CHOLSKY).unwrap();
     let info = tiny::analyze(&program).unwrap();
-    let baseline = render(&info, &Config::extended());
+    let baseline = render(&info, &analyze_program(&info, &Config::extended()).unwrap());
 
     // Prime a good file once so "truncated" below is realistic.
     let good = temp_cache("good");
     let _ = std::fs::remove_file(&good);
-    let config = Config {
-        cache_file: Some(good.clone()),
-        ..Config::extended()
-    };
-    analyze_program(&info, &config).unwrap();
+    analyze_with_file(&info, &good);
     let bytes = std::fs::read(&good).unwrap();
     let _ = std::fs::remove_file(&good);
 
@@ -301,18 +226,8 @@ fn damaged_cache_files_fall_back_to_a_cold_run() {
     for (tag, contents) in cases {
         let path = temp_cache(tag);
         std::fs::write(&path, &contents).unwrap();
-        let config = Config {
-            cache_file: Some(path.clone()),
-            ..Config::extended()
-        };
-        let analysis = analyze_program(&info, &config).unwrap();
-        let ropts = ReportOptions::default();
-        let graph = depend::DepGraph::new(&info, &analysis);
-        let report = (
-            depend::live_flow_table(&graph, &ropts),
-            depend::dead_flow_table(&graph, &ropts),
-            depend::report::to_json(&graph),
-        );
+        let analysis = analyze_with_file(&info, &path);
+        let report = render(&info, &analysis);
         let _ = std::fs::remove_file(&path);
         assert_eq!(report, baseline, "{tag}: report changed under a damaged cache");
         // A rejected file means a genuinely cold run: nothing to hit on
@@ -357,5 +272,41 @@ fn a_checksummed_file_naming_an_unknown_variable_runs_the_cli_cold() {
     assert!(
         hostile.stdout == plain.stdout,
         "the hostile cache file changed the report"
+    );
+}
+
+#[test]
+fn a_failed_cache_save_warns_and_leaves_the_cli_report_unchanged() {
+    // An unwritable cache file must not fail the run (the report is
+    // complete), but it must not be silent either: the next run would
+    // silently go cold. These tests may run as root, where read-only
+    // directory permissions don't block writes — so the unwritable path
+    // here is one whose parent is a regular file (NotADirectory fails for
+    // root too).
+    let blocker = temp_cache("save_blocker");
+    std::fs::write(&blocker, b"not a directory").unwrap();
+    let run = |extra: &[String]| {
+        Command::new(env!("CARGO_BIN_EXE_tinydep"))
+            .args(["--parallelize", "corpus:cholsky"])
+            .args(extra)
+            .output()
+            .unwrap()
+    };
+    let failed = run(&[format!(
+        "--cache-file={}",
+        blocker.join("cache.bin").display()
+    )]);
+    let _ = std::fs::remove_file(&blocker);
+    let plain = run(&[]);
+    let stderr = String::from_utf8_lossy(&failed.stderr);
+    assert_eq!(failed.status.code(), Some(0), "stderr: {stderr}");
+    assert!(plain.status.success());
+    assert!(
+        failed.stdout == plain.stdout,
+        "the failed save changed the report"
+    );
+    assert!(
+        stderr.contains("warning: failed to save solver cache to"),
+        "the failed save was swallowed silently; stderr: {stderr}"
     );
 }

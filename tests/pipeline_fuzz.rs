@@ -19,8 +19,8 @@ use harness::{prop_assert, prop_assert_eq, Rng};
 
 use depend::dir::{range_of, DirEntry};
 use depend::{
-    analyze_program, build_dependence, AccessSite, Config as AnalysisConfig, DepCase, DepKind,
-    Dependence,
+    analyze_corpus_with_cache, analyze_program, build_dependence, AccessSite,
+    Config as AnalysisConfig, DepCase, DepKind, Dependence,
 };
 use omega::{Budget, LinExpr, SolverCache};
 use tiny::ast::name_key;
@@ -273,12 +273,11 @@ fn prop_shared_pair_work(spec: &ProgSpec) -> Result<(), String> {
     let program = tiny::Program::parse(&src).map_err(|e| format!("{e}\n{src}"))?;
     let info = tiny::analyze(&program).map_err(|e| format!("{e}\n{src}"))?;
     for memo_cache in [true, false] {
-        let config = AnalysisConfig {
-            memo_cache,
-            ..AnalysisConfig::extended()
-        };
-        let analysis =
-            analyze_program(&info, &config).map_err(|e| format!("analysis failed: {e}\n{src}"))?;
+        let config = AnalysisConfig::extended();
+        let cache = memo_cache.then(|| Arc::new(SolverCache::new()));
+        let analysis = analyze_corpus_with_cache(std::slice::from_ref(&info), &config, cache)
+            .map_err(|e| format!("analysis failed: {e}\n{src}"))?
+            .remove(0);
         let fresh_budget = || {
             let budget = Budget::new(config.budget);
             if memo_cache {
