@@ -89,8 +89,8 @@ pub(crate) fn build_directed(
     let lex = executes_before(src, src_site, dst, dst_site);
     let orders = order_cases(common, lex);
     if base_feasible && orders.is_empty() {
-        // Nothing to build, and no base to intern: a base no query
-        // references is the first a memo-cache sweep evicts.
+        // Nothing to build: return before canonicalizing a base that
+        // no query would use.
         return Ok((None, true));
     }
 

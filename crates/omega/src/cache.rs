@@ -27,16 +27,26 @@
 //!
 //! # Sharding
 //!
-//! The entry map and the base-intern table are split across
-//! [`SHARD_COUNT`] independently locked shards (mirroring the row
-//! store's sharding), picked by key hash. Simultaneous analyses — the
-//! two-level corpus pool runs many programs against one cache — mostly
-//! touch different shards and share hits instead of serializing on one
-//! global lock. Sharding is placement only: it cannot affect results,
-//! and eviction (entry caps, base sweeps) can only cause extra misses,
-//! never a wrong hit.
+//! The entry map is split across [`SHARD_COUNT`] independently locked
+//! shards (mirroring the row store's sharding), picked by key hash.
+//! Simultaneous analyses — the two-level corpus pool runs many programs
+//! against one cache — mostly touch different shards and share hits
+//! instead of serializing on one global lock. Sharding is placement
+//! only: it cannot affect results, and the entry cap can only cause
+//! extra misses, never a wrong hit.
+//!
+//! # Bases
+//!
+//! A delta key holds its pair's base form itself, behind an [`Arc`]
+//! shared with the [`PairContext`](crate::PairContext) that built it, so
+//! a base lives exactly as long as a context or a resident entry uses
+//! it. There is no separate base table to bound or sweep: the entry cap
+//! is the cache's one memory bound. Content-equal bases built by
+//! different contexts, requests or a loaded file compare equal, so they
+//! share entries.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::{DefaultHasher, Entry as MapEntry};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -67,14 +77,13 @@ pub(crate) struct Entry {
     pub(crate) value: CachedValue,
 }
 
-/// The canonical form of a per-pair base problem, interned in the cache so
-/// delta keys can reference it by a small id instead of embedding the
-/// whole constraint system in every key.
+/// The canonical form of a per-pair base problem, shared by every delta
+/// key of the pair instead of being embedded in each key.
 ///
-/// Bases are only interned for flag-free, all-black problems (see
+/// Bases are only built for flag-free, all-black problems (see
 /// [`PairContext`](crate::PairContext)), so no protected/dead/pinned bits
 /// appear here.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub(crate) struct BaseForm {
     pub(crate) known_infeasible: bool,
     pub(crate) vars: Vec<(Name, VarKind)>,
@@ -82,15 +91,54 @@ pub(crate) struct BaseForm {
     pub(crate) geqs: Vec<Constraint>,
 }
 
-/// A memo key for a query expressed as a small delta over an interned
+/// A [`BaseForm`] behind an [`Arc`], with its hash computed once: keys
+/// of one context compare by pointer, content-equal bases from
+/// different contexts (or a loaded file) by value.
+#[derive(Debug, Clone)]
+pub(crate) struct SharedBase {
+    hash: u64,
+    form: Arc<BaseForm>,
+}
+
+impl SharedBase {
+    pub(crate) fn new(form: BaseForm) -> Self {
+        let mut h = DefaultHasher::new();
+        form.hash(&mut h);
+        SharedBase {
+            hash: h.finish(),
+            form: Arc::new(form),
+        }
+    }
+
+    pub(crate) fn form(&self) -> &BaseForm {
+        &self.form
+    }
+}
+
+impl PartialEq for SharedBase {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.form, &other.form)
+            || (self.hash == other.hash && self.form == other.form)
+    }
+}
+
+impl Eq for SharedBase {}
+
+impl Hash for SharedBase {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// A memo key for a query expressed as a small delta over a shared
 /// base: the base's canonicalization is shared by every query of the
 /// pair instead of being recomputed per lookup.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct DeltaKey {
     /// The memoized operation.
     pub(crate) op: Op,
-    /// Interned id of the base's canonical form.
-    pub(crate) base: u64,
+    /// The base's canonical form.
+    pub(crate) base: SharedBase,
     /// Extra variables appended after the base's table.
     pub(crate) vars: Vec<(Name, VarKind)>,
     /// Protected (kept) variable indices for projections, sorted and
@@ -103,34 +151,27 @@ pub(crate) struct DeltaKey {
 }
 
 /// A cache key: either the full canonical form of the query problem, or
-/// a delta against an interned base. The two key spaces are disjoint, so
+/// a delta against a shared base. The two key spaces are disjoint, so
 /// the same logical query may appear under both (a duplicate entry, never
 /// an unsound one).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum MemoKey {
     /// Full canonical-form key (the classic path).
     Full(CanonKey),
-    /// Delta key against an interned base.
+    /// Delta key against a shared base.
     Delta(DeltaKey),
 }
 
-/// Shards for both the entry map and the base intern, mirroring the row
-/// store. Must be a power of two.
+/// Shards of the entry map, mirroring the row store. Must be a power of
+/// two.
 const SHARD_COUNT: usize = 16;
 
 /// Entry cap (total across shards, enforced per shard): dependence
-/// analysis working sets are far smaller; the cap only bounds memory on
-/// adversarial inputs. Insertions beyond it are dropped (counted as
-/// misses on re-query).
-const MAX_ENTRIES: usize = 1 << 16;
-
-/// Base-intern cap. Unlike entries, bases used to grow without bound —
-/// an unbounded memory leak in a long-lived `--serve` daemon where every
-/// novel pair interns a base. At the cap a sweep drops every form whose
-/// id no entry references; ids are handed out from a monotonic counter
-/// and never reused, so an evicted id can only cause future misses,
-/// never a wrong hit.
-pub(crate) const MAX_BASES: usize = 4096;
+/// analysis working sets are far smaller; the cap bounds memory on
+/// adversarial inputs and long-lived servers, and since every delta
+/// entry keeps its base alive it is the cache's only memory bound.
+/// Insertions beyond it are dropped (counted as misses on re-query).
+pub(crate) const MAX_ENTRIES: usize = 1 << 15;
 
 /// Poison-proof lock: cache critical sections are plain reads/writes
 /// with no invariant a mid-section panic could break, and a contained
@@ -144,26 +185,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// within a process, which is all placement needs; nothing persisted
 /// depends on it.
 fn shard_index<K: Hash + ?Sized>(key: &K) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = DefaultHasher::new();
     key.hash(&mut h);
     (h.finish() as usize) & (SHARD_COUNT - 1)
-}
-
-/// Base interning table: a bounded, sharded `form → id` map with a
-/// monotonic id counter (see [`MAX_BASES`]). Loaded caches repopulate it
-/// in stored-id order.
-#[derive(Debug, Default)]
-struct BaseIntern {
-    shards: [Mutex<HashMap<BaseForm, u64>>; SHARD_COUNT],
-    /// Next id to hand out; never decremented, so ids are unique for the
-    /// cache's lifetime even across sweeps.
-    next_id: AtomicU64,
-    /// Forms currently resident (kept exact under the shard locks'
-    /// insert/retain, read without them for the cap check).
-    len: AtomicU64,
-    /// Sweeps run and forms evicted, for stats.
-    sweeps: AtomicU64,
-    evicted: AtomicU64,
 }
 
 /// A shared, thread-safe memo cache of solver verdicts with hit/miss/
@@ -191,7 +215,6 @@ struct BaseIntern {
 #[derive(Debug, Default)]
 pub struct SolverCache {
     shards: [Mutex<HashMap<MemoKey, Entry>>; SHARD_COUNT],
-    bases: BaseIntern,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
@@ -214,9 +237,7 @@ impl SolverCache {
             full_canons: self.full_canons.load(Ordering::Relaxed),
             delta_canons: self.delta_canons.load(Ordering::Relaxed),
             entries: self.entry_count() as u64,
-            base_forms: self.bases.len.load(Ordering::Relaxed),
-            base_sweeps: self.bases.sweeps.load(Ordering::Relaxed),
-            base_evicted: self.bases.evicted.load(Ordering::Relaxed),
+            base_evicted: 0,
             checkpoint_resumes: 0,
             checkpoint_rebuilds: 0,
         }
@@ -233,61 +254,6 @@ impl SolverCache {
         self.delta_canons.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Interns a base's canonical form, returning an id that is stable
-    /// for as long as the form stays resident. Re-interning an evicted
-    /// form yields a fresh id (its old entries become unreachable —
-    /// misses, never wrong hits).
-    pub(crate) fn intern_base(&self, form: &BaseForm) -> u64 {
-        let shard = &self.bases.shards[shard_index(form)];
-        if let Some(&id) = lock(shard).get(form) {
-            return id;
-        }
-        if self.bases.len.load(Ordering::Relaxed) as usize >= MAX_BASES {
-            self.sweep_bases();
-        }
-        let mut ids = lock(shard);
-        // Another thread may have interned it while we swept.
-        if let Some(&id) = ids.get(form) {
-            return id;
-        }
-        let id = self.bases.next_id.fetch_add(1, Ordering::Relaxed);
-        if self.bases.len.load(Ordering::Relaxed) as usize >= MAX_BASES {
-            // Still full after the sweep: every resident base is
-            // referenced by live entries. Hand out a unique unrecorded
-            // id — this pair's delta queries run uncached.
-            return id;
-        }
-        ids.insert(form.clone(), id);
-        self.bases.len.fetch_add(1, Ordering::Relaxed);
-        id
-    }
-
-    /// Drops every interned base whose id no resident entry references.
-    /// Locks are taken one shard at a time, entry shards strictly before
-    /// base shards, never nested with each other.
-    fn sweep_bases(&self) {
-        let mut referenced: HashSet<u64> = HashSet::new();
-        for shard in &self.shards {
-            for key in lock(shard).keys() {
-                if let MemoKey::Delta(dk) = key {
-                    referenced.insert(dk.base);
-                }
-            }
-        }
-        let mut removed = 0u64;
-        for shard in &self.bases.shards {
-            let mut ids = lock(shard);
-            let before = ids.len();
-            ids.retain(|_, id| referenced.contains(id));
-            removed += (before - ids.len()) as u64;
-        }
-        if removed > 0 {
-            self.bases.len.fetch_sub(removed, Ordering::Relaxed);
-        }
-        self.bases.sweeps.fetch_add(1, Ordering::Relaxed);
-        self.bases.evicted.fetch_add(removed, Ordering::Relaxed);
-    }
-
     fn get(&self, key: &MemoKey) -> Option<Entry> {
         lock(&self.shards[shard_index(key)]).get(key).cloned()
     }
@@ -299,7 +265,8 @@ impl SolverCache {
         }
         // Concurrent computations of the same key insert the same value
         // (pure function of the key); first insert wins.
-        if shard.try_insert_like(key, Entry { cost, value }) {
+        if let MapEntry::Vacant(v) = shard.entry(key) {
+            v.insert(Entry { cost, value });
             self.inserts.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -318,47 +285,9 @@ impl SolverCache {
         out
     }
 
-    /// Clones out every interned base with its id (serialization).
-    pub(crate) fn snapshot_bases(&self) -> Vec<(BaseForm, u64)> {
-        let mut out = Vec::new();
-        for shard in &self.bases.shards {
-            out.extend(lock(shard).iter().map(|(f, &id)| (f.clone(), id)));
-        }
-        out
-    }
-
-    /// Installs a base read back from disk under its stored id. Only for
-    /// deserialization, which owns the cache exclusively; keeps `next_id`
-    /// above every loaded id.
-    pub(crate) fn insert_loaded_base(&self, form: BaseForm, id: u64) {
-        let shard = &self.bases.shards[shard_index(&form)];
-        if lock(shard).insert(form, id).is_none() {
-            self.bases.len.fetch_add(1, Ordering::Relaxed);
-        }
-        self.bases.next_id.fetch_max(id + 1, Ordering::Relaxed);
-    }
-
     /// Installs an entry read back from disk (deserialization only).
     pub(crate) fn insert_loaded_entry(&self, key: MemoKey, entry: Entry) {
         lock(&self.shards[shard_index(&key)]).insert(key, entry);
-    }
-}
-
-/// `HashMap::try_insert` is unstable; emulate "insert if absent".
-trait TryInsertLike {
-    fn try_insert_like(&mut self, key: MemoKey, entry: Entry) -> bool;
-}
-
-impl TryInsertLike for HashMap<MemoKey, Entry> {
-    fn try_insert_like(&mut self, key: MemoKey, entry: Entry) -> bool {
-        use std::collections::hash_map::Entry as MapEntry;
-        match self.entry(key) {
-            MapEntry::Occupied(_) => false,
-            MapEntry::Vacant(v) => {
-                v.insert(entry);
-                true
-            }
-        }
     }
 }
 
@@ -381,12 +310,10 @@ pub struct CacheStats {
     /// Entries currently resident — a gauge, not a counter; bounded by
     /// the per-shard entry caps.
     pub entries: u64,
-    /// Base forms currently interned — a gauge, not a counter; bounded
-    /// by the intern cap, which long-lived servers rely on.
-    pub base_forms: u64,
-    /// Base-intern sweeps triggered by the cap.
-    pub base_sweeps: u64,
-    /// Base forms evicted by sweeps (unreferenced by any entry).
+    /// Always 0. A bounded base intern used to evict unreferenced base
+    /// forms; delta keys now hold their base, which lives as long as a
+    /// context or an entry uses it, so nothing is evicted. The field
+    /// stays because the benchmark ledger reads it.
     pub base_evicted: u64,
     /// Always 0. Base-tableau checkpoints, which resumed delta-query
     /// misses from a recorded base, were retired: on the corpus they
@@ -465,15 +392,6 @@ mod tests {
         p
     }
 
-    fn base_form(tag: usize) -> BaseForm {
-        BaseForm {
-            known_infeasible: false,
-            vars: vec![(Name::from_str(&format!("b{tag}"), VarKind::Input), VarKind::Input)],
-            eqs: vec![],
-            geqs: vec![],
-        }
-    }
-
     #[test]
     fn hit_charges_the_recorded_cost() {
         let cache = Arc::new(SolverCache::new());
@@ -534,63 +452,5 @@ mod tests {
         cache.put(key.clone(), 1, CachedValue::Sat(true));
         assert_eq!(cache.stats().inserts, 0);
         assert!(cache.get(&key).is_none());
-    }
-
-    #[test]
-    fn base_intern_is_bounded() {
-        let cache = SolverCache::new();
-        for i in 0..(MAX_BASES * 2) {
-            cache.intern_base(&base_form(i));
-        }
-        let s = cache.stats();
-        assert!(
-            s.base_forms <= MAX_BASES as u64,
-            "occupancy {} exceeds the cap",
-            s.base_forms
-        );
-        assert!(s.base_sweeps > 0);
-        // Nothing referenced these bases, so sweeps actually evicted.
-        assert!(s.base_evicted > 0);
-    }
-
-    #[test]
-    fn sweep_keeps_bases_referenced_by_entries() {
-        let cache = SolverCache::new();
-        let keeper = base_form(usize::MAX);
-        let keeper_id = cache.intern_base(&keeper);
-        // A resident delta entry pins the keeper's id.
-        cache.put(
-            MemoKey::Delta(DeltaKey {
-                op: Op::Sat,
-                base: keeper_id,
-                vars: vec![],
-                keep: vec![],
-                eqs: vec![],
-                geqs: vec![],
-            }),
-            1,
-            CachedValue::Sat(true),
-        );
-        for i in 0..(MAX_BASES * 2) {
-            cache.intern_base(&base_form(i));
-        }
-        assert!(cache.stats().base_sweeps > 0);
-        // The referenced base survived every sweep under its old id.
-        assert_eq!(cache.intern_base(&keeper), keeper_id);
-    }
-
-    #[test]
-    fn evicted_base_reinterns_under_a_fresh_id() {
-        let cache = SolverCache::new();
-        let form = base_form(0);
-        let first = cache.intern_base(&form);
-        // Unreferenced, so a cap-triggered sweep evicts it.
-        for i in 1..=(MAX_BASES * 2) {
-            cache.intern_base(&base_form(i));
-        }
-        let second = cache.intern_base(&form);
-        // Monotonic ids: never reused, so stale delta keys can only miss.
-        assert_ne!(first, second);
-        assert!(second > first);
     }
 }

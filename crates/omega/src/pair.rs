@@ -3,7 +3,7 @@
 //! distance probes, projections for covering/kill tests) as a small
 //! constraint *delta* against that base.
 //!
-//! The memo key for a delta query is `(interned base id, canonical
+//! The memo key for a delta query is `(shared base form, canonical
 //! delta)`, so a lookup normalizes only the handful of added constraints
 //! instead of re-canonicalizing the whole conjunction. This is sound
 //! because canonicalization is per-constraint-local: the canonical form
@@ -21,14 +21,14 @@
 
 use std::sync::Arc;
 
-use crate::cache::{self, BaseForm, CachedValue, DeltaKey, MemoKey, SolverCache};
+use crate::cache::{self, BaseForm, CachedValue, DeltaKey, MemoKey, SharedBase, SolverCache};
 use crate::canon::{canonicalize, canonicalize_delta, merge_sorted, Op};
 use crate::linexpr::{Color, Constraint, LinExpr};
 use crate::problem::{Budget, Problem};
 use crate::project::{project_prepared, Projection};
 use crate::symbol::Name;
 use crate::tableau;
-use crate::var::{VarId, VarKind};
+use crate::var::{VarId, VarInfo, VarKind};
 use crate::Result;
 
 /// The operations shared by [`Problem`] and [`DeltaProblem`]: building
@@ -145,7 +145,7 @@ impl ProblemLike for Problem {
 /// A dependence pair's shared base problem, canonicalized at most once.
 ///
 /// Derive per-query [`DeltaProblem`]s with [`PairContext::derive`]; each
-/// query then hits the memo cache under a `(base id, delta)` key without
+/// query then hits the memo cache under a `(base, delta)` key without
 /// re-normalizing the base's constraints.
 ///
 /// Cloning is cheap (the base is behind an [`Arc`]).
@@ -186,18 +186,18 @@ struct PairInner {
 #[derive(Debug)]
 struct CachedBase {
     cache: Arc<SolverCache>,
-    /// The canonical form of `base` (variable table unchanged, constraint
-    /// lists GCD-reduced, sorted, deduplicated).
-    canon: Problem,
-    /// Interned id of `canon` within `cache`.
-    id: u64,
+    /// The variable table of `base`, shared with merged problems.
+    vars: Arc<Vec<VarInfo>>,
+    /// The canonical form of `base` (constraint lists GCD-reduced,
+    /// sorted, deduplicated), hashed once here; delta keys share it.
+    base: SharedBase,
 }
 
 impl PairContext {
     /// Wraps `base` as a pair context. When `budget` carries an active
     /// memo cache and the base is eligible (all constraints black, no
     /// variable flags set), the base is canonicalized now — once — and
-    /// interned; otherwise derived queries transparently materialize and
+    /// hashed; otherwise derived queries transparently materialize and
     /// take the classic full-canonicalization path.
     pub fn new(base: Problem, budget: &Budget) -> Self {
         let cached = budget.active_cache().and_then(|cache| {
@@ -206,14 +206,17 @@ impl PairContext {
             }
             cache.note_full_canon();
             let canon = canonicalize(&base);
-            let form = BaseForm {
+            let base = SharedBase::new(BaseForm {
                 known_infeasible: canon.known_infeasible,
                 vars: canon.vars.iter().map(|v| (v.name, v.kind)).collect(),
-                eqs: canon.eqs.clone(),
-                geqs: canon.geqs.clone(),
-            };
-            let id = cache.intern_base(&form);
-            Some(CachedBase { cache, canon, id })
+                eqs: canon.eqs,
+                geqs: canon.geqs,
+            });
+            Some(CachedBase {
+                cache,
+                vars: canon.vars,
+                base,
+            })
         });
         PairContext {
             inner: Arc::new(PairInner { base, cached }),
@@ -245,7 +248,7 @@ impl PairContext {
 /// A base is delta-keyable only when solving it is invariant under the
 /// preparation the sat/project entry points perform: all-black (blacken
 /// is a no-op) and flag-free (clearing protected is a no-op, and the
-/// interned [`BaseForm`] needs no flag columns).
+/// shared [`BaseForm`] needs no flag columns).
 fn delta_eligible(base: &Problem) -> bool {
     base.vars
         .iter()
@@ -287,11 +290,12 @@ impl DeltaProblem {
     /// base's canonical constraint lists with the canonicalized delta —
     /// identical to canonicalizing the materialized problem.
     fn merged(&self, cb: &CachedBase, eqs: &[Constraint], geqs: &[Constraint]) -> Problem {
+        let form = cb.base.form();
         let mut p = Problem {
-            vars: cb.canon.vars.clone(),
-            eqs: merge_sorted(&cb.canon.eqs, eqs),
-            geqs: merge_sorted(&cb.canon.geqs, geqs),
-            known_infeasible: cb.canon.known_infeasible,
+            vars: cb.vars.clone(),
+            eqs: merge_sorted(&form.eqs, eqs),
+            geqs: merge_sorted(&form.geqs, geqs),
+            known_infeasible: form.known_infeasible,
         };
         for &(name, kind) in &self.vars {
             p.push_var(name, kind);
@@ -329,7 +333,7 @@ impl ProblemLike for DeltaProblem {
         // miss the compute closure reads it back out of the key.
         let key = MemoKey::Delta(DeltaKey {
             op: Op::Sat,
-            base: cb.id,
+            base: cb.base.clone(),
             vars: self.vars.clone(),
             keep: Vec::new(),
             eqs,
@@ -366,7 +370,7 @@ impl ProblemLike for DeltaProblem {
         // closure reads them back out on a miss.
         let key = MemoKey::Delta(DeltaKey {
             op: Op::Project,
-            base: cb.id,
+            base: cb.base.clone(),
             vars: self.vars.clone(),
             keep: keep_ids,
             eqs,
@@ -583,13 +587,13 @@ mod tests {
     }
 
     #[test]
-    fn identical_bases_share_an_interned_id() {
+    fn identical_bases_share_entries() {
         let (base, i, j, _) = pair_base();
         let (cache, mut budget) = cached_budget();
         let a = PairContext::new(base.clone(), &budget);
         let b = PairContext::new(base, &budget);
-        // Same canonical form → same id → a query through one context is
-        // a warm hit through the other.
+        // Same canonical form in two separate allocations → equal keys →
+        // a query through one context is a warm hit through the other.
         let mut qa = a.derive();
         qa.constrain_lt(&LinExpr::var(i), &LinExpr::var(j)).unwrap();
         qa.is_satisfiable_with(&mut budget).unwrap();
@@ -597,5 +601,31 @@ mod tests {
         qb.constrain_lt(&LinExpr::var(i), &LinExpr::var(j)).unwrap();
         qb.is_satisfiable_with(&mut budget).unwrap();
         assert_eq!(cache.stats().hits, 1);
+    }
+
+    #[test]
+    fn a_base_stays_shareable_however_many_came_before() {
+        // `lo <= x` for 4,200 distinct `lo`: more distinct bases than a
+        // bounded base table could record. Each still keys its entries,
+        // so a rebuilt context of the last one hits.
+        let ctx_for = |lo: i64, budget: &Budget| {
+            let mut p = Problem::new();
+            let x = p.add_var("x", VarKind::Input);
+            p.add_geq(LinExpr::var(x).plus_const(-lo));
+            (PairContext::new(p, budget), x)
+        };
+        let query = |(ctx, x): (PairContext, VarId), budget: &mut Budget| {
+            let mut q = ctx.derive();
+            q.constrain_le(&LinExpr::var(x), &LinExpr::constant_expr(5_000))
+                .unwrap();
+            q.is_satisfiable_with(budget).unwrap()
+        };
+        let (cache, mut budget) = cached_budget();
+        for lo in 0..4_200 {
+            assert!(query(ctx_for(lo, &budget), &mut budget));
+        }
+        assert_eq!(cache.stats().hits, 0);
+        assert!(query(ctx_for(4_199, &budget), &mut budget));
+        assert_eq!(cache.stats().hits, 1, "the last base's entry was not shared");
     }
 }

@@ -13,11 +13,12 @@
 //! C <fnv1a64-checksum-of-everything-above>
 //! ```
 //!
-//! The writer is deterministic: interned bases are re-numbered in
-//! serialized order and entry lines are sorted, so two caches with the
-//! same contents produce byte-identical files regardless of hash-map
-//! iteration order. Strings are percent-encoded; numbers are decimal;
-//! lists are length-prefixed.
+//! The writer is deterministic: the base table holds exactly the bases
+//! that delta entries reference, numbered in serialized order, and entry
+//! lines are sorted, so two caches with the same contents produce
+//! byte-identical files regardless of hash-map iteration order or of
+//! which context built each base. Strings are percent-encoded; numbers
+//! are decimal; lists are length-prefixed.
 //!
 //! # Trust model
 //!
@@ -34,10 +35,13 @@
 //! still loads empty, rather than panicking or sizing a coefficient
 //! vector by the bogus index.
 
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::cache::{BaseForm, CachedValue, DeltaKey, Entry, MemoKey, SolverCache};
+use crate::cache::{
+    BaseForm, CachedValue, DeltaKey, Entry, MemoKey, SharedBase, SolverCache, MAX_ENTRIES,
+};
 use crate::canon::{CanonKey, Op};
 use crate::int::Coef;
 use crate::linexpr::{Color, Constraint, LinExpr};
@@ -51,9 +55,6 @@ const FORMAT_VERSION: u32 = 1;
 /// Bumped whenever solver semantics change in a way that invalidates
 /// cached verdicts (canonicalization, projection, budget accounting).
 const SOLVER_VERSION: u32 = 1;
-
-/// Maximum entries accepted from a file (mirrors the in-memory cap).
-const MAX_LOAD_ENTRIES: usize = 1 << 16;
 
 fn header() -> String {
     format!("omega-solver-cache format={FORMAT_VERSION} solver={SOLVER_VERSION}")
@@ -179,7 +180,7 @@ impl W {
         self.constraints(&f.geqs);
     }
 
-    fn key(&mut self, k: &MemoKey, base_remap: &std::collections::HashMap<u64, u64>) {
+    fn key(&mut self, k: &MemoKey, base_ids: &HashMap<&SharedBase, u64>) {
         match k {
             MemoKey::Full(ck) => {
                 self.tok("F");
@@ -200,7 +201,7 @@ impl W {
             MemoKey::Delta(dk) => {
                 self.tok("D");
                 self.op(dk.op);
-                self.u(base_remap[&dk.base]);
+                self.u(base_ids[&dk.base]);
                 self.u(dk.vars.len() as u64);
                 for (name, kind) in &dk.vars {
                     self.s(name.render());
@@ -406,9 +407,9 @@ impl<'a> R<'a> {
         })
     }
 
-    /// A memo key; `base_vars[id]` is the variable count of loaded base
-    /// `id`, which a delta key's own variables extend.
-    fn key(&mut self, base_vars: &[usize]) -> Option<MemoKey> {
+    /// A memo key; a delta key names its base by index into `bases`, the
+    /// bases loaded so far.
+    fn key(&mut self, bases: &[SharedBase]) -> Option<MemoKey> {
         match self.tok()? {
             "F" => {
                 let op = self.op()?;
@@ -440,9 +441,9 @@ impl<'a> R<'a> {
             }
             "D" => {
                 let op = self.op()?;
-                let base = self.u()?;
                 // A dangling base reference is malformed.
-                let base_nvars = *base_vars.get(usize::try_from(base).ok()?)?;
+                let base = bases.get(usize::try_from(self.u()?).ok()?)?.clone();
+                let base_nvars = base.form().vars.len();
                 let nvars = self.len()?;
                 let mut vars = Vec::with_capacity(nvars);
                 for _ in 0..nvars {
@@ -498,46 +499,38 @@ impl<'a> R<'a> {
 impl SolverCache {
     /// Serializes the cache to `text` in the deterministic on-disk format.
     pub(crate) fn serialize(&self) -> String {
-        let forms = self.snapshot_bases();
         let entries = self.snapshot_entries();
 
-        // Deterministic base numbering: sort the interned forms by their
-        // serialization and remap (sparse, monotonic) resident ids onto
-        // dense file ids.
-        let mut serialized_forms: Vec<(String, u64)> = forms
+        // Deterministic base numbering: the distinct bases the delta
+        // entries reference, sorted by their serialization.
+        let mut forms: Vec<(String, &SharedBase)> = entries
             .iter()
-            .map(|(f, id)| {
+            .filter_map(|(key, _)| match key {
+                MemoKey::Delta(dk) => Some(&dk.base),
+                MemoKey::Full(_) => None,
+            })
+            .collect::<HashSet<_>>()
+            .into_iter()
+            .map(|base| {
                 let mut w = W(String::new());
-                w.base_form(f);
-                (w.0, *id)
+                w.base_form(base.form());
+                (w.0, base)
             })
             .collect();
-        serialized_forms.sort();
-        let mut base_remap = std::collections::HashMap::new();
-        for (new_id, (_, old_id)) in serialized_forms.iter().enumerate() {
-            base_remap.insert(*old_id, new_id as u64);
-        }
-
+        forms.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut base_ids = HashMap::new();
         let mut out = header();
         out.push('\n');
-        for (new_id, (form_ser, _)) in serialized_forms.iter().enumerate() {
-            out.push_str(&format!("B {new_id} {form_ser}\n"));
+        for (id, (form_ser, base)) in forms.iter().enumerate() {
+            base_ids.insert(*base, id as u64);
+            out.push_str(&format!("B {id} {form_ser}\n"));
         }
 
         let mut lines: Vec<String> = entries
             .iter()
-            .filter(|(key, _)| {
-                // Entries whose base was evicted (or never recorded: the
-                // intern table was full) are unreachable in memory and
-                // meaningless on disk — skip them.
-                match key {
-                    MemoKey::Delta(dk) => base_remap.contains_key(&dk.base),
-                    MemoKey::Full(_) => true,
-                }
-            })
             .map(|(key, entry)| {
                 let mut w = W(String::new());
-                w.key(key, &base_remap);
+                w.key(key, &base_ids);
                 w.u(entry.cost as u64);
                 w.value(&entry.value);
                 format!("E {}\n", w.0)
@@ -632,30 +625,28 @@ impl SolverCache {
         }
 
         let cache = SolverCache::new();
-        // Variable count of each loaded base, indexed by base id.
-        let mut base_vars: Vec<usize> = Vec::new();
+        // Loaded bases, indexed by file id.
+        let mut bases: Vec<SharedBase> = Vec::new();
         let mut num_entries = 0usize;
         for line in lines {
             let mut r = R::new(line);
             match r.tok()? {
                 "B" => {
-                    // Ids must be dense and in order so the rebuilt intern
-                    // table assigns them identically.
-                    if r.u()? != base_vars.len() as u64 {
+                    // Ids must be dense and in order: delta keys name
+                    // their base by position.
+                    if r.u()? != bases.len() as u64 {
                         return None;
                     }
                     let form = r.base_form()?;
                     r.done()?;
-                    let id = base_vars.len() as u64;
-                    base_vars.push(form.vars.len());
-                    cache.insert_loaded_base(form, id);
+                    bases.push(SharedBase::new(form));
                 }
                 "E" => {
-                    let key = r.key(&base_vars)?;
+                    let key = r.key(&bases)?;
                     let cost = usize::try_from(r.u()?).ok()?;
                     let value = r.value()?;
                     r.done()?;
-                    if num_entries < MAX_LOAD_ENTRIES {
+                    if num_entries < MAX_ENTRIES {
                         cache.insert_loaded_entry(key, Entry { cost, value });
                         num_entries += 1;
                     }
@@ -736,13 +727,12 @@ mod tests {
         let cache = populated_cache();
         let text = cache.serialize();
         let loaded = SolverCache::deserialize(&text).expect("round trip parses");
-        // Base ids may be renumbered, so compare via a re-serialize: the
-        // deterministic writer must produce identical bytes.
+        // Compare via a re-serialize: the deterministic writer must
+        // produce identical bytes.
         assert_eq!(text, loaded.serialize());
         assert_eq!(cache.entry_count(), loaded.entry_count());
-        assert_eq!(cache.stats().base_forms, loaded.stats().base_forms);
-        // And entry contents survive modulo base renumbering (singleton
-        // base table here, so keys match exactly).
+        // And entry contents survive: loaded bases are separate
+        // allocations that compare equal by content.
         assert_eq!(entry_snapshot(&cache), entry_snapshot(&loaded));
     }
 
@@ -866,8 +856,8 @@ mod tests {
         assert_eq!(loaded.stats().misses, 0);
         assert_eq!(loaded.stats().hits, 1);
 
-        // Delta-keyed queries also hit: the rebuilt intern table hands the
-        // new PairContext the stored base id.
+        // Delta-keyed queries also hit: the new PairContext's base equals
+        // the loaded one by content.
         let mut budget = Budget::new(DEFAULT_BUDGET).with_cache(loaded.clone());
         let ctx = PairContext::new(p, &budget);
         let mut q = ctx.derive();

@@ -111,6 +111,24 @@ if [ "$("$tinydep" --parallelize corpus:cholsky)" != "$(cat tests/golden/cholsky
     echo "ci.sh: FAIL: --parallelize corpus:cholsky differs from the golden" >&2
     exit 1
 fi
+# The cache file is a function of the cache's contents: its base table
+# holds the bases the entries reference, so the file --parallelize
+# --corpus writes must not depend on the thread count, and a reload of
+# it must answer every lookup.
+cache_dir=$(mktemp -d)
+"$tinydep" --parallelize --corpus --threads=1 --cache-file="$cache_dir/t1" >/dev/null
+"$tinydep" --parallelize --corpus --threads=8 --cache-file="$cache_dir/t8" >/dev/null
+if ! cmp -s "$cache_dir/t1" "$cache_dir/t8"; then
+    echo "ci.sh: FAIL: --parallelize --corpus cache file differs between 1 and 8 threads" >&2
+    exit 1
+fi
+read -r _ hits _ _ lookups _ < <("$tinydep" --parallelize --corpus --threads=8 --stats \
+    --cache-file="$cache_dir/t1" 2>&1 >/dev/null | grep '^cache:')
+rm -rf "$cache_dir"
+if [ "$hits" != "$lookups" ] || [ "$lookups" = 0 ]; then
+    echo "ci.sh: FAIL: reloaded cache file served $hits of $lookups lookups" >&2
+    exit 1
+fi
 # The server parallelize op must match the one-shot report and golden.
 cargo test -q --release --offline --test serve \
     parallelize_op_matches_the_one_shot_report_and_the_golden >/dev/null

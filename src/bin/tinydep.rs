@@ -305,17 +305,13 @@ fn print_stats(
         let c = &last.stats.cache;
         eprintln!(
             "cache: {} hits / {} lookups ({} inserts, {} entries); \
-             canon: {} full, {} delta; \
-             bases: {} resident, {} sweeps evicted {}",
+             canon: {} full, {} delta",
             c.hits,
             c.lookups(),
             c.inserts,
             c.entries,
             c.full_canons,
-            c.delta_canons,
-            c.base_forms,
-            c.base_sweeps,
-            c.base_evicted
+            c.delta_canons
         );
     }
     let mut p = depend::PrefilterStats::default();

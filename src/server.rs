@@ -559,8 +559,7 @@ impl Server {
              \"shared\":{},\"reminted\":{},\"sweeps\":{},\"swept\":{},\"shards\":{}}},\
              \"cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\"entries\":{},\
              \"full_canons\":{},\"delta_canons\":{},\
-             \"base_forms\":{},\
-             \"base_sweeps\":{},\"base_evicted\":{},\"hit_rate\":\"{:.4}\"}}}}",
+             \"base_evicted\":{},\"hit_rate\":\"{:.4}\"}}}}",
             self.requests.load(Ordering::Relaxed),
             r.built,
             r.live,
@@ -577,8 +576,6 @@ impl Server {
             c.entries,
             c.full_canons,
             c.delta_canons,
-            c.base_forms,
-            c.base_sweeps,
             c.base_evicted,
             c.hit_rate(),
         )

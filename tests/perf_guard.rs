@@ -18,11 +18,11 @@ static ALLOC: harness::alloc::CountingAlloc = harness::alloc::CountingAlloc::new
 /// once, pinned distance levels not projected, 73,677.
 const CHOLSKY_WARM_ALLOC_BUDGET: u64 = 73_677;
 
-/// Wall-clock ceiling for the warm single-threaded extended CHOLSKY
-/// analysis, release profile (the issue target for the dense kernel;
-/// measured ~27.7 ms). Taken as the minimum of three runs to damp
-/// scheduler noise; debug builds get a generous multiplier.
-const CHOLSKY_WARM_MS_BUDGET: u128 = 30;
+/// Memo-cache lookups and hits of a warm extended CHOLSKY analysis
+/// (threads=1) against the cache a first run of it filled: every lookup
+/// hits. Replaces a 30 ms wall-clock ceiling on the warm run.
+const CHOLSKY_WARM_LOOKUPS: u64 = 1_167;
+const CHOLSKY_WARM_HITS: u64 = 1_167;
 
 /// Allocation ceiling for one *warm* satisfiability query (pool hit: the
 /// tableau and its workspace buffers are reused from the previous
@@ -43,10 +43,12 @@ const WARM_SAT_ALLOC_BUDGET: u64 = 0;
 /// levels not projected (debug 100,638 → 73,872).
 const CHOLSKY_COLD_ALLOC_BUDGET: u64 = 73_872;
 
-/// Wall-clock ceiling for a cold single-threaded extended CHOLSKY
-/// analysis, release profile (measured ~30 ms; minimum of three fresh
-///-cache runs to damp scheduler noise).
-const CHOLSKY_COLD_MS_BUDGET: u128 = 45;
+/// Memo-cache misses and inserts of a cold extended CHOLSKY analysis
+/// (threads=1, fresh cache): the queries that reach the solver, and the
+/// verdicts it records. Replaces a 45 ms wall-clock ceiling on the cold
+/// run.
+const CHOLSKY_COLD_MISSES: u64 = 539;
+const CHOLSKY_COLD_INSERTS: u64 = 539;
 
 #[test]
 fn cholsky_extended_analysis_is_fast() {
@@ -91,33 +93,50 @@ fn cholsky_warm_analysis_stays_within_allocation_budget() {
     );
 }
 
-#[test]
-fn cholsky_warm_analysis_stays_within_wall_budget() {
+/// The extended CHOLSKY analysis, threads=1, run twice against one
+/// fresh cache: the cache counters of the cold first run and of the warm
+/// second run alone.
+fn cholsky_cache_counts() -> (omega::CacheStats, omega::CacheStats) {
     let program = tiny::Program::parse(tiny::corpus::CHOLSKY).unwrap();
     let info = tiny::analyze(&program).unwrap();
     let config = Config {
         threads: 1,
         ..Config::extended()
     };
-    let _ = analyze_program(&info, &config).unwrap();
-    // Minimum of three warm runs: wall gates measure the machine as much
-    // as the code, and the minimum is the run least disturbed by it.
-    let mut best = u128::MAX;
-    for _ in 0..3 {
-        let t = Instant::now();
-        let a = analyze_program(&info, &config).unwrap();
-        best = best.min(t.elapsed().as_millis());
+    let cache = Some(std::sync::Arc::new(omega::SolverCache::new()));
+    let run = || {
+        let mut a = depend::analyze_corpus_with_cache(
+            std::slice::from_ref(&info),
+            &config,
+            cache.clone(),
+        )
+        .unwrap();
+        let a = a.pop().unwrap();
         assert_eq!(a.dead_flows().count(), 14);
-    }
-    let limit_ms = if cfg!(debug_assertions) {
-        CHOLSKY_WARM_MS_BUDGET * 100
-    } else {
-        CHOLSKY_WARM_MS_BUDGET
+        a.stats.cache
     };
+    let cold = run();
+    let total = run();
+    let warm = omega::CacheStats {
+        hits: total.hits - cold.hits,
+        misses: total.misses - cold.misses,
+        inserts: total.inserts - cold.inserts,
+        ..total
+    };
+    (cold, warm)
+}
+
+#[test]
+fn cholsky_warm_analysis_is_all_hits() {
+    let (_, warm) = cholsky_cache_counts();
     assert!(
-        best <= limit_ms,
-        "warm extended CHOLSKY analysis took {best} ms (limit {limit_ms} ms): \
-         the dense-kernel speedup regressed"
+        within_band(warm.lookups(), CHOLSKY_WARM_LOOKUPS)
+            && within_band(warm.hits, CHOLSKY_WARM_HITS),
+        "warm extended CHOLSKY analysis made {} memo lookups with {} hits, \
+         outside {CHOLSKY_WARM_LOOKUPS} and {CHOLSKY_WARM_HITS} ± 10%: the \
+         warm run solves again what the first run cached",
+        warm.lookups(),
+        warm.hits
     );
 }
 
@@ -153,39 +172,16 @@ fn cholsky_cold_analysis_stays_within_allocation_budget() {
 }
 
 #[test]
-fn cholsky_cold_analysis_stays_within_wall_budget() {
-    let program = tiny::Program::parse(tiny::corpus::CHOLSKY).unwrap();
-    let info = tiny::analyze(&program).unwrap();
-    let _ = analyze_program(
-        &info,
-        &Config {
-            threads: 1,
-            ..Config::extended()
-        },
-    )
-    .unwrap();
-    // Every `analyze_program` call builds a fresh solver cache, so every
-    // run is cold; the minimum damps machine noise as in the warm gate.
-    let config = Config {
-        threads: 1,
-        ..Config::extended()
-    };
-    let mut best = u128::MAX;
-    for _ in 0..3 {
-        let t = Instant::now();
-        let a = analyze_program(&info, &config).unwrap();
-        best = best.min(t.elapsed().as_millis());
-        assert_eq!(a.dead_flows().count(), 14);
-    }
-    let limit_ms = if cfg!(debug_assertions) {
-        CHOLSKY_COLD_MS_BUDGET * 100
-    } else {
-        CHOLSKY_COLD_MS_BUDGET
-    };
+fn cholsky_cold_analysis_solves_within_band() {
+    let (cold, _) = cholsky_cache_counts();
     assert!(
-        best <= limit_ms,
-        "cold extended CHOLSKY analysis took {best} ms (limit {limit_ms} ms): \
-         the miss path slowed down"
+        within_band(cold.misses, CHOLSKY_COLD_MISSES)
+            && within_band(cold.inserts, CHOLSKY_COLD_INSERTS),
+        "cold extended CHOLSKY analysis missed {} times and inserted {} \
+         entries, outside {CHOLSKY_COLD_MISSES} and {CHOLSKY_COLD_INSERTS} \
+         ± 10%: more of the analysis reaches the solver",
+        cold.misses,
+        cold.inserts
     );
 }
 

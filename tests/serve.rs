@@ -109,8 +109,9 @@ fn soak_bounded_rows_warm_hits_and_byte_identical_reports() {
     // The soak gate: many requests cycling the whole corpus through one
     // server. Every response must be byte-identical to the one-shot
     // report; quiescent live-row counts must be flat once the cache is
-    // warm (the GC sweeps request-local rows between batches); and the
-    // warm-hit rate must clear the floor.
+    // warm (the GC sweeps request-local rows between batches); warm
+    // requests must insert no cache entries; and the warm-hit rate must
+    // clear the floor.
     let n: usize = std::env::var("TINYDEP_SOAK_N")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -121,6 +122,7 @@ fn soak_bounded_rows_warm_hits_and_byte_identical_reports() {
     let mut s = Session::start(&["--threads=4"]);
     const CHUNK: usize = 100;
     let mut live_samples: Vec<i64> = Vec::new();
+    let mut entry_samples: Vec<i64> = Vec::new();
     let mut final_stats: Option<Json> = None;
     let mut sent = 0usize;
     while sent < n {
@@ -160,8 +162,14 @@ fn soak_bounded_rows_warm_hits_and_byte_identical_reports() {
             .and_then(|r| r.get("live"))
             .and_then(Json::as_i64)
             .expect("live row count");
+        let entries = stats
+            .get("cache")
+            .and_then(|c| c.get("entries"))
+            .and_then(Json::as_i64)
+            .expect("cache entry count");
         if sent >= corpus.len() {
             live_samples.push(live);
+            entry_samples.push(entries);
         }
         final_stats = Some(stats);
     }
@@ -208,14 +216,14 @@ fn soak_bounded_rows_warm_hits_and_byte_identical_reports() {
         .and_then(Json::as_i64)
         .unwrap();
     assert!(dead <= 4096, "dead row-index entries unswept: {dead}");
-    // The base intern stays bounded across the whole soak — the cap and
-    // sweep keep resident forms at or under MAX_BASES no matter how
-    // many requests went through.
-    let base_forms = cache.get("base_forms").and_then(Json::as_i64).unwrap();
-    assert!(base_forms > 0, "no base forms resident after the soak");
+    // Once every program has been analyzed, requests only hit: the
+    // entry count is the same at every warm sample. A delta key that
+    // stopped matching the same base built by a later request would
+    // insert a fresh entry per request.
+    assert!(entry_samples[0] > 0, "no cache entries after the first pass");
     assert!(
-        base_forms <= 4096,
-        "base intern grew without bound: {base_forms} resident forms"
+        entry_samples.iter().all(|&e| e == entry_samples[0]),
+        "warm requests inserted cache entries: samples {entry_samples:?}"
     );
 }
 
