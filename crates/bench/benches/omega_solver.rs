@@ -97,15 +97,15 @@ fn bench_gist_and_implies(b: &mut Bench) {
     b.bench("implies/p_implies_weaker", || implies(&p, &weak).unwrap());
 }
 
-fn bench_sets_and_witnesses(b: &mut Bench) {
+fn bench_union_and_witnesses(b: &mut Bench) {
     let (dep, keep) = dependence_problem();
     b.bench("sample/dependence_witness", || dep.sample_solution().unwrap());
-    let proj = dep.project(&keep).unwrap();
-    let set_a = omega::ProblemSet::from(proj);
-    let set_b = set_a.clone();
-    b.bench("set/subset_self", || {
+    let pieces = dep.project(&keep).unwrap().into_problems();
+    b.bench("implies/union_self", || {
         let mut budget = omega::Budget::default();
-        set_a.is_subset_of(&set_b, &mut budget).unwrap()
+        pieces
+            .iter()
+            .all(|p| omega::implies_union(p, &pieces, &mut budget).unwrap())
     });
 }
 
@@ -114,5 +114,5 @@ fn main() {
     bench_satisfiability(&mut b);
     bench_projection(&mut b);
     bench_gist_and_implies(&mut b);
-    bench_sets_and_witnesses(&mut b);
+    bench_union_and_witnesses(&mut b);
 }

@@ -218,7 +218,7 @@ pub fn range_of<P: ProblemLike>(
     let mut any = false;
     let mut entry: Option<DirEntry> = None;
     for piece in proj.problems() {
-        if piece.is_known_infeasible() || !piece.is_satisfiable_with(budget)? {
+        if !piece.is_satisfiable_with(budget)? {
             continue;
         }
         any = true;

@@ -119,12 +119,7 @@ pub fn check_kill(
             if !q.is_satisfiable_with(budget)? {
                 continue;
             }
-            let proj = q.project_with(&keep, budget)?;
-            for piece in proj.into_problems() {
-                if !piece.is_known_infeasible() {
-                    witnesses.push(piece);
-                }
-            }
+            witnesses.extend(q.project_with(&keep, budget)?.into_problems());
         }
     }
 

@@ -49,11 +49,11 @@ pub mod space;
 pub mod symbolic;
 
 mod error;
+mod logic;
 pub mod analysis;
 pub mod baseline;
 pub mod cover;
 pub mod kill;
-pub mod logic;
 pub mod refine;
 pub mod report;
 pub mod terminate;

@@ -1,8 +1,8 @@
 //! Shared logical machinery for the §4 tests: implications whose
 //! right-hand side is a union of conjunctions (the `∃` over several
-//! execution-order cases), with the exact Presburger-formula fallback.
+//! execution-order cases), and when to pay for the exact test.
 
-use omega::{Budget, Formula, Problem, ProblemLike};
+use omega::{Budget, Problem, ProblemLike};
 use tiny::ProgramInfo;
 
 use crate::dep::Dependence;
@@ -13,17 +13,15 @@ use crate::error::Result;
 /// Strategy straight from §3.2/§4: first try each disjunct alone (the
 /// sufficient test the paper's implementation uses — fast and usually
 /// enough); if that fails and `formula_fallback` is set, run the exact
-/// check by asking whether `p ∧ ¬q₁ ∧ … ∧ ¬qₙ` is satisfiable through the
-/// Presburger layer. That check searches the product of `p`'s pieces and
-/// each `¬qᵢ`'s pieces depth first ([`Formula::is_satisfiable`]), through
-/// `budget`'s memo cache, so it usually stops at the first satisfiable
-/// leaf; a query past the budget or the formula depth guard stays
-/// conservative (not implied).
+/// test [`omega::implies_union`] on at most 12 disjuncts. A fallback past
+/// the budget or the formula depth guard stays conservative (not
+/// implied).
 ///
 /// # Errors
 ///
-/// Propagates solver errors.
-pub fn implies_union(
+/// Propagates solver errors, except the fallback's
+/// [`omega::Error::TooComplex`].
+pub(crate) fn implies_union(
     p: &Problem,
     qs: &[Problem],
     formula_fallback: bool,
@@ -40,27 +38,10 @@ pub fn implies_union(
     if !formula_fallback || qs.is_empty() || qs.len() > 12 {
         return Ok(false);
     }
-    // Exact: ¬(p ⇒ ∨qᵢ) ≡ p ∧ ∧¬qᵢ satisfiable. The witness problems may
-    // carry projection wildcards beyond p's table, so the formula space is
-    // p's table extended to cover every operand.
-    let mut space = p.clone();
-    for q in qs {
-        space.extend_space_to(q)?;
+    match omega::implies_union(p, qs, budget) {
+        Err(omega::Error::TooComplex { .. }) => Ok(false),
+        r => Ok(r?),
     }
-    let negated_qs: Vec<Formula> = qs
-        .iter()
-        .map(|q| Formula::not(Formula::from_problem(q)))
-        .collect();
-    let mut parts = vec![Formula::from_problem(p)];
-    parts.extend(negated_qs);
-    let f = Formula::and(parts);
-    let sat = match f.is_satisfiable(&space, budget) {
-        Ok(s) => s,
-        // The exact fallback is best-effort: on blow-up, stay conservative.
-        Err(omega::Error::TooComplex { .. }) => true,
-        Err(e) => return Err(e.into()),
-    };
-    Ok(!sat)
 }
 
 /// Decides whether every instance of one endpoint `E` of `dep` — its
@@ -99,12 +80,7 @@ pub(crate) fn endpoint_implied(
     let keep: Vec<omega::VarId> = vars.iters.iter().copied().chain(space.sym_vars()).collect();
     let mut witnesses = Vec::new();
     for case in &dep.cases {
-        let proj = case.delta.project_with(&keep, budget)?;
-        witnesses.extend(
-            proj.into_problems()
-                .into_iter()
-                .filter(|piece| !piece.is_known_infeasible()),
-        );
+        witnesses.extend(case.delta.project_with(&keep, budget)?.into_problems());
     }
     implies_union(&premise, &witnesses, formula_fallback, budget)
 }
@@ -164,6 +140,31 @@ mod tests {
         q2.add_geq(LinExpr::var(x).plus_const(-6));
         let mut b = Budget::default();
         assert!(!implies_union(&p, &[q1, q2], true, &mut b).unwrap());
+    }
+
+    #[test]
+    fn a_fallback_that_gives_up_is_not_implied() {
+        // 1 ≤ y ≤ m ⇒ ∃w. y = 3 − 2w ∧ 1 ≤ w ≤ m: negating the stride
+        // runs into the formula depth guard, so the exact test errors
+        // and the policy answers "not implied".
+        let mut s = Problem::new();
+        let y = s.add_var("y", VarKind::Input);
+        let m = s.add_var("m", VarKind::Symbolic);
+        let mut p = s.clone();
+        p.add_geq(LinExpr::var(y).plus_const(-1));
+        p.add_geq(LinExpr::var(m).plus_term(-1, y));
+        let mut q = s.clone();
+        let w = q.add_var("w", VarKind::Wildcard);
+        q.add_eq(LinExpr::term(2, w).plus_term(1, y).plus_const(-3));
+        q.add_geq(LinExpr::var(m).plus_term(-1, w));
+        q.add_geq(LinExpr::var(w).plus_const(-1));
+        let qs = [q];
+        let mut b = Budget::default();
+        assert!(matches!(
+            omega::implies_union(&p, &qs, &mut b),
+            Err(omega::Error::TooComplex { .. })
+        ));
+        assert!(!implies_union(&p, &qs, true, &mut b).unwrap());
     }
 
     #[test]

@@ -262,12 +262,7 @@ fn refinement_holds(
     // Project each witness onto (k, Sym).
     let mut q_projected = Vec::new();
     for w in witnesses {
-        let proj = w.project_with(keep, budget)?;
-        for piece in proj.into_problems() {
-            if !piece.is_known_infeasible() {
-                q_projected.push(piece);
-            }
-        }
+        q_projected.extend(w.project_with(keep, budget)?.into_problems());
     }
 
     for (_, _, premise) in premises {

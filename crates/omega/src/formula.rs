@@ -384,20 +384,8 @@ impl Formula {
                 let inner = f.dnf_nnf(space, budget, depth)?;
                 let mut out = Vec::new();
                 for p in inner {
-                    let keep: Vec<VarId> = p
-                        .var_ids()
-                        .filter(|v| {
-                            !vs.contains(v)
-                                && !p.is_dead(*v)
-                                && p.var_info(*v).kind() != VarKind::Wildcard
-                        })
-                        .collect();
-                    let proj = p.project_with(&keep, budget)?;
-                    for piece in proj.into_problems() {
-                        if !piece.is_known_infeasible() {
-                            out.push(localize(piece, &keep, space));
-                        }
-                    }
+                    let pieces = p.project_away(vs, budget)?.into_problems();
+                    out.extend(pieces.into_iter().map(|piece| localize(piece, space)));
                 }
                 Ok(out)
             }
@@ -408,19 +396,8 @@ impl Formula {
                 let not_f = f.to_nnf(true);
                 let pieces =
                     Formula::Exists(vs.clone(), Box::new(not_f)).dnf_nnf(space, budget, depth)?;
-                // Projection pieces may carry wildcard columns beyond the
-                // original space; widen the table before re-entering DNF.
-                let mut wide = space.clone();
-                for p in &pieces {
-                    wide.extend_space_to(p)?;
-                }
-                let negation = Formula::And(
-                    pieces
-                        .iter()
-                        .map(|p| Formula::not(Formula::from_problem(p)).to_nnf(false))
-                        .collect(),
-                );
-                negation.dnf_nnf(&wide, budget, depth)
+                let negation = Formula::And(negations(&pieces).map(|f| f.to_nnf(false)).collect());
+                negation.dnf_nnf(&widened(space, &pieces)?, budget, depth)
             }
         }
     }
@@ -428,6 +405,64 @@ impl Formula {
 
 /// Recursion guard for deeply alternating formulas.
 const MAX_FORMULA_DEPTH: usize = 64;
+
+/// Decides `p ⇒ q₁ ∨ … ∨ qₙ` exactly: the implication holds iff
+/// `p ∧ ¬q₁ ∧ … ∧ ¬qₙ` has no integer solution (§3.2). That formula is
+/// decided by [`Formula::is_satisfiable`], whose depth-first product
+/// search charges `budget` and goes through its memo cache.
+///
+/// The `qᵢ` may carry wildcard columns past `p`'s table, as projection
+/// pieces do; the formula's space is `p`'s table widened over them.
+///
+/// # Examples
+///
+/// ```
+/// use omega::{implies_union, Budget, LinExpr, Problem, VarKind};
+///
+/// let mut space = Problem::new();
+/// let x = space.add_var("x", VarKind::Input);
+/// let mut p = space.clone(); // 0 <= x <= 10
+/// p.add_geq(LinExpr::var(x));
+/// p.add_geq(LinExpr::term(-1, x).plus_const(10));
+/// let mut low = space.clone(); // x <= 5
+/// low.add_geq(LinExpr::term(-1, x).plus_const(5));
+/// let mut high = space.clone(); // x >= 4
+/// high.add_geq(LinExpr::var(x).plus_const(-4));
+/// // Neither disjunct alone covers p; their union does.
+/// assert!(implies_union(&p, &[low, high], &mut Budget::default())?);
+/// # Ok::<(), omega::Error>(())
+/// ```
+///
+/// # Errors
+///
+/// Returns [`Error::SpaceMismatch`](crate::Error::SpaceMismatch) when a
+/// `qᵢ` is over another space, and propagates solver errors, including
+/// [`Error::TooComplex`](crate::Error::TooComplex) when negating a `qᵢ`
+/// exceeds the budget or the formula depth guard.
+pub fn implies_union(p: &Problem, qs: &[Problem], budget: &mut Budget) -> Result<bool> {
+    let space = widened(p, qs)?;
+    let query = Formula::And(
+        std::iter::once(Formula::from_problem(p))
+            .chain(negations(qs))
+            .collect(),
+    );
+    Ok(!query.is_satisfiable(&space, budget)?)
+}
+
+/// `¬q` for each piece of a union, as flat conjuncts.
+fn negations(qs: &[Problem]) -> impl Iterator<Item = Formula> + '_ {
+    qs.iter().map(|q| Formula::not(Formula::from_problem(q)))
+}
+
+/// `space`'s table widened over every piece's surplus wildcard columns,
+/// so a formula over the pieces can be decided in it.
+fn widened(space: &Problem, pieces: &[Problem]) -> Result<Problem> {
+    let mut wide = space.clone();
+    for p in pieces {
+        wide.extend_space_to(p)?;
+    }
+    Ok(wide)
+}
 
 /// Whether `acc` conjoined with one piece of every factor is satisfiable
 /// for some choice of pieces: a depth-first walk that drops a branch as
@@ -484,17 +519,18 @@ fn conjoin(acc: &Problem, piece: &Problem, width: usize) -> Result<Problem> {
 }
 
 /// Gives a projection piece its own existentials. A variable of `space`
-/// that the piece still mentions but did not keep (a quantified variable
-/// left in a stride) moves to a fresh wildcard past the table, where
+/// that the piece still mentions but the projection did not keep (it is
+/// unprotected in the piece: a quantified variable left in a stride)
+/// moves to a fresh wildcard past the table, where
 /// [`conjoin`] keeps it apart from every other piece and
 /// [`Formula::from_problem`] sees it as bound. The space's own wildcard
 /// columns stay put: `from_problem` binds them again at every use, and
 /// moving them would give each level of a `∀ → ∃ → ∀` recursion a new
 /// problem instead of a memo hit.
-fn localize(mut piece: Problem, keep: &[VarId], space: &Problem) -> Problem {
+fn localize(mut piece: Problem, space: &Problem) -> Problem {
     let stale: Vec<VarId> = space
         .var_ids()
-        .filter(|&v| space.var_info(v).kind() != VarKind::Wildcard && !keep.contains(&v))
+        .filter(|&v| space.var_info(v).kind() != VarKind::Wildcard && !piece.is_protected(v))
         .filter(|&v| {
             piece
                 .eqs
@@ -740,18 +776,53 @@ mod tests {
         q.add_eq(LinExpr::term(2, w).plus_term(1, y).plus_const(-3));
         q.add_geq(LinExpr::var(m).plus_term(-1, w));
         q.add_geq(LinExpr::var(w).plus_const(-1));
-        let mut space = p.clone();
-        space.extend_space_to(&q).unwrap();
-        let f = Formula::and(vec![
-            Formula::from_problem(&p),
-            Formula::not(Formula::from_problem(&q)),
-        ]);
         assert_eq!(
-            f.is_satisfiable(&space, &mut Budget::default()),
+            implies_union(&p, &[q], &mut Budget::default()),
             Err(crate::Error::TooComplex {
                 budget: MAX_FORMULA_DEPTH
             })
         );
+    }
+
+    fn interval(s: &Problem, x: VarId, lo: i64, hi: i64) -> Problem {
+        let mut p = s.clone();
+        p.add_geq(LinExpr::var(x).plus_const(-lo));
+        p.add_geq(LinExpr::term(-1, x).plus_const(hi));
+        p
+    }
+
+    #[test]
+    fn union_needed() {
+        // 0 <= x <= 10  ⇒  x <= 5 ∨ x >= 4, though neither disjunct
+        // alone covers the premise.
+        let (s, x, _) = space_xy();
+        let qs = [interval(&s, x, -100, 5), interval(&s, x, 4, 100)];
+        let mut b = Budget::default();
+        assert!(implies_union(&interval(&s, x, 0, 10), &qs, &mut b).unwrap());
+    }
+
+    #[test]
+    fn union_that_really_fails() {
+        // 0 <= x <= 10 ⇒ x <= 3 ∨ x >= 6 is false (x = 4).
+        let (s, x, _) = space_xy();
+        let qs = [interval(&s, x, -100, 3), interval(&s, x, 6, 100)];
+        let mut b = Budget::default();
+        assert!(!implies_union(&interval(&s, x, 0, 10), &qs, &mut b).unwrap());
+    }
+
+    #[test]
+    fn union_implication_is_a_subset_test() {
+        let (s, x, _) = space_xy();
+        let mut b = Budget::default();
+        let inner = [interval(&s, x, 1, 2), interval(&s, x, 8, 9)];
+        let outer = interval(&s, x, 0, 10);
+        for piece in &inner {
+            assert!(implies_union(piece, std::slice::from_ref(&outer), &mut b).unwrap());
+        }
+        assert!(!implies_union(&outer, &inner, &mut b).unwrap());
+        // The empty union: only an empty premise implies it.
+        assert!(!implies_union(&outer, &[], &mut b).unwrap());
+        assert!(implies_union(&interval(&s, x, 5, 1), &[], &mut b).unwrap());
     }
 
     #[test]

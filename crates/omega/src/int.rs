@@ -33,21 +33,6 @@ pub fn gcd(a: Coef, b: Coef) -> Coef {
     a as Coef
 }
 
-/// Least common multiple, computed without intermediate overflow for
-/// arguments whose LCM fits in `i64`.
-///
-/// # Errors
-///
-/// Returns [`Error::Overflow`] if the result does
-/// not fit in `i64`.
-pub fn lcm(a: Coef, b: Coef) -> Result<Coef> {
-    if a == 0 || b == 0 {
-        return Ok(0);
-    }
-    let g = gcd(a, b);
-    narrow((a.unsigned_abs() / g.unsigned_abs()) as i128 * b.unsigned_abs() as i128)
-}
-
 /// Floor division: the largest integer `q` with `q * b <= a`.
 ///
 /// # Panics
@@ -146,14 +131,6 @@ mod tests {
         assert_eq!(gcd(-12, -8), 4);
         assert_eq!(gcd(13, 7), 1);
         assert_eq!(gcd(48, 36), 12);
-    }
-
-    #[test]
-    fn lcm_basics() {
-        assert_eq!(lcm(4, 6).unwrap(), 12);
-        assert_eq!(lcm(0, 9).unwrap(), 0);
-        assert_eq!(lcm(-4, 6).unwrap(), 12);
-        assert!(lcm(i64::MAX, i64::MAX - 1).is_err());
     }
 
     #[test]

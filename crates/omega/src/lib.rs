@@ -14,7 +14,9 @@
 //! * **Gists**: `gist p given q`, the new information in `p` given `q`
 //!   ([`gist`]), and fast implication tautology checks ([`implies`]);
 //! * A **Presburger formula layer** with `∧ ∨ ¬ ∃ ∀` over linear atoms
-//!   ([`Formula`]), decided through DNF + projection.
+//!   ([`Formula`]), decided through DNF + projection, and on it the exact
+//!   union implication `p ⇒ q₁ ∨ … ∨ qₙ` ([`implies_union`]) that the
+//!   §4 tests fall back to when no single `qᵢ` covers `p`.
 //!
 //! # Quick example
 //!
@@ -59,14 +61,13 @@ mod redundant;
 mod row;
 mod sample;
 mod sat;
-mod set;
 mod symbol;
 mod tableau;
 mod var;
 
 pub use cache::{CacheStats, SolverCache};
 pub use error::{Error, Result};
-pub use formula::Formula;
+pub use formula::{implies_union, Formula};
 pub use gist::{gist, gist_projected, gist_with, implies, implies_with};
 pub use linexpr::{Color, Constraint, LinExpr, Relation};
 pub use normalize::Outcome;
@@ -74,6 +75,5 @@ pub use pair::{DeltaProblem, PairContext, ProblemLike};
 pub use problem::{Budget, Problem, SolverOptions, DEFAULT_BUDGET};
 pub use project::Projection;
 pub use row::{gc as row_store_gc, stats as row_store_stats, RowShardStats, RowStoreStats};
-pub use set::{union_of, ProblemSet};
 pub use tableau::tableau_roundtrip;
 pub use var::{VarId, VarInfo, VarKind};

@@ -53,16 +53,20 @@ impl Projection {
     }
 
     /// All pieces of the exact projection: the dark shadow followed by the
-    /// splinters.
+    /// splinters, less any piece normalization already found infeasible.
     pub fn problems(&self) -> impl Iterator<Item = &Problem> {
-        std::iter::once(&self.dark).chain(self.splinters.iter())
+        std::iter::once(&self.dark)
+            .chain(self.splinters.iter())
+            .filter(|p| !p.is_known_infeasible())
     }
 
-    /// Consumes the projection, returning the union pieces.
+    /// Consumes the projection, returning the union pieces of
+    /// [`problems`](Projection::problems).
     pub fn into_problems(self) -> Vec<Problem> {
-        let mut v = vec![self.dark];
-        v.extend(self.splinters);
-        v
+        std::iter::once(self.dark)
+            .chain(self.splinters)
+            .filter(|p| !p.is_known_infeasible())
+            .collect()
     }
 
     /// Whether any piece of the projection is satisfiable.
@@ -153,13 +157,13 @@ impl Problem {
         project_prepared(p, budget)
     }
 
-    /// Projects *away* the listed variables, keeping everything else
-    /// (the paper's `π¬x`).
+    /// Projects *away* the listed variables, keeping every other live,
+    /// non-wildcard one (the paper's `π¬x`).
     ///
     /// # Errors
     ///
     /// See [`project`](Problem::project).
-    pub fn project_away(&self, remove: &[VarId]) -> Result<Projection> {
+    pub fn project_away(&self, remove: &[VarId], budget: &mut Budget) -> Result<Projection> {
         let keep: Vec<VarId> = self
             .var_ids()
             .filter(|v| {
@@ -168,7 +172,7 @@ impl Problem {
                     && self.var_info(*v).kind() != crate::VarKind::Wildcard
             })
             .collect();
-        self.project(&keep)
+        self.project_with(&keep, budget)
     }
 }
 
@@ -237,7 +241,7 @@ mod tests {
         let n = p.add_var("n", VarKind::Symbolic);
         p.add_geq(LinExpr::var(x).plus_const(-1));
         p.add_geq(LinExpr::var(n).plus_term(-1, x));
-        let proj = p.project_away(&[x]).unwrap();
+        let proj = p.project_away(&[x], &mut Budget::default()).unwrap();
         assert!(proj.is_exact());
         assert!(proj.dark().satisfies(&[0, 1]));
         assert!(!proj.dark().satisfies(&[0, 0]));

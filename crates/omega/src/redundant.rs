@@ -1,5 +1,5 @@
-//! Redundant constraint elimination: a cheap syntactic pass and an exact
-//! (satisfiability-based) pass.
+//! Redundant constraint elimination: a cheap syntactic pass, and the
+//! presentation tidy-up built on it.
 
 use crate::linexpr::{Color, Constraint, LinExpr, Relation};
 use crate::normalize::{direction_hash, single_implies};
@@ -95,38 +95,6 @@ impl Problem {
         }
         let mut keep = drop.iter().map(|d| !d);
         self.geqs.retain(|_| keep.next().unwrap());
-    }
-
-    /// Exact redundancy elimination: a constraint is dropped iff the
-    /// remaining constraints imply it (tested with the Omega test).
-    /// Quadratic in constraint count with a satisfiability test per
-    /// candidate; use on small problems or final results.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver errors.
-    pub fn remove_redundant_exact(&mut self, budget: &mut Budget) -> Result<()> {
-        self.remove_redundant_quick();
-        let mut i = 0;
-        while i < self.geqs.len() {
-            let candidate = self.geqs[i].clone();
-            if candidate.color == Color::Red {
-                // Exact kills are for presentation; red constraints carry
-                // gist information and are left to the gist machinery.
-                i += 1;
-                continue;
-            }
-            let mut test = self.clone();
-            test.geqs.remove(i);
-            test.add_constraint(Constraint::geq(negate_geq(candidate.expr())));
-            budget.spend(1)?;
-            if !test.is_satisfiable_with(budget)? {
-                self.geqs.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        Ok(())
     }
 
     /// Tidies a problem for presentation: normalizes, removes wildcards
@@ -255,33 +223,6 @@ mod tests {
         p.add_geq(LinExpr::var(x).plus_const(-3)); // black, looser
         p.remove_redundant_quick();
         assert_eq!(p.geqs().len(), 2, "black context must survive");
-    }
-
-    #[test]
-    fn exact_removes_combination_implied() {
-        // x >= 0, y >= 0 imply x + y >= 0 (not caught by the quick pass).
-        let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let y = p.add_var("y", VarKind::Input);
-        p.add_geq(LinExpr::var(x));
-        p.add_geq(LinExpr::var(y));
-        p.add_geq(LinExpr::var(x).plus_term(1, y));
-        let mut b = Budget::default();
-        p.remove_redundant_exact(&mut b).unwrap();
-        assert_eq!(p.geqs().len(), 2);
-        assert!(p.geqs().iter().all(|c| c.expr().num_terms() == 1));
-    }
-
-    #[test]
-    fn exact_keeps_non_redundant() {
-        let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let y = p.add_var("y", VarKind::Input);
-        p.add_geq(LinExpr::var(x));
-        p.add_geq(LinExpr::var(y).plus_term(-1, x).plus_const(-1));
-        let mut b = Budget::default();
-        p.remove_redundant_exact(&mut b).unwrap();
-        assert_eq!(p.geqs().len(), 2);
     }
 
     #[test]

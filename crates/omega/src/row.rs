@@ -280,26 +280,6 @@ pub struct RowStoreStats {
     pub shards: Vec<RowShardStats>,
 }
 
-impl RowStoreStats {
-    /// Interns served by an existing row, in `[0, 1]`.
-    pub fn share_rate(&self) -> f64 {
-        if self.interns == 0 {
-            0.0
-        } else {
-            self.shared as f64 / self.interns as f64
-        }
-    }
-
-    /// Mints that re-created previously dead content, in `[0, 1]`.
-    pub fn remint_rate(&self) -> f64 {
-        if self.built == 0 {
-            0.0
-        } else {
-            self.reminted as f64 / self.built as f64
-        }
-    }
-}
-
 /// Scans the store and returns current occupancy plus the cumulative
 /// counters. O(store); meant for `--stats`, the server `stats` request,
 /// and soak assertions — not for hot paths.
@@ -449,7 +429,6 @@ mod tests {
         assert_eq!(after.shards.len(), SHARD_COUNT);
         let shard_live: usize = after.shards.iter().map(|s| s.live).sum();
         assert_eq!(shard_live, after.live);
-        assert!(after.share_rate() > 0.0 && after.share_rate() <= 1.0);
         drop((a, b, c));
     }
 
@@ -468,7 +447,6 @@ mod tests {
         if after.sweeps == swept_before {
             assert!(after.reminted >= before + 1, "re-mint not counted");
         }
-        assert!(after.remint_rate() <= 1.0);
     }
 
     #[test]

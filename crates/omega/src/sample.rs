@@ -45,20 +45,7 @@ impl Problem {
     /// # Ok::<(), omega::Error>(())
     /// ```
     pub fn sample_solution(&self) -> Result<Option<BTreeMap<VarId, Coef>>> {
-        self.sample_solution_with(&mut Budget::default())
-    }
-
-    /// [`sample_solution`](Problem::sample_solution) with an explicit
-    /// budget.
-    ///
-    /// # Errors
-    ///
-    /// See [`sample_solution`](Problem::sample_solution).
-    pub fn sample_solution_with(
-        &self,
-        budget: &mut Budget,
-    ) -> Result<Option<BTreeMap<VarId, Coef>>> {
-        let Some(vals) = crate::tableau::sample_problem(self, budget)? else {
+        let Some(vals) = crate::tableau::sample_problem(self, &mut Budget::default())? else {
             return Ok(None);
         };
         debug_assert!(

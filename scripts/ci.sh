@@ -36,9 +36,10 @@ for _ in $(seq 20); do
 done
 
 echo "==> formula-fallback differential property under two more seeds (release)"
-# The depth-first search behind Formula::is_satisfiable is checked
-# against brute force and the eager DNF on random p ∧ ¬q₁ ∧ … ∧ ¬qₙ
-# queries; extra seeds widen that search at well under a second each.
+# omega::implies_union and the depth-first search behind
+# Formula::is_satisfiable are checked against brute force and the eager
+# DNF on random p ∧ ¬q₁ ∧ … ∧ ¬qₙ queries; extra seeds widen that
+# search at well under a second each.
 for seed in 0x5eed0001 0x5eed0002; do
     HARNESS_SEED=$seed cargo test -q --release --offline -p omega --test formula_prop \
         fallback_shape_matches_brute_force_and_the_eager_dnf >/dev/null
