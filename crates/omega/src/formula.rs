@@ -124,11 +124,11 @@ impl Formula {
                 occurrences[v.index()] += 1;
             }
         }
-        let is_lone_wild = |v: VarId| {
-            p.var_info(v).kind() == VarKind::Wildcard && occurrences[v.index()] == 1
-        };
+        let is_lone_wild =
+            |v: VarId| p.var_info(v).kind() == VarKind::Wildcard && occurrences[v.index()] == 1;
         let mut atoms: Vec<Formula> = Vec::new();
-        let mut leftover_wilds: std::collections::BTreeSet<VarId> = std::collections::BTreeSet::new();
+        let mut leftover_wilds: std::collections::BTreeSet<VarId> =
+            std::collections::BTreeSet::new();
         for c in p.eqs() {
             // Stride pattern: exactly one lone wildcard in an equality.
             let wilds: Vec<(VarId, crate::int::Coef)> = c
@@ -342,7 +342,9 @@ impl Formula {
                 }
                 if g == 0 {
                     // 0 ∤ e ≡ e ≠ 0.
-                    return Formula::not(Formula::eq0(e.clone())).to_nnf(false).dnf_nnf(space, budget, depth);
+                    return Formula::not(Formula::eq0(e.clone()))
+                        .to_nnf(false)
+                        .dnf_nnf(space, budget, depth);
                 }
                 // ∃α,ρ. e = g·α + ρ ∧ 1 ≤ ρ ≤ g−1
                 let alpha = p.add_wildcard();
@@ -608,10 +610,7 @@ mod tests {
     fn exists_projection() {
         // ∃y. (x = 2y): x even. Satisfiable; not valid.
         let (s, x, y) = space_xy();
-        let f = Formula::exists(
-            vec![y],
-            Formula::eq0(LinExpr::var(x).plus_term(-2, y)),
-        );
+        let f = Formula::exists(vec![y], Formula::eq0(LinExpr::var(x).plus_term(-2, y)));
         let mut b = Budget::default();
         assert!(f.is_satisfiable(&s, &mut b).unwrap());
         assert!(!f.is_valid(&s, &mut b).unwrap());
@@ -719,7 +718,12 @@ mod tests {
                 crate::problem::DEFAULT_BUDGET - b.remaining()
             })
             .collect();
-        assert!(spent[0] > k as usize, "{} steps for {} nodes", spent[0], k + 1);
+        assert!(
+            spent[0] > k as usize,
+            "{} steps for {} nodes",
+            spent[0],
+            k + 1
+        );
         assert_eq!(spent[0], spent[1], "a memo hit must charge its cold cost");
     }
 
@@ -918,10 +922,7 @@ mod display_tests {
                 Formula::exists(vec![y], Formula::eq0(LinExpr::var(x).plus_term(-3, y))),
             ]),
         );
-        assert_eq!(
-            f.display(&s),
-            "forall x: x >= 0 or exists y: x - 3y = 0"
-        );
+        assert_eq!(f.display(&s), "forall x: x >= 0 or exists y: x - 3y = 0");
         let d = Formula::Divides(4, LinExpr::var(x).plus_const(1));
         assert_eq!(d.display(&s), "4 | (x + 1)");
     }

@@ -524,8 +524,7 @@ mod tests {
         assert!(c.holds(&[3]));
         assert!(c.holds(&[10]));
         assert!(!c.holds(&[2]));
-        let e = Constraint::eq(LinExpr::term(2, v(0)).plus_term(-1, v(1)))
-            .with_color(Color::Red);
+        let e = Constraint::eq(LinExpr::term(2, v(0)).plus_term(-1, v(1))).with_color(Color::Red);
         assert!(e.holds(&[2, 4]));
         assert!(!e.holds(&[2, 5]));
         assert_eq!(e.color(), Color::Red);

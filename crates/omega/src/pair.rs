@@ -454,8 +454,12 @@ mod tests {
         assert!(lt.is_satisfiable_with(&mut budget).unwrap());
 
         let mut contra = ctx.derive();
-        contra.constrain_eq(&LinExpr::var(i), &LinExpr::var(j)).unwrap();
-        contra.constrain_lt(&LinExpr::var(j), &LinExpr::var(i)).unwrap();
+        contra
+            .constrain_eq(&LinExpr::var(i), &LinExpr::var(j))
+            .unwrap();
+        contra
+            .constrain_lt(&LinExpr::var(j), &LinExpr::var(i))
+            .unwrap();
         assert!(!contra.is_satisfiable_with(&mut budget).unwrap());
         assert!(!contra.to_problem().is_satisfiable().unwrap());
     }
@@ -502,7 +506,10 @@ mod tests {
         // The contract is bit-identity with the full *cached* path (which
         // also canonicalizes before projecting).
         let mut full_budget = Budget::default().with_cache(Arc::new(SolverCache::new()));
-        let full_proj = q.to_problem().project_with(&[j, n], &mut full_budget).unwrap();
+        let full_proj = q
+            .to_problem()
+            .project_with(&[j, n], &mut full_budget)
+            .unwrap();
         assert_eq!(delta_proj.is_exact(), full_proj.is_exact());
         assert_eq!(delta_proj.dark().eqs(), full_proj.dark().eqs());
         assert_eq!(delta_proj.dark().geqs(), full_proj.dark().geqs());
@@ -518,11 +525,8 @@ mod tests {
         let ctx = PairContext::new(base, &budget);
         for k in 0..4 {
             let mut q = ctx.derive();
-            q.constrain_eq(
-                &LinExpr::var(j),
-                &LinExpr::var(i).plus_const(k),
-            )
-            .unwrap();
+            q.constrain_eq(&LinExpr::var(j), &LinExpr::var(i).plus_const(k))
+                .unwrap();
             q.is_satisfiable_with(&mut budget).unwrap();
         }
         let s = cache.stats();
@@ -539,11 +543,7 @@ mod tests {
         let d = q.add_var("d", VarKind::Input);
         assert_eq!(d.index(), q.num_vars() - 1);
         // d = i' - i, d >= 1.
-        q.add_eq(
-            LinExpr::var(d)
-                .plus_term(-1, j)
-                .plus_term(1, i),
-        );
+        q.add_eq(LinExpr::var(d).plus_term(-1, j).plus_term(1, i));
         q.add_geq(LinExpr::var(d).plus_const(-1));
         let delta_proj = q.project_with(&[d], &mut budget).unwrap();
         let mut full_budget = Budget::default().with_cache(Arc::new(SolverCache::new()));
@@ -626,6 +626,10 @@ mod tests {
         }
         assert_eq!(cache.stats().hits, 0);
         assert!(query(ctx_for(4_199, &budget), &mut budget));
-        assert_eq!(cache.stats().hits, 1, "the last base's entry was not shared");
+        assert_eq!(
+            cache.stats().hits,
+            1,
+            "the last base's entry was not shared"
+        );
     }
 }

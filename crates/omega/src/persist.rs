@@ -574,14 +574,14 @@ impl SolverCache {
         let file_name = path
             .file_name()
             .ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidInput, "cache path has no file name")
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    "cache path has no file name",
+                )
             })?
             .to_string_lossy()
             .into_owned();
-        let tmp = path.with_file_name(format!(
-            ".{file_name}.tmp.{}.{seq}",
-            std::process::id()
-        ));
+        let tmp = path.with_file_name(format!(".{file_name}.tmp.{}.{seq}", std::process::id()));
         let write_and_sync = |tmp: &Path| -> std::io::Result<()> {
             let mut f = std::fs::File::create(tmp)?;
             f.write_all(self.serialize().as_bytes())?;
@@ -673,9 +673,7 @@ impl SolverCache {
 
 /// A `HashMap` snapshot of the entry lines, for tests comparing caches.
 #[cfg(test)]
-fn entry_snapshot(
-    cache: &SolverCache,
-) -> std::collections::HashMap<MemoKey, (usize, String)> {
+fn entry_snapshot(cache: &SolverCache) -> std::collections::HashMap<MemoKey, (usize, String)> {
     cache
         .snapshot_entries()
         .into_iter()
@@ -715,9 +713,7 @@ mod tests {
 
         // A gist entry.
         let mut g = p.clone();
-        g.add_constraint(
-            Constraint::geq(LinExpr::var(y).plus_const(-3)).with_color(Color::Red),
-        );
+        g.add_constraint(Constraint::geq(LinExpr::var(y).plus_const(-3)).with_color(Color::Red));
         g.gist_red(&mut budget).unwrap();
         cache
     }
@@ -868,7 +864,14 @@ mod tests {
 
     #[test]
     fn string_escaping_round_trips() {
-        for s in ["", "plain", "with space", "per%cent", "tab\tand\nnewline", "ünïcode"] {
+        for s in [
+            "",
+            "plain",
+            "with space",
+            "per%cent",
+            "tab\tand\nnewline",
+            "ünïcode",
+        ] {
             assert_eq!(unesc(&esc(s)).as_deref(), Some(s));
         }
     }

@@ -463,12 +463,7 @@ impl Problem {
     /// Checks an explicit assignment (dense, indexed by variable) against
     /// every constraint. Useful for testing and for validating witnesses.
     pub fn satisfies(&self, values: &[Coef]) -> bool {
-        !self.known_infeasible
-            && self
-                .eqs
-                .iter()
-                .chain(&self.geqs)
-                .all(|c| c.holds(values))
+        !self.known_infeasible && self.eqs.iter().chain(&self.geqs).all(|c| c.holds(values))
     }
 
     /// Strips colors, turning every constraint black.
@@ -549,7 +544,9 @@ mod tests {
     fn blacken_strips_colors() {
         let mut p = Problem::new();
         let x = p.add_var("x", VarKind::Input);
-        p.add_constraint(Constraint::geq(LinExpr::term(-1, x).plus_const(5)).with_color(Color::Red));
+        p.add_constraint(
+            Constraint::geq(LinExpr::term(-1, x).plus_const(5)).with_color(Color::Red),
+        );
         p.blacken();
         assert_eq!(p.geqs()[0].color(), Color::Black);
     }

@@ -41,9 +41,7 @@ impl Problem {
         let mut start = 0;
         while start < keys.len() {
             let mut end = start + 1;
-            while end < keys.len()
-                && (keys[end].0, keys[end].1) == (keys[start].0, keys[start].1)
-            {
+            while end < keys.len() && (keys[end].0, keys[end].1) == (keys[start].0, keys[start].1) {
                 end += 1;
             }
             // Indices within a class are ascending (the sort key ends
@@ -217,9 +215,7 @@ mod tests {
     fn quick_never_drops_black_for_red() {
         let mut p = Problem::new();
         let x = p.add_var("x", VarKind::Input);
-        p.add_constraint(
-            Constraint::geq(LinExpr::var(x).plus_const(-5)).with_color(Color::Red),
-        );
+        p.add_constraint(Constraint::geq(LinExpr::var(x).plus_const(-5)).with_color(Color::Red));
         p.add_geq(LinExpr::var(x).plus_const(-3)); // black, looser
         p.remove_redundant_quick();
         assert_eq!(p.geqs().len(), 2, "black context must survive");

@@ -185,7 +185,9 @@ mod tests {
         // small box. Uses a simple LCG to stay dependency-free here.
         let mut state: u64 = 0x9E3779B97F4A7C15;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((state >> 33) % 11) as i64 - 5
         };
         for trial in 0..300 {

@@ -53,10 +53,7 @@ impl Symbol {
     /// The interned string.
     pub(crate) fn as_str(self) -> &'static str {
         let guard = TABLE.lock().expect("symbol table poisoned");
-        guard
-            .as_ref()
-            .expect("symbol id without a table")
-            .strs[self.0 as usize]
+        guard.as_ref().expect("symbol id without a table").strs[self.0 as usize]
     }
 }
 

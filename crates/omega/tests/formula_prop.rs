@@ -84,11 +84,7 @@ fn shrink_spec(spec: &Spec) -> Vec<Spec> {
         }
         Spec::Not(f) => {
             let mut out = vec![(**f).clone()];
-            out.extend(
-                shrink_spec(f)
-                    .into_iter()
-                    .map(|s| Spec::Not(Box::new(s))),
-            );
+            out.extend(shrink_spec(f).into_iter().map(|s| Spec::Not(Box::new(s))));
             out
         }
     }

@@ -62,7 +62,9 @@ fn box_points(nvars: usize) -> Vec<Vec<i64>> {
 /// equality with probability `eq`.
 fn gen_row(rng: &mut Rng, width: usize, coef: i64, eq: f64) -> Row {
     (
-        (0..width).map(|_| rng.gen_range_i64(-coef..=coef)).collect(),
+        (0..width)
+            .map(|_| rng.gen_range_i64(-coef..=coef))
+            .collect(),
         rng.gen_range_i64(-8..=8),
         rng.gen_bool(eq),
     )
@@ -278,7 +280,9 @@ fn shadow_sandwich() {
 
 #[test]
 fn wide_sat_matches_brute_force() {
-    check(&Config::with_cases(128), gen_wide_rows, |rows| prop_sat(rows, 4));
+    check(&Config::with_cases(128), gen_wide_rows, |rows| {
+        prop_sat(rows, 4)
+    });
 }
 
 #[test]
@@ -290,7 +294,9 @@ fn wide_projection_onto_two_variables_matches_brute_force() {
 
 #[test]
 fn wide_witness_agrees_with_sat() {
-    check(&Config::with_cases(128), gen_wide_rows, |rows| prop_witness(rows, 4));
+    check(&Config::with_cases(128), gen_wide_rows, |rows| {
+        prop_witness(rows, 4)
+    });
 }
 
 // ---- named regressions, ported from the historical proptest seed

@@ -34,7 +34,11 @@ fn coefficient_overflow_is_an_error_not_wraparound() {
     let big = i64::MAX / 2;
     // Combining these lower/upper bounds multiplies coefficients past i64.
     p.add_geq(LinExpr::term(big, x).plus_term(-big + 7, y));
-    p.add_geq(LinExpr::term(-big + 1, x).plus_term(big - 13, y).plus_const(5));
+    p.add_geq(
+        LinExpr::term(-big + 1, x)
+            .plus_term(big - 13, y)
+            .plus_const(5),
+    );
     p.add_geq(LinExpr::var(y).plus_const(-1));
     p.add_geq(LinExpr::term(-1, y).plus_const(10));
     match p.is_satisfiable() {
