@@ -50,6 +50,7 @@ mod canon;
 mod error;
 mod formula;
 mod gist;
+mod hash;
 mod linexpr;
 mod normalize;
 mod pair;
