@@ -40,8 +40,7 @@ pub fn check_covering(
     budget: &mut Budget,
 ) -> Result<CoverOutcome> {
     let mut out = CoverOutcome::default();
-    if !config.cover || dep.cases.is_empty() || dep.cases.iter().any(|c| !c.exact_subscripts)
-    {
+    if !config.cover || dep.cases.is_empty() || dep.cases.iter().any(|c| !c.exact_subscripts) {
         return Ok(out);
     }
     // §4.5 quick test: a dependence that cannot have distance 0 in some

@@ -135,10 +135,7 @@ fn syntactic_bounds(p: &Problem, v: VarId) -> DirEntry {
         // v = -(g·w + k)/a = -a·(g·w + k) since a = ±1.
         let k = c.expr().constant();
         let m = -a * g;
-        let ends = [
-            wb.lo.map(|x| m * x - a * k),
-            wb.hi.map(|x| m * x - a * k),
-        ];
+        let ends = [wb.lo.map(|x| m * x - a * k), wb.hi.map(|x| m * x - a * k)];
         let (lo, hi) = if m >= 0 {
             (ends[0], ends[1])
         } else {
@@ -286,20 +283,60 @@ mod tests {
         assert_eq!(DirEntry::exact(0).to_string(), "0");
         assert_eq!(DirEntry::exact(1).to_string(), "1");
         assert_eq!(DirEntry::exact(-2).to_string(), "-2");
-        assert_eq!(DirEntry { lo: Some(1), hi: None }.to_string(), "+");
-        assert_eq!(DirEntry { lo: Some(0), hi: None }.to_string(), "0+");
-        assert_eq!(DirEntry { lo: None, hi: Some(-1) }.to_string(), "-");
-        assert_eq!(DirEntry { lo: Some(0), hi: Some(1) }.to_string(), "0:1");
+        assert_eq!(
+            DirEntry {
+                lo: Some(1),
+                hi: None
+            }
+            .to_string(),
+            "+"
+        );
+        assert_eq!(
+            DirEntry {
+                lo: Some(0),
+                hi: None
+            }
+            .to_string(),
+            "0+"
+        );
+        assert_eq!(
+            DirEntry {
+                lo: None,
+                hi: Some(-1)
+            }
+            .to_string(),
+            "-"
+        );
+        assert_eq!(
+            DirEntry {
+                lo: Some(0),
+                hi: Some(1)
+            }
+            .to_string(),
+            "0:1"
+        );
         assert_eq!(DirEntry::star().to_string(), "*");
     }
 
     #[test]
     fn hull_merges_intervals() {
         let a = DirEntry::exact(1);
-        let b = DirEntry { lo: Some(3), hi: Some(5) };
+        let b = DirEntry {
+            lo: Some(3),
+            hi: Some(5),
+        };
         let h = a.hull(&b);
-        assert_eq!(h, DirEntry { lo: Some(1), hi: Some(5) });
-        let c = DirEntry { lo: None, hi: Some(2) };
+        assert_eq!(
+            h,
+            DirEntry {
+                lo: Some(1),
+                hi: Some(5)
+            }
+        );
+        let c = DirEntry {
+            lo: None,
+            hi: Some(2),
+        };
         assert_eq!(a.hull(&c).lo, None);
     }
 
@@ -307,7 +344,10 @@ mod tests {
     fn vector_rendering() {
         let v = DirectionVector(vec![
             DirEntry::exact(0),
-            DirEntry { lo: Some(1), hi: None },
+            DirEntry {
+                lo: Some(1),
+                hi: None,
+            },
             DirEntry::star(),
         ]);
         assert_eq!(v.to_string(), "(0,+,*)");
@@ -323,7 +363,13 @@ mod tests {
         p.add_eq(LinExpr::var(y).plus_term(-2, x)); // y = 2x
         let mut b = Budget::default();
         let r = range_of(&p, &LinExpr::var(y), &mut b).unwrap().unwrap();
-        assert_eq!(r, DirEntry { lo: Some(2), hi: Some(10) });
+        assert_eq!(
+            r,
+            DirEntry {
+                lo: Some(2),
+                hi: Some(10)
+            }
+        );
     }
 
     #[test]
@@ -343,7 +389,13 @@ mod tests {
         p.add_geq(LinExpr::var(x).plus_const(-3)); // x >= 3
         let mut b = Budget::default();
         let r = range_of(&p, &LinExpr::var(x), &mut b).unwrap().unwrap();
-        assert_eq!(r, DirEntry { lo: Some(3), hi: None });
+        assert_eq!(
+            r,
+            DirEntry {
+                lo: Some(3),
+                hi: None
+            }
+        );
     }
 
     #[test]
@@ -364,7 +416,8 @@ mod tests {
         e.add_coef(j2, -1).unwrap();
         e.add_coef(i2, 1).unwrap();
         p.add_eq(e);
-        p.constrain_lt(&LinExpr::var(i1), &LinExpr::var(j1)).unwrap();
+        p.constrain_lt(&LinExpr::var(i1), &LinExpr::var(j1))
+            .unwrap();
         let mut b = Budget::default();
         let v = distance_summary(&p, &[i1, i2], &[j1, j2], &[None, None], &mut b)
             .unwrap()
@@ -394,7 +447,14 @@ pub fn enumerate_distances(
     let mut out = Vec::new();
     let mut prefix = Vec::new();
     if !enum_rec(
-        p, src_iters, dst_iters, common, limit, budget, &mut prefix, &mut out,
+        p,
+        src_iters,
+        dst_iters,
+        common,
+        limit,
+        budget,
+        &mut prefix,
+        &mut out,
     )? {
         return Ok(None);
     }
@@ -441,9 +501,7 @@ fn enum_rec(
     }
     for v in lo..=hi {
         prefix.push(v);
-        let ok = enum_rec(
-            p, src_iters, dst_iters, common, limit, budget, prefix, out,
-        )?;
+        let ok = enum_rec(p, src_iters, dst_iters, common, limit, budget, prefix, out)?;
         prefix.pop();
         if !ok {
             return Ok(false);

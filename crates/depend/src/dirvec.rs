@@ -58,7 +58,13 @@ pub fn sign_patterns(
     let mut out = Vec::new();
     let mut prefix = Vec::new();
     rec(
-        p, src_iters, dst_iters, common, budget, &mut prefix, &mut out,
+        p,
+        src_iters,
+        dst_iters,
+        common,
+        budget,
+        &mut prefix,
+        &mut out,
     )?;
     Ok(out)
 }
@@ -141,8 +147,8 @@ pub fn compress(patterns: &[Vec<Sign>]) -> Vec<SignBox> {
             // Drop boxes subsumed by others.
             let mut k = 0;
             while k < boxes.len() {
-                let subsumed = (0..boxes.len())
-                    .any(|o| o != k && box_contains(&boxes[o], &boxes[k]));
+                let subsumed =
+                    (0..boxes.len()).any(|o| o != k && box_contains(&boxes[o], &boxes[k]));
                 if subsumed {
                     boxes.swap_remove(k);
                 } else {
@@ -155,10 +161,7 @@ pub fn compress(patterns: &[Vec<Sign>]) -> Vec<SignBox> {
 }
 
 fn box_contains(outer: &SignBox, inner: &SignBox) -> bool {
-    outer
-        .iter()
-        .zip(inner)
-        .all(|(o, i)| i.is_subset(o))
+    outer.iter().zip(inner).all(|(o, i)| i.is_subset(o))
 }
 
 /// Merges two boxes differing in at most one coordinate, when the union
@@ -220,11 +223,23 @@ pub fn box_to_vector(b: &SignBox) -> DirectionVector {
                 let has = |x| s.contains(&x);
                 match (has(Sign::Neg), has(Sign::Zero), has(Sign::Pos)) {
                     (true, true, true) => DirEntry::star(),
-                    (false, false, true) => DirEntry { lo: Some(1), hi: None },
+                    (false, false, true) => DirEntry {
+                        lo: Some(1),
+                        hi: None,
+                    },
                     (false, true, false) => DirEntry::exact(0),
-                    (true, false, false) => DirEntry { lo: None, hi: Some(-1) },
-                    (false, true, true) => DirEntry { lo: Some(0), hi: None },
-                    (true, true, false) => DirEntry { lo: None, hi: Some(0) },
+                    (true, false, false) => DirEntry {
+                        lo: None,
+                        hi: Some(-1),
+                    },
+                    (false, true, true) => DirEntry {
+                        lo: Some(0),
+                        hi: None,
+                    },
+                    (true, true, false) => DirEntry {
+                        lo: None,
+                        hi: Some(0),
+                    },
                     _ => DirEntry::star(), // non-interval (rejected earlier)
                 }
             })
@@ -332,11 +347,11 @@ mod tests {
         // directions, this dependence is represented by {(+,+), (0,0)}."
         let (p, src, dst) = coupled_problem();
         let mut b = Budget::default();
-        let vecs =
-            partially_compressed_direction_vectors(&p, &src, &dst, 2, true, &mut b).unwrap();
+        let vecs = partially_compressed_direction_vectors(&p, &src, &dst, 2, true, &mut b).unwrap();
         let rendered: BTreeSet<String> = vecs.iter().map(|v| v.to_string()).collect();
-        let want: BTreeSet<String> =
-            ["(+,+)".to_string(), "(0,0)".to_string()].into_iter().collect();
+        let want: BTreeSet<String> = ["(+,+)".to_string(), "(0,0)".to_string()]
+            .into_iter()
+            .collect();
         assert_eq!(rendered, want);
     }
 
@@ -376,7 +391,10 @@ mod tests {
             collect_product(bx, &mut covered);
         }
         assert_eq!(covered, feasible, "cover must be complete");
-        assert!(boxes.len() <= 3, "compression should reduce 5 patterns: {boxes:?}");
+        assert!(
+            boxes.len() <= 3,
+            "compression should reduce 5 patterns: {boxes:?}"
+        );
     }
 
     fn collect_product(b: &SignBox, out: &mut BTreeSet<Vec<Sign>>) {

@@ -101,7 +101,12 @@ impl Edge<'_> {
     /// Compact description for blocking-dependence annotations:
     /// `flow 2->5 (1,0) on A`.
     pub fn describe(&self) -> String {
-        let mut s = format!("{} {}->{}", self.dep.kind, self.src_label(), self.dst_label());
+        let mut s = format!(
+            "{} {}->{}",
+            self.dep.kind,
+            self.src_label(),
+            self.dst_label()
+        );
         if !self.dir.is_empty() {
             s.push(' ');
             s.push_str(&self.dir);

@@ -36,24 +36,24 @@
 
 pub mod config;
 pub mod dep;
-pub mod graph;
-pub mod parallel;
-pub mod parallelize;
-pub mod prefilter;
 pub mod dir;
 pub mod dirvec;
 pub mod dot;
+pub mod graph;
 pub mod occur;
 pub mod pairs;
+pub mod parallel;
+pub mod parallelize;
+pub mod prefilter;
 pub mod space;
 pub mod symbolic;
 
-mod error;
-mod logic;
 pub mod analysis;
 pub mod baseline;
 pub mod cover;
+mod error;
 pub mod kill;
+mod logic;
 pub mod refine;
 pub mod report;
 pub mod terminate;
@@ -65,20 +65,19 @@ pub use analysis::{
 };
 pub use config::Config;
 pub use cover::{check_covering, CoverOutcome};
-pub use kill::{check_kill, KillOutcome};
-pub use pairs::build_dependence;
-pub use parallel::Pool;
-pub use prefilter::{prefilter_pair, PrefilterStats, SkipReason};
-pub use graph::{DepGraph, Edge, KillView, LoopVerdict, Node};
-pub use parallelize::{decide_loops, render_parallelize_report, LoopDecision, ParallelizeSummary};
-pub use refine::{refine_dependence, RefineOutcome};
-pub use occur::{exists_under_property, ArrayProperty, Occurrence, OccurrenceTable};
-pub use symbolic::{increasing_scalars, SymbolicCondition, SymbolicPair};
-pub use report::{dead_flow_table, format_edge, live_flow_table, ReportOptions};
-pub use terminate::check_terminating;
-pub use transform::{program_loops, LoopRef};
 pub use dep::{AccessRef, AccessSite, DeadReason, DepCase, DepKind, Dependence};
 pub use dir::{DirEntry, DirectionVector};
 pub use error::{Error, Result};
+pub use graph::{DepGraph, Edge, KillView, LoopVerdict, Node};
+pub use kill::{check_kill, KillOutcome};
+pub use occur::{exists_under_property, ArrayProperty, Occurrence, OccurrenceTable};
+pub use pairs::build_dependence;
+pub use parallel::Pool;
+pub use parallelize::{decide_loops, render_parallelize_report, LoopDecision, ParallelizeSummary};
+pub use prefilter::{prefilter_pair, PrefilterStats, SkipReason};
+pub use refine::{refine_dependence, RefineOutcome};
+pub use report::{dead_flow_table, format_edge, live_flow_table, ReportOptions};
 pub use space::{OrderCase, Space, StmtVars};
-
+pub use symbolic::{increasing_scalars, SymbolicCondition, SymbolicPair};
+pub use terminate::check_terminating;
+pub use transform::{program_loops, LoopRef};

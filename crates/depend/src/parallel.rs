@@ -113,7 +113,9 @@ where
         }
         let end = (start + self.chunk).min(n);
         for i in start..end {
-            let item = lock(&self.items[i]).take().expect("work item claimed twice");
+            let item = lock(&self.items[i])
+                .take()
+                .expect("work item claimed twice");
             let out = catch_unwind(AssertUnwindSafe(|| (self.f)(i, item)));
             *lock(&self.slots[i]) = Some(match out {
                 Ok(r) => Outcome::Done(r),
@@ -132,10 +134,7 @@ where
     fn wait_done(&self) {
         let mut done = lock(&self.done);
         while *done < self.items.len() {
-            done = self
-                .done_cv
-                .wait(done)
-                .unwrap_or_else(|e| e.into_inner());
+            done = self.done_cv.wait(done).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -213,10 +212,7 @@ fn worker_loop(shared: &PoolShared) {
                 if q.shutdown {
                     return;
                 }
-                q = shared
-                    .available
-                    .wait(q)
-                    .unwrap_or_else(|e| e.into_inner());
+                q = shared.available.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
         while batch.run_chunk() {}
@@ -299,7 +295,11 @@ impl Pool {
     {
         let n = work.len();
         if self.threads <= 1 || n <= 1 {
-            return work.into_iter().enumerate().map(|(i, item)| f(i, item)).collect();
+            return work
+                .into_iter()
+                .enumerate()
+                .map(|(i, item)| f(i, item))
+                .collect();
         }
         let batch = Arc::new(Batch::new(work, chunk_size(n, self.threads), f));
 
@@ -454,9 +454,8 @@ mod tests {
         let pool = Pool::new(8);
         let out = pool
             .map((0..6).collect::<Vec<usize>>(), |_, outer| {
-                let inner = pool.map((0..20).collect::<Vec<usize>>(), |_, x| {
-                    Ok(outer * 100 + x)
-                })?;
+                let inner =
+                    pool.map((0..20).collect::<Vec<usize>>(), |_, x| Ok(outer * 100 + x))?;
                 Ok(inner.iter().sum::<usize>())
             })
             .unwrap();

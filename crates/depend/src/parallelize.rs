@@ -219,7 +219,11 @@ mod tests {
             let g = DepGraph::new(&info, &a);
             let s = ParallelizeSummary::of(&decide_loops(&g));
             assert!(s.outright <= s.parallel, "{}", entry.name);
-            assert!(s.pre_parallel <= s.parallel, "{}: kills only help", entry.name);
+            assert!(
+                s.pre_parallel <= s.parallel,
+                "{}: kills only help",
+                entry.name
+            );
             assert_eq!(s.newly, s.parallel - s.pre_parallel, "{}", entry.name);
             assert!(s.parallel <= s.loops, "{}", entry.name);
         }

@@ -46,7 +46,8 @@ pub fn format_edge(edge: &Edge<'_>, opts: &ReportOptions) -> String {
 
 /// The live flow dependence table (Figure 3).
 pub fn live_flow_table(graph: &DepGraph<'_>, opts: &ReportOptions) -> String {
-    let mut out = String::from("FROM                   TO                     dir/dist     status\n");
+    let mut out =
+        String::from("FROM                   TO                     dir/dist     status\n");
     for e in graph.live_flows() {
         let _ = writeln!(out, "{}", format_edge(e, opts));
     }
@@ -55,7 +56,8 @@ pub fn live_flow_table(graph: &DepGraph<'_>, opts: &ReportOptions) -> String {
 
 /// The dead flow dependence table (Figure 4).
 pub fn dead_flow_table(graph: &DepGraph<'_>, opts: &ReportOptions) -> String {
-    let mut out = String::from("FROM                   TO                     dir/dist     status\n");
+    let mut out =
+        String::from("FROM                   TO                     dir/dist     status\n");
     for e in graph.dead_flows() {
         let _ = writeln!(out, "{}", format_edge(e, opts));
     }

@@ -33,7 +33,12 @@ struct ProgSpec {
 
 impl Shrink for StmtSpec {
     fn shrink(&self) -> Vec<Self> {
-        let tuple = (self.array, self.write, self.read, (self.lo, self.hi, self.step));
+        let tuple = (
+            self.array,
+            self.write,
+            self.read,
+            (self.lo, self.hi, self.step),
+        );
         tuple
             .shrink()
             .into_iter()
@@ -75,7 +80,9 @@ fn gen_stmt(rng: &mut Rng) -> StmtSpec {
 
 fn gen_spec(rng: &mut Rng) -> ProgSpec {
     ProgSpec {
-        stmts: (0..rng.gen_range_usize(1..=3)).map(|_| gen_stmt(rng)).collect(),
+        stmts: (0..rng.gen_range_usize(1..=3))
+            .map(|_| gen_stmt(rng))
+            .collect(),
     }
 }
 
@@ -179,8 +186,8 @@ fn prefilter_fires_on_the_generated_family_at_all() {
         let program = tiny::Program::parse(&render(&spec)).unwrap();
         let info = tiny::analyze(&program).unwrap();
         for (a, sa, b, sb, _) in pairs_of(&info.stmts) {
-            fired |= prefilter_pair(&info.stmts[a], sa, &info.stmts[b], sb, &info.assumptions)
-                .is_some();
+            fired |=
+                prefilter_pair(&info.stmts[a], sa, &info.stmts[b], sb, &info.assumptions).is_some();
         }
     }
     assert!(fired, "no generated pair was ever pre-filtered");
@@ -279,8 +286,7 @@ fn symbolic_prefilter_fires_on_the_generated_family_at_all() {
         let program = tiny::Program::parse(&render_sym(&spec)).unwrap();
         let info = tiny::analyze(&program).unwrap();
         for (a, sa, b, sb, _) in pairs_of(&info.stmts) {
-            let reason =
-                prefilter_pair(&info.stmts[a], sa, &info.stmts[b], sb, &info.assumptions);
+            let reason = prefilter_pair(&info.stmts[a], sa, &info.stmts[b], sb, &info.assumptions);
             if reason == Some(depend::SkipReason::SymbolicRange) {
                 symbolic += 1;
             }

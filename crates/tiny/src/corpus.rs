@@ -682,7 +682,6 @@ pub const TRSOLVE: &str = "
     endfor
 ";
 
-
 /// 1-D convolution (reads a window of the input).
 pub const CONV1D: &str = "
     sym n, w;
@@ -948,67 +947,250 @@ pub const STEPPED_RESET: &str = "
 /// All corpus entries in a stable order.
 pub fn all() -> Vec<CorpusEntry> {
     vec![
-        CorpusEntry { name: "example1", source: EXAMPLE_1 },
-        CorpusEntry { name: "example1_m", source: EXAMPLE_1_M },
-        CorpusEntry { name: "example1_m_asserted", source: EXAMPLE_1_M_ASSERTED },
-        CorpusEntry { name: "example2", source: EXAMPLE_2 },
-        CorpusEntry { name: "example3", source: EXAMPLE_3 },
-        CorpusEntry { name: "example4", source: EXAMPLE_4 },
-        CorpusEntry { name: "example5", source: EXAMPLE_5 },
-        CorpusEntry { name: "example6", source: EXAMPLE_6 },
-        CorpusEntry { name: "example7", source: EXAMPLE_7 },
-        CorpusEntry { name: "example8", source: EXAMPLE_8 },
-        CorpusEntry { name: "example9", source: EXAMPLE_9 },
-        CorpusEntry { name: "example10", source: EXAMPLE_10 },
-        CorpusEntry { name: "example11", source: EXAMPLE_11 },
-        CorpusEntry { name: "cholsky", source: CHOLSKY },
-        CorpusEntry { name: "cholesky_dense", source: CHOLESKY_DENSE },
-        CorpusEntry { name: "lu", source: LU },
-        CorpusEntry { name: "wavefront", source: WAVEFRONT },
-        CorpusEntry { name: "wavefront_skewed", source: WAVEFRONT_SKEWED },
-        CorpusEntry { name: "wavefront_triangular", source: WAVEFRONT_TRIANGULAR },
-        CorpusEntry { name: "matmul", source: MATMUL },
-        CorpusEntry { name: "jacobi", source: JACOBI },
-        CorpusEntry { name: "seidel", source: SEIDEL },
-        CorpusEntry { name: "tridiag", source: TRIDIAG },
-        CorpusEntry { name: "kill_chain", source: CONTRIVED_KILL_CHAIN },
-        CorpusEntry { name: "partial_kill", source: CONTRIVED_PARTIAL_KILL },
-        CorpusEntry { name: "coupled", source: CONTRIVED_COUPLED },
-        CorpusEntry { name: "scalar", source: CONTRIVED_SCALAR },
-        CorpusEntry { name: "recurrence", source: RECURRENCE },
-        CorpusEntry { name: "disjoint", source: CONTRIVED_DISJOINT },
-        CorpusEntry { name: "gauss", source: GAUSS },
-        CorpusEntry { name: "syr1", source: SYR1 },
-        CorpusEntry { name: "banded_mv", source: BANDED_MV },
-        CorpusEntry { name: "odd_even", source: ODD_EVEN },
-        CorpusEntry { name: "prefix_sum", source: PREFIX_SUM },
-        CorpusEntry { name: "reverse_copy", source: REVERSE_COPY },
-        CorpusEntry { name: "red_black", source: RED_BLACK },
-        CorpusEntry { name: "double_buffer", source: DOUBLE_BUFFER },
-        CorpusEntry { name: "dot_and_axpy", source: DOT_AND_AXPY },
-        CorpusEntry { name: "boundary_interior", source: BOUNDARY_INTERIOR },
-        CorpusEntry { name: "diagonal_sweep", source: DIAGONAL_SWEEP },
-        CorpusEntry { name: "strip_mine", source: STRIP_MINE },
-        CorpusEntry { name: "histogram", source: HISTOGRAM },
-        CorpusEntry { name: "trsolve", source: TRSOLVE },
-        CorpusEntry { name: "conv1d", source: CONV1D },
-        CorpusEntry { name: "correlate", source: CORRELATE },
-        CorpusEntry { name: "bicg", source: BICG },
-        CorpusEntry { name: "gemver", source: GEMVER },
-        CorpusEntry { name: "atax", source: ATAX },
-        CorpusEntry { name: "mvt", source: MVT },
-        CorpusEntry { name: "banerjee_5_7", source: BANERJEE_5_7 },
-        CorpusEntry { name: "banerjee_5_10", source: BANERJEE_5_10 },
-        CorpusEntry { name: "banerjee_5_11", source: BANERJEE_5_11 },
-        CorpusEntry { name: "banerjee_5_12", source: BANERJEE_5_12 },
-        CorpusEntry { name: "pascal", source: PASCAL },
-        CorpusEntry { name: "sor2d", source: SOR2D },
-        CorpusEntry { name: "gauss_jordan", source: GAUSS_JORDAN },
-        CorpusEntry { name: "running_max", source: RUNNING_MAX },
-        CorpusEntry { name: "blocked_copy", source: BLOCKED_COPY },
-        CorpusEntry { name: "swap_halves", source: SWAP_HALVES },
-        CorpusEntry { name: "pivot_reset", source: PIVOT_RESET },
-        CorpusEntry { name: "stepped_reset", source: STEPPED_RESET },
+        CorpusEntry {
+            name: "example1",
+            source: EXAMPLE_1,
+        },
+        CorpusEntry {
+            name: "example1_m",
+            source: EXAMPLE_1_M,
+        },
+        CorpusEntry {
+            name: "example1_m_asserted",
+            source: EXAMPLE_1_M_ASSERTED,
+        },
+        CorpusEntry {
+            name: "example2",
+            source: EXAMPLE_2,
+        },
+        CorpusEntry {
+            name: "example3",
+            source: EXAMPLE_3,
+        },
+        CorpusEntry {
+            name: "example4",
+            source: EXAMPLE_4,
+        },
+        CorpusEntry {
+            name: "example5",
+            source: EXAMPLE_5,
+        },
+        CorpusEntry {
+            name: "example6",
+            source: EXAMPLE_6,
+        },
+        CorpusEntry {
+            name: "example7",
+            source: EXAMPLE_7,
+        },
+        CorpusEntry {
+            name: "example8",
+            source: EXAMPLE_8,
+        },
+        CorpusEntry {
+            name: "example9",
+            source: EXAMPLE_9,
+        },
+        CorpusEntry {
+            name: "example10",
+            source: EXAMPLE_10,
+        },
+        CorpusEntry {
+            name: "example11",
+            source: EXAMPLE_11,
+        },
+        CorpusEntry {
+            name: "cholsky",
+            source: CHOLSKY,
+        },
+        CorpusEntry {
+            name: "cholesky_dense",
+            source: CHOLESKY_DENSE,
+        },
+        CorpusEntry {
+            name: "lu",
+            source: LU,
+        },
+        CorpusEntry {
+            name: "wavefront",
+            source: WAVEFRONT,
+        },
+        CorpusEntry {
+            name: "wavefront_skewed",
+            source: WAVEFRONT_SKEWED,
+        },
+        CorpusEntry {
+            name: "wavefront_triangular",
+            source: WAVEFRONT_TRIANGULAR,
+        },
+        CorpusEntry {
+            name: "matmul",
+            source: MATMUL,
+        },
+        CorpusEntry {
+            name: "jacobi",
+            source: JACOBI,
+        },
+        CorpusEntry {
+            name: "seidel",
+            source: SEIDEL,
+        },
+        CorpusEntry {
+            name: "tridiag",
+            source: TRIDIAG,
+        },
+        CorpusEntry {
+            name: "kill_chain",
+            source: CONTRIVED_KILL_CHAIN,
+        },
+        CorpusEntry {
+            name: "partial_kill",
+            source: CONTRIVED_PARTIAL_KILL,
+        },
+        CorpusEntry {
+            name: "coupled",
+            source: CONTRIVED_COUPLED,
+        },
+        CorpusEntry {
+            name: "scalar",
+            source: CONTRIVED_SCALAR,
+        },
+        CorpusEntry {
+            name: "recurrence",
+            source: RECURRENCE,
+        },
+        CorpusEntry {
+            name: "disjoint",
+            source: CONTRIVED_DISJOINT,
+        },
+        CorpusEntry {
+            name: "gauss",
+            source: GAUSS,
+        },
+        CorpusEntry {
+            name: "syr1",
+            source: SYR1,
+        },
+        CorpusEntry {
+            name: "banded_mv",
+            source: BANDED_MV,
+        },
+        CorpusEntry {
+            name: "odd_even",
+            source: ODD_EVEN,
+        },
+        CorpusEntry {
+            name: "prefix_sum",
+            source: PREFIX_SUM,
+        },
+        CorpusEntry {
+            name: "reverse_copy",
+            source: REVERSE_COPY,
+        },
+        CorpusEntry {
+            name: "red_black",
+            source: RED_BLACK,
+        },
+        CorpusEntry {
+            name: "double_buffer",
+            source: DOUBLE_BUFFER,
+        },
+        CorpusEntry {
+            name: "dot_and_axpy",
+            source: DOT_AND_AXPY,
+        },
+        CorpusEntry {
+            name: "boundary_interior",
+            source: BOUNDARY_INTERIOR,
+        },
+        CorpusEntry {
+            name: "diagonal_sweep",
+            source: DIAGONAL_SWEEP,
+        },
+        CorpusEntry {
+            name: "strip_mine",
+            source: STRIP_MINE,
+        },
+        CorpusEntry {
+            name: "histogram",
+            source: HISTOGRAM,
+        },
+        CorpusEntry {
+            name: "trsolve",
+            source: TRSOLVE,
+        },
+        CorpusEntry {
+            name: "conv1d",
+            source: CONV1D,
+        },
+        CorpusEntry {
+            name: "correlate",
+            source: CORRELATE,
+        },
+        CorpusEntry {
+            name: "bicg",
+            source: BICG,
+        },
+        CorpusEntry {
+            name: "gemver",
+            source: GEMVER,
+        },
+        CorpusEntry {
+            name: "atax",
+            source: ATAX,
+        },
+        CorpusEntry {
+            name: "mvt",
+            source: MVT,
+        },
+        CorpusEntry {
+            name: "banerjee_5_7",
+            source: BANERJEE_5_7,
+        },
+        CorpusEntry {
+            name: "banerjee_5_10",
+            source: BANERJEE_5_10,
+        },
+        CorpusEntry {
+            name: "banerjee_5_11",
+            source: BANERJEE_5_11,
+        },
+        CorpusEntry {
+            name: "banerjee_5_12",
+            source: BANERJEE_5_12,
+        },
+        CorpusEntry {
+            name: "pascal",
+            source: PASCAL,
+        },
+        CorpusEntry {
+            name: "sor2d",
+            source: SOR2D,
+        },
+        CorpusEntry {
+            name: "gauss_jordan",
+            source: GAUSS_JORDAN,
+        },
+        CorpusEntry {
+            name: "running_max",
+            source: RUNNING_MAX,
+        },
+        CorpusEntry {
+            name: "blocked_copy",
+            source: BLOCKED_COPY,
+        },
+        CorpusEntry {
+            name: "swap_halves",
+            source: SWAP_HALVES,
+        },
+        CorpusEntry {
+            name: "pivot_reset",
+            source: PIVOT_RESET,
+        },
+        CorpusEntry {
+            name: "stepped_reset",
+            source: STEPPED_RESET,
+        },
     ]
 }
 

@@ -17,9 +17,7 @@
 //! * `REAL`/`INTEGER` declarations (`REAL A(0:IDA, -M:0, 0:N)`);
 //! * `SUBROUTINE`, `DATA`, `RETURN`, `END` (recognized and skipped).
 
-use crate::ast::{
-    name_key, Access, ArrayDecl, Assign, BinOp, Expr, ForLoop, Program, Stmt,
-};
+use crate::ast::{name_key, Access, ArrayDecl, Assign, BinOp, Expr, ForLoop, Program, Stmt};
 use crate::error::{Error, Result};
 use crate::lexer::lex;
 use crate::token::{SpannedToken, Token};
@@ -137,7 +135,9 @@ fn logical_lines(src: &str) -> Vec<LogicalLine> {
         }
         // Continuation: any non-blank, non-zero character in column 6.
         let cols: Vec<char> = raw.chars().collect();
-        let is_continuation = cols.len() > 5 && cols[5] != ' ' && cols[5] != '0'
+        let is_continuation = cols.len() > 5
+            && cols[5] != ' '
+            && cols[5] != '0'
             && cols[..5].iter().all(|c| c.is_whitespace());
         if is_continuation {
             if let Some(prev) = out.last_mut() {
@@ -241,8 +241,9 @@ impl LineParser {
             "do" => Classified::Do,
             "continue" => Classified::Continue,
             "integer" => Classified::Declaration,
-            "subroutine" | "data" | "return" | "end" | "implicit" | "dimension"
-            | "parameter" => Classified::Skip,
+            "subroutine" | "data" | "return" | "end" | "implicit" | "dimension" | "parameter" => {
+                Classified::Skip
+            }
             "real" => Classified::Declaration,
             _ => Classified::Assignment,
         })
@@ -485,9 +486,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.stmts.len(), 1);
-        let Stmt::For(outer) = &p.stmts[0] else { panic!() };
+        let Stmt::For(outer) = &p.stmts[0] else {
+            panic!()
+        };
         assert_eq!(outer.body.len(), 1);
-        let Stmt::For(inner) = &outer.body[0] else { panic!() };
+        let Stmt::For(inner) = &outer.body[0] else {
+            panic!()
+        };
         // The labeled assignment is inside the INNER loop.
         assert_eq!(inner.body.len(), 1);
         assert!(matches!(inner.body[0], Stmt::Assign(_)));
@@ -505,7 +510,9 @@ mod tests {
     #[test]
     fn power_expands_to_product() {
         let p = parse("      X = A(L,JJ,J) ** 2").unwrap();
-        let Stmt::Assign(a) = &p.stmts[0] else { panic!() };
+        let Stmt::Assign(a) = &p.stmts[0] else {
+            panic!()
+        };
         let Expr::Bin(BinOp::Mul, l, r) = &a.rhs else {
             panic!("expected product, got {:?}", a.rhs)
         };
@@ -519,7 +526,9 @@ mod tests {
      &   A(L,-JJ,K+JJ) * B(I,L,K)",
         )
         .unwrap();
-        let Stmt::Assign(a) = &p.stmts[0] else { panic!() };
+        let Stmt::Assign(a) = &p.stmts[0] else {
+            panic!()
+        };
         // All three reads present on the joined line.
         let mut reads = 0;
         a.rhs.walk(&mut |e| {

@@ -122,9 +122,7 @@ pub fn lex(src: &str) -> Result<Vec<SpannedToken>> {
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
                 let text = &src[start..i];

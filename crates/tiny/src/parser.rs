@@ -143,10 +143,8 @@ impl Parser {
                 }
                 self.expect(&Token::RBracket)?;
             }
-            prog.arrays.insert(
-                crate::ast::name_key(&name),
-                ArrayDecl { name, dims },
-            );
+            prog.arrays
+                .insert(crate::ast::name_key(&name), ArrayDecl { name, dims });
             if self.peek() == &Token::Comma {
                 self.advance();
             } else {
@@ -452,11 +450,19 @@ mod tests {
             endfor
         ";
         let p = parse(src).unwrap();
-        let Stmt::For(outer) = &p.stmts[0] else { panic!() };
+        let Stmt::For(outer) = &p.stmts[0] else {
+            panic!()
+        };
         assert_eq!(outer.body.len(), 2);
-        let Stmt::For(inner) = &outer.body[0] else { panic!() };
-        let Stmt::Assign(a1) = &inner.body[0] else { panic!() };
-        let Stmt::Assign(a2) = &outer.body[1] else { panic!() };
+        let Stmt::For(inner) = &outer.body[0] else {
+            panic!()
+        };
+        let Stmt::Assign(a1) = &inner.body[0] else {
+            panic!()
+        };
+        let Stmt::Assign(a2) = &outer.body[1] else {
+            panic!()
+        };
         assert_eq!(a1.label, 1);
         assert_eq!(a2.label, 2);
     }
@@ -500,7 +506,9 @@ mod tests {
     #[test]
     fn parses_scalar_assignment() {
         let p = parse("k := k + j;").unwrap();
-        let Stmt::Assign(a) = &p.stmts[0] else { panic!() };
+        let Stmt::Assign(a) = &p.stmts[0] else {
+            panic!()
+        };
         assert!(a.lhs.subs.is_empty());
         assert_eq!(a.lhs.array, "k");
     }
@@ -508,7 +516,9 @@ mod tests {
     #[test]
     fn parses_bracket_subscripts() {
         let p = parse("A[L1,L2] := A[L1-x,y] + C[L1,L2];").unwrap();
-        let Stmt::Assign(a) = &p.stmts[0] else { panic!() };
+        let Stmt::Assign(a) = &p.stmts[0] else {
+            panic!()
+        };
         assert_eq!(a.lhs.subs.len(), 2);
     }
 
@@ -528,14 +538,20 @@ mod tests {
     #[test]
     fn precedence_and_negation() {
         let p = parse("x := 1 + 2 * 3;").unwrap();
-        let Stmt::Assign(a) = &p.stmts[0] else { panic!() };
+        let Stmt::Assign(a) = &p.stmts[0] else {
+            panic!()
+        };
         // (1 + (2 * 3))
-        let Expr::Bin(BinOp::Add, l, r) = &a.rhs else { panic!() };
+        let Expr::Bin(BinOp::Add, l, r) = &a.rhs else {
+            panic!()
+        };
         assert_eq!(**l, Expr::Int(1));
         assert!(matches!(&**r, Expr::Bin(BinOp::Mul, _, _)));
 
         let p = parse("x := -y * 2;").unwrap();
-        let Stmt::Assign(a) = &p.stmts[0] else { panic!() };
+        let Stmt::Assign(a) = &p.stmts[0] else {
+            panic!()
+        };
         // ((-y) * 2): unary binds tighter than *
         assert!(matches!(&a.rhs, Expr::Bin(BinOp::Mul, l, _)
             if matches!(&**l, Expr::Neg(_))));

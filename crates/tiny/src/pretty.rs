@@ -27,7 +27,10 @@ impl Annotations {
     /// statement at `path`. Multiple lines on one path print in
     /// insertion order.
     pub fn push(&mut self, path: &[usize], line: impl Into<String>) {
-        self.by_path.entry(path.to_vec()).or_default().push(line.into());
+        self.by_path
+            .entry(path.to_vec())
+            .or_default()
+            .push(line.into());
     }
 
     /// True when no annotation was attached.
@@ -56,11 +59,7 @@ impl fmt::Display for Program {
     }
 }
 
-fn write_program<W: fmt::Write>(
-    f: &mut W,
-    program: &Program,
-    ann: &Annotations,
-) -> fmt::Result {
+fn write_program<W: fmt::Write>(f: &mut W, program: &Program, ann: &Annotations) -> fmt::Result {
     if !program.syms.is_empty() {
         writeln!(f, "sym {};", program.syms.join(", "))?;
     }
@@ -234,6 +233,9 @@ mod tests {
             .lines()
             .position(|l| l.trim_start().starts_with("for j"))
             .unwrap();
-        assert_eq!(out.lines().nth(j_line - 1).unwrap().trim_start(), "!$ J-LOOP");
+        assert_eq!(
+            out.lines().nth(j_line - 1).unwrap().trim_start(),
+            "!$ J-LOOP"
+        );
     }
 }

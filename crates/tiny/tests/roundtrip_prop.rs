@@ -12,11 +12,7 @@ use tiny::ast::{Access, Assign, BinOp, Expr, ForLoop, IfStmt, Program, RelOp, Re
 fn gen_ident(rng: &mut Rng) -> String {
     // Avoid keywords; single letters with an index are safe.
     let letters = ["aa", "bb", "cc", "ii", "jj2", "kk"];
-    format!(
-        "{}{}",
-        rng.choose(&letters),
-        rng.gen_range_usize(0..4)
-    )
+    format!("{}{}", rng.choose(&letters), rng.gen_range_usize(0..4))
 }
 
 /// Mirrors the old `prop_recursive(3, …)` expression distribution.
@@ -29,9 +25,21 @@ fn gen_expr(rng: &mut Rng, depth: u32) -> Expr {
         };
     }
     match rng.gen_range_usize(0..=4) {
-        0 => Expr::bin(BinOp::Add, gen_expr(rng, depth - 1), gen_expr(rng, depth - 1)),
-        1 => Expr::bin(BinOp::Sub, gen_expr(rng, depth - 1), gen_expr(rng, depth - 1)),
-        2 => Expr::bin(BinOp::Mul, gen_expr(rng, depth - 1), gen_expr(rng, depth - 1)),
+        0 => Expr::bin(
+            BinOp::Add,
+            gen_expr(rng, depth - 1),
+            gen_expr(rng, depth - 1),
+        ),
+        1 => Expr::bin(
+            BinOp::Sub,
+            gen_expr(rng, depth - 1),
+            gen_expr(rng, depth - 1),
+        ),
+        2 => Expr::bin(
+            BinOp::Mul,
+            gen_expr(rng, depth - 1),
+            gen_expr(rng, depth - 1),
+        ),
         // Mirror the parser: negated literals fold into the literal.
         3 => match gen_expr(rng, depth - 1) {
             Expr::Int(n) => Expr::Int(-n),
@@ -255,8 +263,8 @@ fn prop_roundtrip(stmts: &Vec<Stmt>) -> Result<(), String> {
     let mut next = 1;
     renumber(&mut program.stmts, &mut next);
     let printed = program.to_string();
-    let reparsed = Program::parse(&printed)
-        .map_err(|e| format!("reparse failed: {e}\n{printed}"))?;
+    let reparsed =
+        Program::parse(&printed).map_err(|e| format!("reparse failed: {e}\n{printed}"))?;
     prop_assert_eq!(&program.stmts, &reparsed.stmts, "\n{}", printed);
     Ok(())
 }
