@@ -21,16 +21,23 @@
 //!
 //! # Slot layout
 //!
-//! No allocation or free writes a cache line shared by every thread.
-//! The process-wide counters live in a fixed table of `SLOTS` counter
-//! slots, each 128-byte aligned (two cache lines, so the adjacent-line
-//! prefetcher does not pair neighbours either). A slot holds allocations,
-//! deallocations and net live bytes. A thread claims a slot on its first
-//! allocation and keeps it; threads past the table size share slots
-//! round-robin. Slots are updated with atomic adds, so a shared slot
-//! still counts exactly, and a block freed on another thread than the
-//! one that allocated it simply moves bytes between two slots' nets.
-//! [`snapshot`] sums the slots: `allocs`, `deallocs` and
+//! No allocation or free writes a cache line shared by every thread,
+//! and none takes a lock-prefixed instruction on the common path. The
+//! process-wide counters live in counter slots, each 128-byte aligned
+//! (two cache lines, so the adjacent-line prefetcher does not pair
+//! neighbours either). A slot holds allocations, deallocations and net
+//! live bytes. A thread claims a slot on its first allocation and keeps
+//! it:
+//!
+//! - The first `SLOTS` threads each own a slot of the main table. A
+//!   slot's owner is its only writer, so it updates the counters with a
+//!   relaxed load and store, which cannot lose a count.
+//! - Threads past the table share the `OVERFLOW` slots round-robin and
+//!   update them with atomic adds, so a shared slot still counts exactly.
+//!
+//! A block freed on another thread than the one that allocated it simply
+//! moves bytes between two slots' nets: the freeing thread writes only
+//! its own slot. [`snapshot`] sums both tables: `allocs`, `deallocs` and
 //! `current_bytes` are exact whenever no other thread is allocating
 //! while it reads (for instance after a pool has joined its work).
 //!
@@ -47,8 +54,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Counter slots in the table; threads past this share slots.
+/// Owned counter slots: one each for the first this many threads.
 const SLOTS: usize = 64;
+
+/// Shared counter slots for the threads past [`SLOTS`].
+const OVERFLOW: usize = 8;
 
 /// Live bytes a thread adds, net of its frees, between two publishes of
 /// the high-water mark.
@@ -80,14 +90,51 @@ impl Slot {
 struct PeakLine(AtomicU64);
 
 static TABLE: [Slot; SLOTS] = [const { Slot::new() }; SLOTS];
+static SHARED: [Slot; OVERFLOW] = [const { Slot::new() }; OVERFLOW];
 static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: PeakLine = PeakLine(AtomicU64::new(0));
+
+/// A thread's slot, and whether the thread is its only writer.
+#[derive(Clone, Copy)]
+struct Claim {
+    slot: &'static Slot,
+    owned: bool,
+}
+
+impl Claim {
+    /// The slot of the `n`-th thread to allocate: its own in the main
+    /// table, or a shared overflow slot once the table is taken.
+    fn nth(n: usize) -> Claim {
+        match TABLE.get(n) {
+            Some(slot) => Claim { slot, owned: true },
+            None => Claim {
+                slot: &SHARED[(n - SLOTS) % OVERFLOW],
+                owned: false,
+            },
+        }
+    }
+
+    /// Adds `n` (wrapping) to one of the slot's counters.
+    #[inline]
+    fn add(self, counter: &AtomicU64, n: u64) {
+        if self.owned {
+            // The only writer: a plain relaxed load and store lose no
+            // update, and readers still see whole values.
+            counter.store(
+                counter.load(Ordering::Relaxed).wrapping_add(n),
+                Ordering::Relaxed,
+            );
+        } else {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+}
 
 /// The calling thread's allocator state. Const-initialized and without
 /// a destructor, so it never allocates and stays usable while the
 /// thread exits.
 struct Local {
-    slot: Cell<Option<&'static Slot>>,
+    slot: Cell<Option<Claim>>,
     allocs: Cell<u64>,
     /// Live bytes added since the last publish of the high-water mark,
     /// net of frees, floored at zero.
@@ -97,13 +144,13 @@ struct Local {
 }
 
 impl Local {
-    fn slot(&self) -> &'static Slot {
+    fn claim(&self) -> Claim {
         match self.slot.get() {
-            Some(slot) => slot,
+            Some(claim) => claim,
             None => {
-                let slot = &TABLE[NEXT_SLOT.fetch_add(1, Ordering::Relaxed) % SLOTS];
-                self.slot.set(Some(slot));
-                slot
+                let claim = Claim::nth(NEXT_SLOT.fetch_add(1, Ordering::Relaxed));
+                self.slot.set(Some(claim));
+                claim
             }
         }
     }
@@ -138,9 +185,9 @@ fn note_alloc(bytes: usize) {
     let bytes = bytes as u64;
     LOCAL.with(|l| {
         l.allocs.set(l.allocs.get() + 1);
-        let slot = l.slot();
-        slot.allocs.fetch_add(1, Ordering::Relaxed);
-        slot.live.fetch_add(bytes, Ordering::Relaxed);
+        let claim = l.claim();
+        claim.add(&claim.slot.allocs, 1);
+        claim.add(&claim.slot.live, bytes);
         let drift = l.drift.get() + bytes;
         if drift >= PEAK_STRIDE {
             l.drift.set(0);
@@ -157,9 +204,9 @@ fn note_alloc(bytes: usize) {
 fn note_dealloc(bytes: usize) {
     let bytes = bytes as u64;
     LOCAL.with(|l| {
-        let slot = l.slot();
-        slot.deallocs.fetch_add(1, Ordering::Relaxed);
-        slot.live.fetch_sub(bytes, Ordering::Relaxed);
+        let claim = l.claim();
+        claim.add(&claim.slot.deallocs, 1);
+        claim.add(&claim.slot.live, bytes.wrapping_neg());
         l.drift.set(l.drift.get().saturating_sub(bytes));
     });
 }
@@ -174,12 +221,17 @@ fn publish_peak() {
     }
 }
 
+/// Every counter slot, owned and shared.
+fn slots() -> impl Iterator<Item = &'static Slot> {
+    TABLE.iter().chain(&SHARED)
+}
+
 /// Live bytes summed over the slots. While other threads allocate and
 /// free, the slots are read at slightly different moments, so a block
 /// freed elsewhere may be seen freed but not allocated; the sum is
 /// floored at zero rather than wrapping.
 fn live_bytes() -> u64 {
-    let sum = TABLE.iter().fold(0u64, |sum, s| {
+    let sum = slots().fold(0u64, |sum, s| {
         sum.wrapping_add(s.live.load(Ordering::Relaxed))
     });
     (sum as i64).max(0) as u64
@@ -246,7 +298,7 @@ impl AllocSnapshot {
 
 /// Reads the process-wide counters, summed over every thread's slot.
 pub fn snapshot() -> AllocSnapshot {
-    let (allocs, deallocs) = TABLE.iter().fold((0, 0), |(a, d), s| {
+    let (allocs, deallocs) = slots().fold((0, 0), |(a, d), s| {
         (
             a + s.allocs.load(Ordering::Relaxed),
             d + s.deallocs.load(Ordering::Relaxed),
@@ -439,8 +491,9 @@ mod tests {
             // SAFETY: `layout` has a non-zero size; the block is freed
             // right away.
             unsafe { a.dealloc(a.alloc(layout), layout) };
-            LOCAL.with(|l| l.slot.get().expect("claimed on first allocation")) as *const Slot
-                as usize
+            let claim = LOCAL.with(|l| l.slot.get().expect("claimed on first allocation"));
+            assert!(claim.owned, "the first threads own their slots");
+            claim.slot as *const Slot as usize
         };
         let (first, second) = std::thread::scope(|s| {
             let (h1, h2) = (s.spawn(claim), s.spawn(claim));
@@ -449,5 +502,39 @@ mod tests {
         assert_ne!(first, second);
         assert_eq!(first % 128, 0);
         assert_eq!(second % 128, 0);
+    }
+
+    /// Threads past the owned table share overflow slots with atomic
+    /// adds. Two threads are pointed at one overflow slot by index (no
+    /// table's worth of threads is spawned) and allocate concurrently:
+    /// every count must arrive, which plain stores would not guarantee.
+    #[test]
+    fn threads_past_the_table_count_exactly_in_a_shared_slot() {
+        const ROUNDS: u64 = 50_000;
+        let _serial = serial();
+        let a = CountingAlloc::new();
+        let layout = Layout::from_size_align(24, 8).unwrap();
+        let first = Claim::nth(SLOTS);
+        assert!(!first.owned);
+        assert!(std::ptr::eq(first.slot, Claim::nth(SLOTS + OVERFLOW).slot));
+        let before = snapshot();
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    LOCAL.with(|l| l.slot.set(Some(Claim::nth(SLOTS + OVERFLOW))));
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        // SAFETY: `layout` has a non-zero size; the block
+                        // is freed right away.
+                        unsafe { a.dealloc(a.alloc(layout), layout) };
+                    }
+                });
+            }
+        });
+        let after = snapshot();
+        assert_eq!(after.allocs, before.allocs + 2 * ROUNDS);
+        assert_eq!(after.deallocs, before.deallocs + 2 * ROUNDS);
+        assert_eq!(after.current_bytes, before.current_bytes);
     }
 }
