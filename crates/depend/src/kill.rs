@@ -9,7 +9,7 @@ use crate::config::Config;
 use crate::dep::{AccessSite, Dependence};
 use crate::error::Result;
 use crate::logic::implies_union;
-use crate::pairs::{access_of, executes_before};
+use crate::pairs::{executes_before, form_of};
 use crate::space::{add_order, order_cases, Space};
 
 /// What the kill test did (for the Figure 6 right-hand plot).
@@ -52,10 +52,10 @@ pub fn check_kill(
     let a = info.stmt(victim.src.label);
     let c = info.stmt(victim.dst.label);
     let b = info.stmt(killer_label);
-    let a_acc = access_of(a, victim.src.site);
-    let c_acc = access_of(c, victim.dst.site);
-    let b_acc = &b.write;
-    if tiny::ast::name_key(&b_acc.array) != tiny::ast::name_key(&c_acc.array) {
+    let a_acc = form_of(a, victim.src.site);
+    let c_acc = form_of(c, victim.dst.site);
+    let b_acc = &b.write_form;
+    if b_acc.array != c_acc.array {
         return Ok(out);
     }
 

@@ -17,7 +17,9 @@ impl VarId {
         self.0 as usize
     }
 
-    pub(crate) fn from_index(i: usize) -> Self {
+    /// The variable at position `i` of a problem's table (the inverse of
+    /// [`VarId::index`]).
+    pub fn from_index(i: usize) -> Self {
         VarId(u32::try_from(i).expect("variable table exceeds u32 range"))
     }
 }
