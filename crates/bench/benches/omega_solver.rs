@@ -70,7 +70,9 @@ fn bench_satisfiability(b: &mut Bench) {
 
 fn bench_projection(b: &mut Bench) {
     let (dep, keep) = dependence_problem();
-    b.bench("project/dependence_onto_dst", || dep.project(&keep).unwrap());
+    b.bench("project/dependence_onto_dst", || {
+        dep.project(&keep).unwrap()
+    });
     let sp = splintering_problem();
     let x = sp.find_var("x").unwrap();
     b.bench("project/splintering_onto_x", || sp.project(&[x]).unwrap());
@@ -99,7 +101,9 @@ fn bench_gist_and_implies(b: &mut Bench) {
 
 fn bench_union_and_witnesses(b: &mut Bench) {
     let (dep, keep) = dependence_problem();
-    b.bench("sample/dependence_witness", || dep.sample_solution().unwrap());
+    b.bench("sample/dependence_witness", || {
+        dep.sample_solution().unwrap()
+    });
     let pieces = dep.project(&keep).unwrap().into_problems();
     b.bench("implies/union_self", || {
         let mut budget = omega::Budget::default();

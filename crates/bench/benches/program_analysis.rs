@@ -38,7 +38,9 @@ fn bench_frontend(b: &mut Bench) {
         tiny::Program::parse(entry.source).unwrap()
     });
     let program = tiny::Program::parse(entry.source).unwrap();
-    b.bench("frontend/analyze_cholsky", || tiny::analyze(&program).unwrap());
+    b.bench("frontend/analyze_cholsky", || {
+        tiny::analyze(&program).unwrap()
+    });
 }
 
 fn bench_baseline(b: &mut Bench) {

@@ -43,7 +43,10 @@ fn main() {
             (std_ns as f64 / 1000.0, ext_ns as f64 / 1000.0, c)
         })
         .collect();
-    println!("{}", ascii_scatter(&pts, 64, 20, "standard us", "extended us"));
+    println!(
+        "{}",
+        ascii_scatter(&pts, 64, 20, "standard us", "extended us")
+    );
 
     // Ratio distribution for the tested pairs (the paper: "generally 2 or
     // 3 times the amount of time needed to generate the dependence").

@@ -16,7 +16,10 @@ fn main() {
     rows.sort_by_key(|&(_, ext)| ext);
 
     println!("=== Figure 7: analysis time per array pair, sorted by extended time ===");
-    println!("{:>6} {:>12} {:>12} {:>8}", "pair", "standard us", "extended us", "ratio");
+    println!(
+        "{:>6} {:>12} {:>12} {:>8}",
+        "pair", "standard us", "extended us", "ratio"
+    );
     for (i, (std_ns, ext_ns)) in rows.iter().enumerate() {
         // Print every pair; downstream plotting can subsample.
         println!(

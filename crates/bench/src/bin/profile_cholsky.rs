@@ -31,11 +31,36 @@ fn run(name: &str, config: &Config) {
 
 fn main() {
     run("standard", &Config::standard());
-    run("refine only", &Config { cover: false, kill: false, ..Config::default() });
-    run("refine+cover", &Config { kill: false, ..Config::default() });
-    run("full, no formula fallback", &Config { formula_fallback: false, ..Config::default() });
+    run(
+        "refine only",
+        &Config {
+            cover: false,
+            kill: false,
+            ..Config::default()
+        },
+    );
+    run(
+        "refine+cover",
+        &Config {
+            kill: false,
+            ..Config::default()
+        },
+    );
+    run(
+        "full, no formula fallback",
+        &Config {
+            formula_fallback: false,
+            ..Config::default()
+        },
+    );
     run("full", &Config::default());
-    run("full, no quick tests", &Config { quick_tests: false, ..Config::default() });
+    run(
+        "full, no quick tests",
+        &Config {
+            quick_tests: false,
+            ..Config::default()
+        },
+    );
     // The gated configuration: single-threaded extended analysis, the
     // exact shape of the smoke / perf_guard warm measurements.
     run(

@@ -16,11 +16,7 @@ use depend::{analyze_program, decide_loops, Config, DepGraph, ParallelizeSummary
 
 /// Corpus programs with a nonzero `newly` count, pinned. Every program
 /// absent from this list is pinned to zero.
-const PINNED_NEWLY: &[(&str, usize)] = &[
-    ("example2", 1),
-    ("pivot_reset", 1),
-    ("stepped_reset", 1),
-];
+const PINNED_NEWLY: &[(&str, usize)] = &[("example2", 1), ("pivot_reset", 1), ("stepped_reset", 1)];
 
 fn main() -> ExitCode {
     println!(

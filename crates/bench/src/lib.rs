@@ -29,8 +29,8 @@ pub fn run_corpus(config: &Config) -> Vec<CorpusRun> {
             let program = tiny::Program::parse(entry.source)
                 .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
             let info = tiny::analyze(&program).unwrap_or_else(|e| panic!("{}: {e}", entry.name));
-            let analysis = analyze_program(&info, config)
-                .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
+            let analysis =
+                analyze_program(&info, config).unwrap_or_else(|e| panic!("{}: {e}", entry.name));
             CorpusRun {
                 name: entry.name,
                 info,
@@ -80,7 +80,8 @@ pub fn fig6_summary(runs: &[CorpusRun]) -> Fig6Summary {
             } else {
                 s.quick_kills += 1;
             }
-            s.kills.push((k.kill_ns, k.victim_ext_ns, k.consulted_omega));
+            s.kills
+                .push((k.kill_ns, k.victim_ext_ns, k.consulted_omega));
         }
     }
     s
@@ -298,7 +299,10 @@ mod tests {
         assert!(runs.len() >= 25);
         let s = fig6_summary(&runs);
         let total = s.no_test + s.general + s.split;
-        assert!(total >= 100, "expected a substantial pair count, got {total}");
+        assert!(
+            total >= 100,
+            "expected a substantial pair count, got {total}"
+        );
         assert!(s.quick_kills + s.omega_kills > 0);
     }
 
@@ -334,7 +338,10 @@ mod tests {
         // The headline number: a nontrivial set of baseline false
         // dependences vanishes under the exact test.
         let eliminated = rows.iter().filter(|r| r.eliminated_by_omega()).count();
-        assert!(eliminated >= 10, "only {eliminated} false dependences eliminated");
+        assert!(
+            eliminated >= 10,
+            "only {eliminated} false dependences eliminated"
+        );
     }
 
     #[test]

@@ -96,13 +96,9 @@ impl Bench {
     /// A runner configured from the process arguments and environment
     /// (see the module docs for the quick-mode rules and env knobs).
     pub fn from_env() -> Self {
-        let full = std::env::args().any(|a| a == "--bench")
-            && env_u64("HARNESS_BENCH_QUICK").is_none();
-        let mut b = if full {
-            Bench::full()
-        } else {
-            Bench::quick()
-        };
+        let full =
+            std::env::args().any(|a| a == "--bench") && env_u64("HARNESS_BENCH_QUICK").is_none();
+        let mut b = if full { Bench::full() } else { Bench::quick() };
         if let Some(s) = env_u64("HARNESS_BENCH_SAMPLES") {
             b.samples = (s as usize).max(1);
         }

@@ -464,7 +464,9 @@ mod tests {
                 &cfg,
                 |rng| {
                     let n = rng.gen_range_usize(0..6);
-                    (0..n).map(|_| rng.gen_range_i64(0..=300)).collect::<Vec<_>>()
+                    (0..n)
+                        .map(|_| rng.gen_range_i64(0..=300))
+                        .collect::<Vec<_>>()
                 },
                 |v| {
                     prop_assert!(v.iter().all(|&x| x < 100), "element out of range");
@@ -474,7 +476,10 @@ mod tests {
         }));
         let msg = panic_message(result.expect_err("property must fail").as_ref());
         assert!(msg.contains("100"), "minimal witness missing from: {msg}");
-        assert!(msg.contains("HARNESS_CASE_SEED"), "no replay seed in: {msg}");
+        assert!(
+            msg.contains("HARNESS_CASE_SEED"),
+            "no replay seed in: {msg}"
+        );
     }
 
     /// Panics inside the property (e.g. `unwrap`) are caught and shrunk

@@ -179,7 +179,11 @@ mod tests {
         let sm0: Vec<u64> = (0..3).map(|_| sm.next_u64()).collect();
         assert_eq!(
             sm0,
-            vec![0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4, 0x06C4_5D18_8009_454F],
+            vec![
+                0xE220_A839_7B1D_CDAF,
+                0x6E78_9E6A_A1B9_65F4,
+                0x06C4_5D18_8009_454F
+            ],
             "SplitMix64 seed 0"
         );
 

@@ -31,7 +31,11 @@ fn main() -> Result<(), omega::Error> {
     println!();
     println!(
         "4 <= 3x <= 5 is {} over the integers (real-satisfiable!)",
-        if gap.is_satisfiable()? { "SAT" } else { "UNSAT" }
+        if gap.is_satisfiable()? {
+            "SAT"
+        } else {
+            "UNSAT"
+        }
     );
 
     // --- Witness extraction --------------------------------------------
@@ -41,7 +45,10 @@ fn main() -> Result<(), omega::Error> {
     dio.add_eq(LinExpr::term(7, u).plus_term(12, v).plus_const(-31));
     let sol = dio.sample_solution()?.expect("7u + 12v = 31 is solvable");
     println!();
-    println!("witness for 7u + 12v = 31: u = {}, v = {}", sol[&u], sol[&v]);
+    println!(
+        "witness for 7u + 12v = 31: u = {}, v = {}",
+        sol[&u], sol[&v]
+    );
 
     // --- Gist (§3.3): "the new information in p, given q" --------------
     let mut space = Problem::new();

@@ -87,7 +87,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // carried flow on `t` false; killing it is exactly what lets `t` be
     // privatized and the `i` loop run in parallel. Full report, as
     // `tinydep --parallelize` would print it.
-    report("pivot reset (newly parallelizable)", tiny::corpus::PIVOT_RESET)?;
+    report(
+        "pivot reset (newly parallelizable)",
+        tiny::corpus::PIVOT_RESET,
+    )?;
     let program = tiny::Program::parse(tiny::corpus::PIVOT_RESET)?;
     let info = tiny::analyze(&program)?;
     let analysis = analyze_program(&info, &Config::extended())?;

@@ -26,10 +26,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let opts = ReportOptions::default();
     println!("live flow dependences:");
-    print!("{}", depend::live_flow_table(&depend::DepGraph::new(&info, &analysis), &opts));
+    print!(
+        "{}",
+        depend::live_flow_table(&depend::DepGraph::new(&info, &analysis), &opts)
+    );
     println!();
     println!("dead flow dependences (eliminated false dependences):");
-    print!("{}", depend::dead_flow_table(&depend::DepGraph::new(&info, &analysis), &opts));
+    print!(
+        "{}",
+        depend::dead_flow_table(&depend::DepGraph::new(&info, &analysis), &opts)
+    );
 
     // The library view: statement 1's flow to the final read is dead.
     let dead: Vec<_> = analysis.dead_flows().collect();

@@ -33,7 +33,10 @@ fn show(name: &str, source: &str) -> Result<(), Box<dyn std::error::Error>> {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     use tiny::corpus as c;
     show("Example 1: killed flow dependence", c::EXAMPLE_1)?;
-    show("Example 1 (a(m) variant): kill unverifiable", c::EXAMPLE_1_M)?;
+    show(
+        "Example 1 (a(m) variant): kill unverifiable",
+        c::EXAMPLE_1_M,
+    )?;
     show(
         "Example 1 (asserted n <= m <= n+10): kill restored",
         c::EXAMPLE_1_M_ASSERTED,

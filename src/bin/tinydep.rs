@@ -130,9 +130,7 @@ fn parse_args() -> Result<Options, String> {
         report_flag.get_or_insert(arg);
     }
     if parallelize && (json || dot || standard) {
-        return Err(
-            "--parallelize renders its own report (drop --json/--dot/--standard)".into(),
-        );
+        return Err("--parallelize renders its own report (drop --json/--dot/--standard)".into());
     }
     if json && dot {
         return Err("--json and --dot are two output formats (pick one)".into());
@@ -159,7 +157,9 @@ fn parse_args() -> Result<Options, String> {
         }
     } else if opts.corpus_all {
         if !opts.inputs.is_empty() {
-            return Err("--corpus analyzes every built-in program; drop the input arguments".into());
+            return Err(
+                "--corpus analyzes every built-in program; drop the input arguments".into(),
+            );
         }
     } else if opts.inputs.is_empty() {
         return Err("no input given (try --help)".into());

@@ -738,7 +738,10 @@ mod tests {
         assert_eq!(r.line, "{\"id\":7,\"ok\":true,\"pong\":true}");
         assert!(!r.shutdown);
         let r = s.handle_line("{\"op\":\"frobnicate\"}").unwrap();
-        assert_eq!(r.line, "{\"ok\":false,\"error\":\"unknown op \\\"frobnicate\\\"\"}");
+        assert_eq!(
+            r.line,
+            "{\"ok\":false,\"error\":\"unknown op \\\"frobnicate\\\"\"}"
+        );
         assert!(s.handle_line("   ").is_none());
     }
 
@@ -772,10 +775,16 @@ mod tests {
         let r = s
             .handle_line("{\"id\":1,\"op\":\"analyze\",\"corpus\":\"example3\"}")
             .unwrap();
-        assert!(r.line.starts_with("{\"id\":1,\"ok\":true,\"report\":\""), "{}", r.line);
+        assert!(
+            r.line.starts_with("{\"id\":1,\"ok\":true,\"report\":\""),
+            "{}",
+            r.line
+        );
 
         // The CLI's run path: the front end, then a one-program corpus.
-        let source = tiny::corpus::by_name("example3").expect("corpus program").source;
+        let source = tiny::corpus::by_name("example3")
+            .expect("corpus program")
+            .source;
         let (_, info) = front_end("example3", source, false).unwrap();
         let infos = [info];
         let analyses = depend::analyze_corpus(&infos, &Config::extended()).unwrap();
@@ -829,6 +838,9 @@ mod tests {
             warm.misses, cold.misses,
             "repeat request missed the shared cache"
         );
-        assert!(warm.hits > cold.hits, "repeat request did not hit the cache");
+        assert!(
+            warm.hits > cold.hits,
+            "repeat request did not hit the cache"
+        );
     }
 }

@@ -15,8 +15,8 @@ type Row = (usize, usize, &'static str, &'static str);
 const FIGURE3: &[Row] = &[
     (3, 3, "(0,0,1,0)", "[ r]"),
     (3, 2, "(0,0)", ""),
-    (2, 3, "(0,+)", ""),  // A(L,I+JJ,J)
-    (2, 3, "(+,*)", ""),  // A(L,JJ,I+J)
+    (2, 3, "(0,+)", ""), // A(L,I+JJ,J)
+    (2, 3, "(+,*)", ""), // A(L,JJ,I+J)
     (2, 5, "(0)", "[C ]"),
     (2, 7, "", "[C ]"),
     (2, 6, "", "[C ]"),

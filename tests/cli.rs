@@ -15,7 +15,10 @@ fn analyzes_a_corpus_program() {
         .expect("tinydep runs");
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("(0,1)"), "refined vector expected:\n{stdout}");
+    assert!(
+        stdout.contains("(0,1)"),
+        "refined vector expected:\n{stdout}"
+    );
     assert!(stdout.contains("[ r]"), "{stdout}");
 }
 
@@ -145,10 +148,7 @@ fn list_corpus() {
 
 #[test]
 fn all_flag_prints_storage_dependences() {
-    let out = tinydep()
-        .args(["--all", "corpus:seidel"])
-        .output()
-        .unwrap();
+    let out = tinydep().args(["--all", "corpus:seidel"]).output().unwrap();
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("anti dependences"), "{stdout}");
     assert!(stdout.contains("output dependences"), "{stdout}");
@@ -177,7 +177,10 @@ fn fortran_flag_accepts_figure_2() {
 
 #[test]
 fn dot_output_is_valid_digraph() {
-    let out = tinydep().args(["--dot", "corpus:example2"]).output().unwrap();
+    let out = tinydep()
+        .args(["--dot", "corpus:example2"])
+        .output()
+        .unwrap();
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.starts_with("digraph dependences {"), "{stdout}");
@@ -187,7 +190,10 @@ fn dot_output_is_valid_digraph() {
 
 #[test]
 fn signs_prints_direction_vector_sets() {
-    let out = tinydep().args(["--signs", "corpus:example6"]).output().unwrap();
+    let out = tinydep()
+        .args(["--signs", "corpus:example6"])
+        .output()
+        .unwrap();
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("{(+,+)}"), "coupled distances:\n{stdout}");
@@ -195,7 +201,10 @@ fn signs_prints_direction_vector_sets() {
 
 #[test]
 fn json_output_parses_mentally() {
-    let out = tinydep().args(["--json", "corpus:example1"]).output().unwrap();
+    let out = tinydep()
+        .args(["--json", "corpus:example1"])
+        .output()
+        .unwrap();
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("\"flows\""), "{stdout}");
@@ -214,7 +223,9 @@ fn help_lists_every_option() {
         .split_whitespace()
     {
         assert!(
-            stdout.lines().any(|l| l.split_whitespace().next() == Some(flag)),
+            stdout
+                .lines()
+                .any(|l| l.split_whitespace().next() == Some(flag)),
             "{flag} undocumented:\n{stdout}"
         );
     }
@@ -225,7 +236,12 @@ fn stats_are_printed_by_every_run_shape() {
     let runs: [&[&str]; 4] = [
         &["--stats", "corpus:example1"],
         &["--stats", "corpus:example1", "corpus:example2"],
-        &["--parallelize", "--stats", "corpus:example1", "corpus:example2"],
+        &[
+            "--parallelize",
+            "--stats",
+            "corpus:example1",
+            "corpus:example2",
+        ],
         &["--parallelize", "--corpus", "--stats", "--threads=2"],
     ];
     for args in runs {
@@ -247,7 +263,10 @@ fn conflicting_flags_are_rejected() {
     let _ = std::fs::remove_file(&path);
     let cache_arg = format!("--cache-file={}", path.display());
     let mut cases: Vec<(Vec<&str>, &str)> = vec![
-        (vec!["--no-cache", &cache_arg, "corpus:example1"], "--no-cache"),
+        (
+            vec!["--no-cache", &cache_arg, "corpus:example1"],
+            "--no-cache",
+        ),
         (vec!["--json", "--dot", "corpus:example1"], "--dot"),
         (vec!["--serve", "--json", "--all", "--fortran"], "--json"),
     ];

@@ -66,8 +66,7 @@ fn disjoint_guard_ranges_eliminate_dependences() {
     // are mutually exclusive within one iteration: no loop-independent
     // output dependence (and since the guard is loop-invariant here, no
     // carried one either).
-    let (_, a) = run(
-        "
+    let (_, a) = run("
         sym n, k;
         for i := 1 to n do
           if i <= k then
@@ -76,8 +75,7 @@ fn disjoint_guard_ranges_eliminate_dependences() {
             a(i) := 1;
           endif
         endfor
-        ",
-    );
+        ");
     assert!(
         a.outputs.is_empty(),
         "guarded writes never overlap: {:?}",
@@ -90,8 +88,7 @@ fn guard_constraints_refine_flow_sources() {
     // The read under `i >= k+1` can only see writes from iterations
     // with i <= k, i.e. the flow from the guarded write exists but is
     // carried; the reverse flow cannot exist.
-    let (_, a) = run(
-        "
+    let (_, a) = run("
         sym n, k;
         for i := 1 to n do
           if i <= k then
@@ -103,8 +100,7 @@ fn guard_constraints_refine_flow_sources() {
             x := a(i);
           endif
         endfor
-        ",
-    );
+        ");
     assert!(
         !a.flows.iter().any(|d| d.src.label == 1 && d.dst.label == 2),
         "write range [1,k] and read range [k+1,n] are disjoint"
@@ -115,8 +111,7 @@ fn guard_constraints_refine_flow_sources() {
 fn boundary_guard_kills() {
     // A guarded re-initialization of the first element kills the original
     // write for that element only: the general flow survives.
-    let (_, a) = run(
-        "
+    let (_, a) = run("
         sym n;
         for i := 1 to n do
           a(i) := 0;
@@ -127,14 +122,16 @@ fn boundary_guard_kills() {
         for i := 1 to n do
           x := a(i);
         endfor
-        ",
-    );
+        ");
     let d1 = a
         .flows
         .iter()
         .find(|d| d.src.label == 1 && d.dst.label == 3)
         .unwrap();
-    assert!(d1.is_live(), "only a(1) is overwritten; a(2..n) still flows");
+    assert!(
+        d1.is_live(),
+        "only a(1) is overwritten; a(2..n) still flows"
+    );
     let d2 = a
         .flows
         .iter()
@@ -147,8 +144,7 @@ fn boundary_guard_kills() {
 fn full_guard_coverage_kills() {
     // The guarded writes jointly cover the read, and the second write's
     // guard range alone kills the first's flow inside [1, k].
-    let (_, a) = run(
-        "
+    let (_, a) = run("
         sym n, k;
         assume 1 <= k <= n;
         for i := 1 to n do
@@ -160,8 +156,7 @@ fn full_guard_coverage_kills() {
         for i := 1 to n do
           x := a(i);
         endfor
-        ",
-    );
+        ");
     let d = a
         .flows
         .iter()
@@ -192,8 +187,7 @@ fn pretty_printer_roundtrips_conditionals() {
 fn multi_condition_else_is_conservative() {
     // else of a 2-relation condition carries no constraint: the output
     // dependence must be (conservatively) assumed.
-    let (_, a) = run(
-        "
+    let (_, a) = run("
         sym n, k;
         for i := 1 to n do
           if i <= k && i >= 2 then
@@ -202,8 +196,7 @@ fn multi_condition_else_is_conservative() {
             a(i) := 1;
           endif
         endfor
-        ",
-    );
+        ");
     assert!(
         !a.outputs.is_empty(),
         "¬(p ∧ q) is disjunctive: the else branch is unconstrained"

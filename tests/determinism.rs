@@ -100,8 +100,8 @@ fn corpus_infos() -> Vec<tiny::ProgramInfo> {
     tiny::corpus::all()
         .iter()
         .map(|e| {
-            let program = tiny::Program::parse(e.source)
-                .unwrap_or_else(|err| panic!("{}: {err}", e.name));
+            let program =
+                tiny::Program::parse(e.source).unwrap_or_else(|err| panic!("{}: {err}", e.name));
             tiny::analyze(&program).unwrap_or_else(|err| panic!("{}: {err}", e.name))
         })
         .collect()
@@ -174,10 +174,8 @@ fn corpus_driver_is_identical_with_a_cold_and_warm_persistent_cache() {
         let analyses = analyze_corpus(&infos, &Config::extended()).unwrap();
         render_corpus(&infos, &analyses)
     };
-    let path = std::env::temp_dir().join(format!(
-        "omega_corpus_cache_{}.cache",
-        std::process::id()
-    ));
+    let path =
+        std::env::temp_dir().join(format!("omega_corpus_cache_{}.cache", std::process::id()));
     let _ = std::fs::remove_file(&path);
     // Cold run populates the file; warm runs are served from it. Every
     // run, at every thread count, must match the no-file baseline.
@@ -232,7 +230,10 @@ fn tinydep_corpus_mode_is_identical_at_every_thread_count() {
         .split("== ")
         .next()
         .unwrap();
-    assert_eq!(section, single, "corpus section diverged from the single run");
+    assert_eq!(
+        section, single,
+        "corpus section diverged from the single run"
+    );
 }
 
 #[test]

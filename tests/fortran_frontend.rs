@@ -18,7 +18,11 @@ fn named(info: &ProgramInfo, stmt: &StmtInfo, pieces: &Option<Vec<Affine>>) -> O
         Var::Scalar(s) => info.names[s as usize].clone(),
     };
     let render = |a: &Affine| {
-        let terms: Vec<String> = a.terms.iter().map(|&(v, c)| format!("{c}*{}", name(v))).collect();
+        let terms: Vec<String> = a
+            .terms
+            .iter()
+            .map(|&(v, c)| format!("{c}*{}", name(v)))
+            .collect();
         format!("{} + {}", terms.join(" + "), a.constant)
     };
     pieces.as_ref().map(|p| p.iter().map(render).collect())
@@ -95,8 +99,7 @@ fn fortran_and_tiny_cholsky_have_identical_statement_structure() {
 
 #[test]
 fn fortran_cholsky_reproduces_the_same_figures() {
-    let f_info =
-        tiny::analyze(&tiny::fortran::parse(tiny::corpus::CHOLSKY_F77).unwrap()).unwrap();
+    let f_info = tiny::analyze(&tiny::fortran::parse(tiny::corpus::CHOLSKY_F77).unwrap()).unwrap();
     let t_info = tiny::analyze(&tiny::Program::parse(tiny::corpus::CHOLSKY).unwrap()).unwrap();
     let f = analyze_program(&f_info, &Config::extended()).unwrap();
     let t = analyze_program(&t_info, &Config::extended()).unwrap();

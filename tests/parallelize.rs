@@ -184,8 +184,7 @@ fn prop_kill_only_unlocks(spec: &ProgSpec) -> Result<(), String> {
     let src = render(spec);
     let program = tiny::Program::parse(&src)
         .map_err(|e| format!("generated program failed to parse: {e}\n{src}"))?;
-    let info =
-        tiny::analyze(&program).map_err(|e| format!("analysis failed: {e}\n{src}"))?;
+    let info = tiny::analyze(&program).map_err(|e| format!("analysis failed: {e}\n{src}"))?;
 
     let ext_cfg = Config {
         budget: 60_000,
@@ -232,7 +231,11 @@ fn prop_kill_only_unlocks(spec: &ProgSpec) -> Result<(), String> {
 
 #[test]
 fn kill_analysis_only_adds_parallelizable_loops() {
-    check(&PropConfig::with_cases(64), gen_spec, prop_kill_only_unlocks);
+    check(
+        &PropConfig::with_cases(64),
+        gen_spec,
+        prop_kill_only_unlocks,
+    );
 }
 
 /// The corpus programs designed to showcase the delta stay unlocked:

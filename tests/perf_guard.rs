@@ -62,7 +62,11 @@ fn cholsky_extended_analysis_is_fast() {
     let a = analyze_program(&info, &Config::extended()).unwrap();
     let elapsed = t.elapsed();
     assert_eq!(a.dead_flows().count(), 14);
-    let limit_ms = if cfg!(debug_assertions) { 30_000 } else { 3_000 };
+    let limit_ms = if cfg!(debug_assertions) {
+        30_000
+    } else {
+        3_000
+    };
     assert!(
         elapsed.as_millis() < limit_ms,
         "extended CHOLSKY analysis took {elapsed:?} (limit {limit_ms} ms): \
@@ -107,12 +111,9 @@ fn cholsky_cache_counts() -> (omega::CacheStats, omega::CacheStats) {
     };
     let cache = Some(std::sync::Arc::new(omega::SolverCache::new()));
     let run = || {
-        let mut a = depend::analyze_corpus_with_cache(
-            std::slice::from_ref(&info),
-            &config,
-            cache.clone(),
-        )
-        .unwrap();
+        let mut a =
+            depend::analyze_corpus_with_cache(std::slice::from_ref(&info), &config, cache.clone())
+                .unwrap();
         let a = a.pop().unwrap();
         assert_eq!(a.dead_flows().count(), 14);
         a.stats.cache
@@ -237,7 +238,11 @@ fn single_pair_analysis_is_microseconds_scale() {
         assert!(d.is_some());
     }
     let per_pair = t.elapsed() / 100;
-    let limit_us = if cfg!(debug_assertions) { 20_000 } else { 2_000 };
+    let limit_us = if cfg!(debug_assertions) {
+        20_000
+    } else {
+        2_000
+    };
     assert!(
         per_pair.as_micros() < limit_us,
         "per-pair analysis {per_pair:?} exceeds {limit_us} us"

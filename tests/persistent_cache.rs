@@ -184,7 +184,10 @@ fn concurrent_saves_never_produce_a_torn_file() {
         .map(|e| e.file_name().to_string_lossy().into_owned())
         .filter(|n| n.starts_with(&format!(".{name}.tmp.")))
         .collect();
-    assert!(droppings.is_empty(), "temp files left behind: {droppings:?}");
+    assert!(
+        droppings.is_empty(),
+        "temp files left behind: {droppings:?}"
+    );
     let _ = std::fs::remove_file(&path);
 }
 
@@ -192,7 +195,10 @@ fn concurrent_saves_never_produce_a_torn_file() {
 fn save_to_an_unwritable_path_errors_cleanly() {
     let cache = omega::SolverCache::new();
     let err = cache.save_to(std::path::Path::new("/nonexistent-dir-for-sure/x.cache"));
-    assert!(err.is_err(), "save into a missing directory must error, not panic");
+    assert!(
+        err.is_err(),
+        "save into a missing directory must error, not panic"
+    );
 }
 
 #[test]
@@ -214,14 +220,11 @@ fn damaged_cache_files_fall_back_to_a_cold_run() {
         ("empty", Vec::new()),
         ("truncated", bytes[..bytes.len() / 2].to_vec()),
         ("header_only", bytes[..header_end].to_vec()),
-        (
-            "stale_version",
-            {
-                let mut v = b"omega-solver-cache format=999 solver=999\n".to_vec();
-                v.extend_from_slice(&bytes[header_end..]);
-                v
-            },
-        ),
+        ("stale_version", {
+            let mut v = b"omega-solver-cache format=999 solver=999\n".to_vec();
+            v.extend_from_slice(&bytes[header_end..]);
+            v
+        }),
     ];
     for (tag, contents) in cases {
         let path = temp_cache(tag);
@@ -229,7 +232,10 @@ fn damaged_cache_files_fall_back_to_a_cold_run() {
         let analysis = analyze_with_file(&info, &path);
         let report = render(&info, &analysis);
         let _ = std::fs::remove_file(&path);
-        assert_eq!(report, baseline, "{tag}: report changed under a damaged cache");
+        assert_eq!(
+            report, baseline,
+            "{tag}: report changed under a damaged cache"
+        );
         // A rejected file means a genuinely cold run: nothing to hit on
         // the very first lookup, and the solver does real work.
         assert!(

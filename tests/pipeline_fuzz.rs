@@ -37,7 +37,7 @@ struct ProgSpec {
 
 #[derive(Debug, Clone)]
 struct StmtSpec {
-    array: usize,            // 0..3
+    array: usize, // 0..3
     write_sub: (i64, i64, i64),
     read_array: usize,
     read_sub: (i64, i64, i64),
@@ -151,8 +151,7 @@ fn prop_pipeline_invariants(spec: &ProgSpec) -> Result<(), String> {
     let src = render(spec);
     let program = tiny::Program::parse(&src)
         .map_err(|e| format!("generated program failed to parse: {e}\n{src}"))?;
-    let info =
-        tiny::analyze(&program).map_err(|e| format!("analysis failed: {e}\n{src}"))?;
+    let info = tiny::analyze(&program).map_err(|e| format!("analysis failed: {e}\n{src}"))?;
 
     // A deliberately modest per-query budget: exhaustion must degrade
     // conservatively, never error (found by this very fuzzer).

@@ -196,8 +196,7 @@ fn construction_path_cannot_be_observed() {
         let keep: Vec<VarId> = dense.var_ids().take(2).collect();
         let render_projection = |p: &Problem| {
             let proj = p.canonicalized().project(&keep).unwrap();
-            let splinters: Vec<String> =
-                proj.splinters().iter().map(|s| s.to_string()).collect();
+            let splinters: Vec<String> = proj.splinters().iter().map(|s| s.to_string()).collect();
             format!("{} | {} | {splinters:?}", proj.dark(), proj.real())
         };
         assert_eq!(
@@ -268,7 +267,9 @@ fn construction_path_cannot_be_observed() {
         // And like projections, gists of the canonical forms render
         // byte-identically — the render-boundary contract.
         assert_eq!(
-            gist(&dense.canonicalized(), &half_dense).unwrap().to_string(),
+            gist(&dense.canonicalized(), &half_dense)
+                .unwrap()
+                .to_string(),
             gist(&adv.canonicalized(), &half_dense).unwrap().to_string(),
             "iter {iter}: canonical gist renderings diverged"
         );
@@ -346,22 +347,42 @@ fn tableau_representation_cannot_be_observed() {
                 rt.canonical_digest(),
                 "round-trip changed the canonical digest"
             );
-            prop_assert_eq!(p.to_string(), rt.to_string(), "round-trip changed the rendering");
-            prop_assert_eq!(p.eqs().len(), rt.eqs().len(), "round-trip changed the eq count");
-            prop_assert_eq!(p.geqs().len(), rt.geqs().len(), "round-trip changed the geq count");
+            prop_assert_eq!(
+                p.to_string(),
+                rt.to_string(),
+                "round-trip changed the rendering"
+            );
+            prop_assert_eq!(
+                p.eqs().len(),
+                rt.eqs().len(),
+                "round-trip changed the eq count"
+            );
+            prop_assert_eq!(
+                p.geqs().len(),
+                rt.geqs().len(),
+                "round-trip changed the geq count"
+            );
             for (a, b) in p
                 .eqs()
                 .iter()
                 .chain(p.geqs())
                 .zip(rt.eqs().iter().chain(rt.geqs()))
             {
-                prop_assert_eq!(a.expr(), b.expr(), "round-trip changed a constraint expression");
+                prop_assert_eq!(
+                    a.expr(),
+                    b.expr(),
+                    "round-trip changed a constraint expression"
+                );
                 prop_assert_eq!(
                     a.relation(),
                     b.relation(),
                     "round-trip changed a constraint relation"
                 );
-                prop_assert_eq!(a.color(), b.color(), "round-trip changed a constraint color");
+                prop_assert_eq!(
+                    a.color(),
+                    b.color(),
+                    "round-trip changed a constraint color"
+                );
             }
 
             Ok(())

@@ -16,7 +16,11 @@ fn example7_conditions_match_the_paper() {
     let keep = pair.keep_vars(&["x", "y", "m"]);
     let mut budget = Budget::default();
     let conditions = pair.conditions(&info, &keep, &mut budget).unwrap();
-    assert_eq!(conditions.len(), 2, "two restraint vectors: (+,*) and (0,+)");
+    assert_eq!(
+        conditions.len(),
+        2,
+        "two restraint vectors: (+,*) and (0,+)"
+    );
 
     // Carried at L1: {1 <= x <= 50}.
     let outer = conditions
@@ -56,11 +60,7 @@ fn example7_without_assertion_no_upper_bound_on_x() {
         .unwrap();
     let x = pair.space.sym("x").unwrap();
     assert!(
-        !outer
-            .condition
-            .geqs()
-            .iter()
-            .any(|g| g.expr().coef(x) < 0),
+        !outer.condition.geqs().iter().any(|g| g.expr().coef(x) < 0),
         "no upper bound on x expected: {}",
         outer.condition
     );
@@ -72,8 +72,7 @@ fn example8_queries_and_answers() {
     let mut budget = Budget::default();
 
     // Output dependence: asks whether Q[a] = Q[b] can happen for a < b.
-    let out_pair =
-        SymbolicPair::new(&info, 1, AccessSite::Write, 1, AccessSite::Write).unwrap();
+    let out_pair = SymbolicPair::new(&info, 1, AccessSite::Write, 1, AccessSite::Write).unwrap();
     let mut keep = out_pair.occurrence_vars();
     keep.extend(out_pair.keep_vars(&["n"]));
     let cs = out_pair.conditions(&info, &keep, &mut budget).unwrap();
@@ -108,10 +107,16 @@ fn example8_queries_and_answers() {
 fn example9_bounds_from_index_arrays() {
     let info = setup(tiny::corpus::EXAMPLE_9);
     let pair = SymbolicPair::new(&info, 1, AccessSite::Write, 1, AccessSite::Write).unwrap();
-    assert!(pair.table.of_array("b").count() >= 2, "B occurrences from bounds");
+    assert!(
+        pair.table.of_array("b").count() >= 2,
+        "B occurrences from bounds"
+    );
     let mut budget = Budget::default();
     let keep = pair.occurrence_vars();
-    assert!(pair.conditions(&info, &keep, &mut budget).unwrap().is_empty());
+    assert!(pair
+        .conditions(&info, &keep, &mut budget)
+        .unwrap()
+        .is_empty());
 }
 
 #[test]
@@ -153,8 +158,7 @@ fn example11_vectorizes() {
         }
     }
     // The anti dependence read -> write within one iteration remains.
-    let pair = SymbolicPair::new(&info, 1, AccessSite::Read(a_read), 1, AccessSite::Write)
-        .unwrap();
+    let pair = SymbolicPair::new(&info, 1, AccessSite::Read(a_read), 1, AccessSite::Write).unwrap();
     assert!(pair
         .exists_with_increasing_scalar(&info, "k", &mut budget)
         .unwrap());
@@ -208,7 +212,12 @@ fn example9_monotone_bounds_decouple_rows() {
     let pair = SymbolicPair::new(&info, 1, AccessSite::Write, 1, AccessSite::Write).unwrap();
     let mut budget = Budget::default();
     let exists = pair
-        .exists_with_property(&info, "b", depend::ArrayProperty::StrictlyIncreasing, &mut budget)
+        .exists_with_property(
+            &info,
+            "b",
+            depend::ArrayProperty::StrictlyIncreasing,
+            &mut budget,
+        )
         .unwrap();
     assert!(!exists, "A[i,j] is written once per (i,j) regardless");
 }
