@@ -213,22 +213,6 @@ impl LinExpr {
         Ok(())
     }
 
-    /// Divides every coefficient and the constant exactly by `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any coefficient is not divisible by `d` (internal
-    /// invariant; callers divide by a computed gcd).
-    pub(crate) fn divide_exact(&mut self, d: Coef) {
-        debug_assert!(d > 0);
-        for c in &mut self.coeffs {
-            debug_assert_eq!(*c % d, 0);
-            *c /= d;
-        }
-        debug_assert_eq!(self.constant % d, 0);
-        self.constant /= d;
-    }
-
     /// GCD of all variable coefficients (not the constant); zero when the
     /// expression has no variables.
     pub fn coef_gcd(&self) -> Coef {

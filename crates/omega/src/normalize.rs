@@ -1,14 +1,19 @@
 //! Constraint normalization: gcd reduction, integer tightening of
 //! inequalities, duplicate elimination, contradiction detection, and
 //! coalescing of opposed inequality pairs into equalities.
+//!
+//! The pass itself is the solver kernel's: [`Problem::normalize`] loads
+//! the problem into a dense scratch tableau and runs the same normalize
+//! step every satisfiability, projection and sampling query starts with.
+//! This module keeps what the pass and the redundancy checks share: the
+//! [`Outcome`] type, the direction hash that buckets parallel rows, and
+//! the syntactic single-constraint implication.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::hash::Hasher;
 
-use crate::hash::{BuildMix, Mix};
-use crate::int::{self, Coef};
-use crate::linexpr::{Constraint, LinExpr, Relation};
+use crate::hash::Mix;
+use crate::int::Coef;
+use crate::linexpr::{Constraint, Relation};
 use crate::problem::Problem;
 use crate::Result;
 
@@ -24,9 +29,10 @@ pub enum Outcome {
 impl Problem {
     /// Normalizes every constraint in place.
     ///
-    /// * Equalities are divided by the gcd of their coefficients; if the
-    ///   constant is not divisible by that gcd the problem is infeasible
-    ///   (the classic GCD test falls out of this step).
+    /// * Equalities are divided by the gcd of their coefficients and given
+    ///   a positive first coefficient; if the constant is not divisible by
+    ///   that gcd the problem is infeasible (the classic GCD test falls out
+    ///   of this step).
     /// * Inequalities are divided by the gcd of their coefficients with the
     ///   constant rounded *down* — the integer tightening `⌊c/g⌋` that makes
     ///   later shadows sharper.
@@ -36,230 +42,9 @@ impl Problem {
     /// # Errors
     ///
     /// Returns [`Error::Overflow`](crate::Error::Overflow) on coefficient
-    /// overflow.
+    /// overflow; the problem is then left as it was.
     pub fn normalize(&mut self) -> Result<Outcome> {
-        if self.known_infeasible {
-            return Ok(Outcome::Infeasible);
-        }
-        if self.normalize_eqs()? == Outcome::Infeasible
-            || self.normalize_geqs()? == Outcome::Infeasible
-        {
-            self.known_infeasible = true;
-            return Ok(Outcome::Infeasible);
-        }
-        Ok(Outcome::Consistent)
-    }
-
-    fn normalize_eqs(&mut self) -> Result<Outcome> {
-        let mut out: Vec<Constraint> = Vec::with_capacity(self.eqs.len());
-        for mut c in std::mem::take(&mut self.eqs) {
-            let g = c.expr().coef_gcd();
-            if g == 0 {
-                if c.expr().constant() != 0 {
-                    self.eqs = out;
-                    return Ok(Outcome::Infeasible);
-                }
-                continue; // 0 == 0
-            }
-            if c.expr().constant() % g != 0 {
-                // GCD test: Σ a_i x_i = -c has no integer solution.
-                self.eqs = out;
-                return Ok(Outcome::Infeasible);
-            }
-            let flip = {
-                let e = c.expr();
-                match e.terms().next() {
-                    Some((_, c0)) => c0 < 0,
-                    None => e.constant() < 0,
-                }
-            };
-            if g > 1 || flip {
-                c.map_expr(|e| {
-                    e.divide_exact(g);
-                    canonical_eq_sign(e);
-                });
-            }
-            // Reduced equalities are interned, so syntactic duplicates
-            // share one row: dedup is a scan over row handles (equality
-            // lists are short — a handful of live equalities at most).
-            match out.iter_mut().find(|o| o.row == c.row) {
-                Some(prev) => prev.color = prev.color.meet(c.color),
-                None => out.push(c),
-            }
-        }
-        self.eqs = out;
-        Ok(Outcome::Consistent)
-    }
-
-    fn normalize_geqs(&mut self) -> Result<Outcome> {
-        // Single pass: gcd-tighten each inequality, then merge duplicates
-        // and detect opposed pairs by bucketing on the constraint's
-        // *direction* (coefficient vector with the first non-zero
-        // coefficient made positive). No key vectors are materialized:
-        // a bucket is found through a hash of the sign-canonical
-        // coefficients and verified against a representative already in
-        // `out` (hash collisions probe to the next slot).
-        struct Bucket {
-            /// Index into `out` of the constraint whose coefficients
-            /// define this bucket's direction, and whether that
-            /// representative is the flipped orientation. The entry at
-            /// `rep` may later be replaced by a tighter constraint, but
-            /// only by one with the same direction.
-            rep: u32,
-            rep_flipped: bool,
-            pos: Option<u32>,
-            neg: Option<u32>,
-        }
-        let mut out: Vec<Option<Constraint>> = Vec::with_capacity(self.geqs.len());
-        // First-encounter order, so the coalesced-equality pass below is
-        // deterministic.
-        let mut buckets: Vec<Bucket> = Vec::new();
-        let mut index: HashMap<(u64, u32), u32, BuildMix> =
-            HashMap::with_capacity_and_hasher(self.geqs.len(), BuildMix::default());
-        let mut new_eqs: Vec<Constraint> = Vec::new();
-
-        for mut c in std::mem::take(&mut self.geqs) {
-            let g = c.expr().coef_gcd();
-            if g == 0 {
-                if c.expr().constant() < 0 {
-                    self.geqs = out.into_iter().flatten().collect();
-                    return Ok(Outcome::Infeasible);
-                }
-                continue; // constant >= 0: tautology
-            }
-            if g > 1 {
-                let k = int::floor_div(c.expr().constant(), g);
-                c.map_expr(|e| {
-                    e.divide_exact_coeffs_only(g);
-                    e.set_constant(k);
-                });
-            }
-
-            let (hash, flipped) = direction_hash(c.expr().coeffs());
-            let mut probe = 0u32;
-            let bidx = loop {
-                match index.entry((hash, probe)) {
-                    Entry::Vacant(e) => {
-                        e.insert(buckets.len() as u32);
-                        buckets.push(Bucket {
-                            rep: out.len() as u32,
-                            rep_flipped: flipped,
-                            pos: None,
-                            neg: None,
-                        });
-                        break buckets.len() - 1;
-                    }
-                    Entry::Occupied(e) => {
-                        let bi = *e.get() as usize;
-                        let b = &buckets[bi];
-                        let rep = out[b.rep as usize]
-                            .as_ref()
-                            .expect("representatives live until bucketing ends");
-                        if same_direction(
-                            c.expr().coeffs(),
-                            rep.expr().coeffs(),
-                            flipped != b.rep_flipped,
-                        ) {
-                            break bi;
-                        }
-                        probe += 1;
-                    }
-                }
-            };
-            let bucket = &mut buckets[bidx];
-            let slot = if flipped {
-                &mut bucket.neg
-            } else {
-                &mut bucket.pos
-            };
-            match *slot {
-                Some(i) => {
-                    let prev = out[i as usize]
-                        .as_mut()
-                        .expect("slot points at live constraint");
-                    // Same direction: keep the tighter (smaller constant);
-                    // equal constants merge colors.
-                    if c.expr().constant() < prev.expr().constant() {
-                        *prev = c;
-                    } else if c.expr().constant() == prev.expr().constant() {
-                        prev.color = prev.color.meet(c.color);
-                    }
-                }
-                None => {
-                    *slot = Some(out.len() as u32);
-                    out.push(Some(c));
-                }
-            }
-        }
-
-        // Opposed pairs: e + c1 >= 0 and -e + c2 >= 0 require c1 + c2 >= 0.
-        for bucket in &buckets {
-            if let (Some(i), Some(j)) = (bucket.pos, bucket.neg) {
-                let (i, j) = (i as usize, j as usize);
-                let (c1, c2) = {
-                    let a = out[i].as_ref().expect("live");
-                    let b = out[j].as_ref().expect("live");
-                    (a.expr().constant(), b.expr().constant())
-                };
-                let sum = c1 as i128 + c2 as i128;
-                if sum < 0 {
-                    self.geqs = out.into_iter().flatten().collect();
-                    return Ok(Outcome::Infeasible);
-                }
-                if sum == 0 {
-                    // Coalesce into an equality.
-                    let a = out[i].take().expect("live");
-                    let b = out[j].take().expect("live");
-                    let color = a.color.join(b.color);
-                    // Reuse the interned row: only the relation changes.
-                    new_eqs.push(Constraint {
-                        row: a.row,
-                        rel: Relation::Zero,
-                        color,
-                    });
-                }
-            }
-        }
-
-        self.geqs = out.into_iter().flatten().collect();
-        if !new_eqs.is_empty() {
-            self.eqs.extend(new_eqs);
-            // Newly created equalities need their own normalization.
-            if self.normalize_eqs()? == Outcome::Infeasible {
-                return Ok(Outcome::Infeasible);
-            }
-        }
-        Ok(Outcome::Consistent)
-    }
-}
-
-impl LinExpr {
-    /// Divides the variable coefficients (but not the constant) exactly.
-    pub(crate) fn divide_exact_coeffs_only(&mut self, d: Coef) {
-        debug_assert!(d > 0);
-        let constant = self.constant();
-        self.divide_coeffs(d);
-        self.set_constant(constant);
-    }
-
-    fn divide_coeffs(&mut self, d: Coef) {
-        let terms: Vec<(crate::VarId, Coef)> = self.terms().collect();
-        for (v, c) in terms {
-            debug_assert_eq!(c % d, 0);
-            self.set_coef(v, c / d);
-        }
-    }
-}
-
-/// Flips the expression so the first non-zero coefficient is positive.
-fn canonical_eq_sign(e: &mut LinExpr) {
-    let first = e.terms().next();
-    if let Some((_, c)) = first {
-        if c < 0 {
-            e.negate();
-        }
-    } else if e.constant() < 0 {
-        e.negate();
+        crate::tableau::normalize_problem(self)
     }
 }
 
@@ -352,6 +137,7 @@ fn proportional_implies(a: &Constraint, b: &Constraint) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linexpr::LinExpr;
     use crate::var::VarKind;
 
     fn two_var_problem() -> (Problem, crate::VarId, crate::VarId) {

@@ -105,7 +105,6 @@ impl Problem {
     /// Propagates solver errors.
     pub fn simplify(&mut self) -> Result<()> {
         let mut p = crate::tableau::reduce_equalities(self, &mut Budget::default())?;
-        p.normalize()?;
         p.remove_redundant_quick();
         *self = p;
         Ok(())

@@ -3,20 +3,20 @@
 //!
 //! [`Problem`] keeps its interned-row representation — memo keys,
 //! persistence, goldens, and the COW API all depend on it — but every
-//! solver entry point (satisfiability, projection, witness sampling, and
-//! `Problem::simplify`'s equality pass) runs here, on a dense
-//! struct-of-arrays representation: one flat coefficient matrix per
-//! constraint section plus parallel constant/color columns. Substitution
-//! becomes a row axpy, the mod̂ reduction a column scan, and
-//! Fourier–Motzkin a fused row-pair kernel, with no interning traffic and
-//! no per-constraint allocation.
+//! solver entry point (satisfiability, projection, witness sampling,
+//! `Problem::normalize`, and `Problem::simplify`'s equality pass) runs
+//! here, on a dense struct-of-arrays representation: one flat
+//! coefficient matrix per constraint section plus parallel constant/color
+//! columns. Substitution becomes a row axpy, the mod̂ reduction a column
+//! scan, and Fourier–Motzkin a fused row-pair kernel, with no interning
+//! traffic and no per-constraint allocation.
 //!
 //! Conversion happens only at the canonical boundary: a [`Tableau`] is
 //! loaded from a [`Problem`] when a query starts and converted back (rows
-//! re-interned) only at projection terminals. The normalization in
-//! between follows `Problem::normalize` step for step (same gcd
-//! tightening, bucketing order and coalescing), so a tableau converted
-//! back states exactly what the row form would.
+//! re-interned) only at projection terminals. [`Tableau::normalize`] is
+//! the one normalization pass: the solver loop runs it before every
+//! elimination step, and `Problem::normalize` is a load, this pass and a
+//! conversion back.
 //!
 //! Finished tableaus return to a per-thread free list, so a warm query
 //! reuses the previous query's buffers and performs near-zero heap
@@ -473,7 +473,7 @@ impl Tableau {
 
     // ---- normalize ------------------------------------------------------
 
-    /// Normalizes both sections; the tableau form of `Problem::normalize`.
+    /// Normalizes both sections: the pass `Problem::normalize` documents.
     fn normalize(&mut self) -> Result<Outcome> {
         if self.known_infeasible {
             return Ok(Outcome::Infeasible);
@@ -487,8 +487,8 @@ impl Tableau {
         Ok(Outcome::Consistent)
     }
 
-    /// The tableau form of `Problem::normalize_eqs`: gcd reduction + GCD test,
-    /// canonical sign, first-encounter dedup with color meet.
+    /// Equalities: gcd reduction + GCD test, canonical sign (first non-zero
+    /// coefficient positive), first-encounter dedup with color meet.
     fn normalize_eqs(&mut self) -> Result<Outcome> {
         let stride = self.stride;
         let ncols = self.ncols;
@@ -557,8 +557,11 @@ impl Tableau {
         Ok(Outcome::Consistent)
     }
 
-    /// The tableau form of `Problem::normalize_geqs`: gcd tightening, direction
-    /// bucketing with tighter-constant merge, opposed-pair coalescing.
+    /// Inequalities: gcd tightening, direction bucketing with
+    /// tighter-constant merge, opposed-pair coalescing. Buckets are found
+    /// through [`direction_hash`] and confirmed with [`same_direction`], so
+    /// the hash only places rows: order and merges follow first
+    /// encounter.
     fn normalize_geqs(&mut self) -> Result<Outcome> {
         let mut buckets = std::mem::take(&mut self.scratch.buckets);
         let mut index = std::mem::take(&mut self.scratch.index);
@@ -668,9 +671,8 @@ impl Tableau {
                 let (i, j) = (i as usize, j as usize);
                 let sum = self.geqs.consts[i] as i128 + self.geqs.consts[j] as i128;
                 if sum < 0 {
-                    // Like `Problem::normalize_geqs`: rows coalesced so
-                    // far are dropped, the equalities they minted are
-                    // discarded.
+                    // Rows coalesced so far are dropped, the equalities
+                    // they minted are discarded.
                     self.geqs.compact(stride, row_dead);
                     self.eqs.truncate(stride, eq_n_before);
                     return Ok(Outcome::Infeasible);
@@ -1393,11 +1395,24 @@ pub(crate) fn project_parts(
     Ok((real, dark, splinters, exact))
 }
 
-/// `p` with every wildcard eliminated that an equality permits (the
-/// equality pass of `Problem::simplify`). Every other variable is marked
-/// protected, in the result as well. `p` itself is never touched, so an
-/// overflow or exhausted budget midway leaves the caller's problem
+/// `p` normalized in place (`Problem::normalize`). On an error `p` is left
 /// exactly as it was.
+pub(crate) fn normalize_problem(p: &mut Problem) -> Result<Outcome> {
+    let mut t = acquire();
+    t.load(p);
+    let r = t.normalize();
+    if r.is_ok() {
+        *p = t.to_problem();
+    }
+    release(t);
+    r
+}
+
+/// `p` with every wildcard eliminated that an equality permits, then
+/// normalized (the equality and normalization passes of
+/// `Problem::simplify`). Every other variable is marked protected, in the
+/// result as well. `p` itself is never touched, so an overflow or
+/// exhausted budget midway leaves the caller's problem exactly as it was.
 pub(crate) fn reduce_equalities(p: &Problem, budget: &mut Budget) -> Result<Problem> {
     let mut t = acquire();
     t.load(p);
@@ -1410,7 +1425,10 @@ pub(crate) fn reduce_equalities(p: &Problem, budget: &mut Budget) -> Result<Prob
         t.vars_dirty |= want != *f;
         *f = want;
     }
-    let r = t.eliminate_equalities(budget).map(|_| t.to_problem());
+    let r = t
+        .eliminate_equalities(budget)
+        .and_then(|_| t.normalize())
+        .map(|_| t.to_problem());
     release(t);
     r
 }
@@ -1708,25 +1726,32 @@ mod tests {
     }
 
     #[test]
-    fn tableau_normalize_matches_problem_normalize() {
-        // The direction hash only places rows in buckets: whatever it
-        // returns, the tableau must keep, merge, coalesce and order rows
-        // exactly as `Problem::normalize` does.
+    fn normalize_keeps_exactly_the_integer_points() {
+        // Gcd tightening, merging parallel rows and coalescing opposed
+        // pairs must keep every integer point and add none. The rows'
+        // constants are small, so their boundaries cross this box. An
+        // `Infeasible` verdict satisfies no point, so it must leave none.
+        const BOX: i64 = 4;
         let mut rng = harness::Rng::from_seed(0x0d1e_c7a5);
         let mut infeasible = 0;
         for case in 0..2000 {
             let p = crowded_problem(&mut rng);
-            let mut expected = p.clone();
-            let outcome = expected.normalize().unwrap();
-            let mut t = acquire();
-            t.load(&p);
-            let tableau_outcome = t.normalize().unwrap();
-            let got = t.to_problem();
-            release(t);
-            assert_eq!(tableau_outcome, outcome, "case {case}: {p}");
-            assert_eq!(got.is_known_infeasible(), expected.is_known_infeasible());
-            assert_eq!(got.eqs(), expected.eqs(), "case {case}: {p}");
-            assert_eq!(got.geqs(), expected.geqs(), "case {case}: {p}");
+            let mut q = p.clone();
+            let outcome = q.normalize().unwrap();
+            assert_eq!(q.is_known_infeasible(), outcome == Outcome::Infeasible);
+            let mut pt = vec![-BOX; p.num_vars()];
+            loop {
+                assert_eq!(
+                    q.satisfies(&pt),
+                    p.satisfies(&pt),
+                    "case {case}: {p} at {pt:?}"
+                );
+                let Some(i) = pt.iter().position(|&v| v < BOX) else {
+                    break;
+                };
+                pt[i] += 1;
+                pt[..i].fill(-BOX);
+            }
             infeasible += usize::from(outcome == Outcome::Infeasible);
         }
         // Both outcomes are exercised.
