@@ -247,27 +247,6 @@ pub fn box_to_vector(b: &SignBox) -> DirectionVector {
     )
 }
 
-/// Whether every pattern of a box is lexicographically forward: the first
-/// non-zero level is positive. Boxes mixing forward and backward patterns
-/// return `false` (split them first).
-pub fn box_is_forward(b: &SignBox, src_lexically_first: bool) -> bool {
-    // Walk levels: a level that can be negative before any guaranteed
-    // positive level breaks forwardness.
-    for s in b {
-        if s.contains(&Sign::Neg) {
-            return false;
-        }
-        if s.contains(&Sign::Zero) {
-            continue; // could still be all-zero so far
-        }
-        // Guaranteed positive from here on.
-        return true;
-    }
-    // All levels can be zero: forward only for syntactically ordered
-    // accesses.
-    src_lexically_first
-}
-
 /// The §2.1.1 pipeline: enumerate, compress, filter forward, render.
 ///
 /// # Errors

@@ -329,19 +329,6 @@ pub fn add_order<P: omega::ProblemLike>(
     Ok(())
 }
 
-/// Common-loop count and lexical order for two statements.
-pub fn common_and_order(a: &StmtInfo, b: &StmtInfo) -> (usize, bool) {
-    (a.common_loops(b), a.lexically_before(b))
-}
-
-/// Convenience: builds the loop contexts needed to check whether a
-/// statement's loops are a prefix of another's shared nest (used by the
-/// cover-kill shortcut).
-pub fn loops_are_common_prefix(inner: &StmtInfo, a: &StmtInfo, b: &StmtInfo) -> bool {
-    let c = a.common_loops(b);
-    inner.loops.len() <= c && inner.common_loops(a) == inner.loops.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
