@@ -9,11 +9,8 @@ cd "$(dirname "$0")/.."
 
 export RUSTFLAGS="-Dwarnings ${RUSTFLAGS:-}"
 
-echo "==> cargo fmt --check -p omega -p tiny-lang -p depend"
-# The solver, front-end and analysis crates are rustfmt-clean; keep them
-# that way. (The other crates are not yet formatted and are not
-# checked.)
-cargo fmt --check -p omega -p tiny-lang -p depend
+echo "==> cargo fmt --all --check"
+cargo fmt --all --check
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline
