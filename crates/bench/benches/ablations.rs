@@ -59,9 +59,9 @@ fn bench_solver_ablations(b: &mut Bench) {
     // An inexact, splinter-prone problem family where the dark shadow is
     // the fast path the paper's §3 motivates.
     let mut p = Problem::new();
-    let x = p.add_var("x", VarKind::Input);
-    let y = p.add_var("y", VarKind::Input);
-    let z = p.add_var("z", VarKind::Input);
+    let x = p.add_var(VarKind::Input);
+    let y = p.add_var(VarKind::Input);
+    let z = p.add_var(VarKind::Input);
     p.add_geq(LinExpr::term(5, x).plus_term(-3, y).plus_const(2));
     p.add_geq(LinExpr::term(-5, x).plus_term(3, y).plus_const(4));
     p.add_geq(LinExpr::term(7, y).plus_term(-4, z).plus_const(1));

@@ -7,7 +7,7 @@
 //! it performs a quick smoke run only.
 
 use harness::bench::Bench;
-use omega::{gist, implies, LinExpr, Problem, VarKind};
+use omega::{gist, implies, LinExpr, Problem, VarId, VarKind};
 
 #[global_allocator]
 static ALLOC: harness::alloc::CountingAlloc = harness::alloc::CountingAlloc::new();
@@ -16,12 +16,12 @@ static ALLOC: harness::alloc::CountingAlloc = harness::alloc::CountingAlloc::new
 /// symbolic bounds, subscript equality and a carried-order constraint.
 fn dependence_problem() -> (Problem, Vec<omega::VarId>) {
     let mut p = Problem::new();
-    let n = p.add_var("n", VarKind::Symbolic);
-    let m = p.add_var("m", VarKind::Symbolic);
-    let i1 = p.add_var("i1", VarKind::Input);
-    let i2 = p.add_var("i2", VarKind::Input);
-    let j1 = p.add_var("j1", VarKind::Input);
-    let j2 = p.add_var("j2", VarKind::Input);
+    let n = p.add_var(VarKind::Symbolic);
+    let m = p.add_var(VarKind::Symbolic);
+    let i1 = p.add_var(VarKind::Input);
+    let i2 = p.add_var(VarKind::Input);
+    let j1 = p.add_var(VarKind::Input);
+    let j2 = p.add_var(VarKind::Input);
     for (v, lo) in [(i1, 1), (j1, 1), (i2, 2), (j2, 2)] {
         p.add_geq(LinExpr::var(v).plus_const(-lo));
     }
@@ -38,30 +38,30 @@ fn dependence_problem() -> (Problem, Vec<omega::VarId>) {
 }
 
 /// A problem that exercises the inexact machinery (dark shadow +
-/// splinters).
-fn splintering_problem() -> Problem {
+/// splinters), and its variable `x`.
+fn splintering_problem() -> (Problem, VarId) {
     let mut p = Problem::new();
-    let x = p.add_var("x", VarKind::Input);
-    let y = p.add_var("y", VarKind::Input);
-    let z = p.add_var("z", VarKind::Input);
+    let x = p.add_var(VarKind::Input);
+    let y = p.add_var(VarKind::Input);
+    let z = p.add_var(VarKind::Input);
     p.add_geq(LinExpr::term(3, x).plus_term(-2, y).plus_const(1));
     p.add_geq(LinExpr::term(-3, x).plus_term(2, y).plus_const(5));
     p.add_geq(LinExpr::term(5, y).plus_term(-7, z));
     p.add_geq(LinExpr::term(-5, y).plus_term(7, z).plus_const(11));
     p.add_geq(LinExpr::var(z).plus_const(50));
     p.add_geq(LinExpr::term(-1, z).plus_const(50));
-    p
+    (p, x)
 }
 
 fn bench_satisfiability(b: &mut Bench) {
     let (dep, _) = dependence_problem();
     b.bench("sat/dependence_problem", || dep.is_satisfiable().unwrap());
-    let sp = splintering_problem();
+    let (sp, _) = splintering_problem();
     b.bench("sat/splintering_problem", || sp.is_satisfiable().unwrap());
     // Diophantine: 7x + 12y = 31 with bounds.
     let mut dio = Problem::new();
-    let x = dio.add_var("x", VarKind::Input);
-    let y = dio.add_var("y", VarKind::Input);
+    let x = dio.add_var(VarKind::Input);
+    let y = dio.add_var(VarKind::Input);
     dio.add_eq(LinExpr::term(7, x).plus_term(12, y).plus_const(-31));
     dio.add_geq(LinExpr::var(x).plus_const(100));
     dio.add_geq(LinExpr::term(-1, x).plus_const(100));
@@ -73,16 +73,15 @@ fn bench_projection(b: &mut Bench) {
     b.bench("project/dependence_onto_dst", || {
         dep.project(&keep).unwrap()
     });
-    let sp = splintering_problem();
-    let x = sp.find_var("x").unwrap();
+    let (sp, x) = splintering_problem();
     b.bench("project/splintering_onto_x", || sp.project(&[x]).unwrap());
 }
 
 fn bench_gist_and_implies(b: &mut Bench) {
     let mut space = Problem::new();
-    let x = space.add_var("x", VarKind::Input);
-    let y = space.add_var("y", VarKind::Input);
-    let n = space.add_var("n", VarKind::Symbolic);
+    let x = space.add_var(VarKind::Input);
+    let y = space.add_var(VarKind::Input);
+    let n = space.add_var(VarKind::Symbolic);
     let mut p = space.clone();
     p.add_geq(LinExpr::var(x).plus_const(-1));
     p.add_geq(LinExpr::var(n).plus_term(-1, x));

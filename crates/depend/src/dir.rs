@@ -207,7 +207,7 @@ pub fn range_of<P: ProblemLike>(
     budget: &mut Budget,
 ) -> Result<Option<DirEntry>> {
     let mut q = p.clone();
-    let d = q.add_var(format!("range{}", q.num_vars()), VarKind::Input);
+    let d = q.add_var(VarKind::Input);
     let mut eq = LinExpr::var(d);
     eq.add_scaled(-1, expr)?;
     q.add_eq(eq);
@@ -356,8 +356,8 @@ mod tests {
     #[test]
     fn range_of_simple_interval() {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let y = p.add_var("y", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
+        let y = p.add_var(VarKind::Input);
         p.add_geq(LinExpr::var(x).plus_const(-1)); // x >= 1
         p.add_geq(LinExpr::term(-1, x).plus_const(5)); // x <= 5
         p.add_eq(LinExpr::var(y).plus_term(-2, x)); // y = 2x
@@ -375,7 +375,7 @@ mod tests {
     #[test]
     fn range_of_unsat_is_none() {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
         p.add_geq(LinExpr::var(x).plus_const(-5));
         p.add_geq(LinExpr::term(-1, x).plus_const(1));
         let mut b = Budget::default();
@@ -385,7 +385,7 @@ mod tests {
     #[test]
     fn range_unbounded_side() {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
         p.add_geq(LinExpr::var(x).plus_const(-3)); // x >= 3
         let mut b = Budget::default();
         let r = range_of(&p, &LinExpr::var(x), &mut b).unwrap().unwrap();
@@ -402,10 +402,10 @@ mod tests {
     fn distance_summary_coupled() {
         // i2 - i1 = j2 - j1 (coupled), with dst - src >= 1 on loop 1.
         let mut p = Problem::new();
-        let i1 = p.add_var("i1", VarKind::Input);
-        let i2 = p.add_var("i2", VarKind::Input);
-        let j1 = p.add_var("j1", VarKind::Input);
-        let j2 = p.add_var("j2", VarKind::Input);
+        let i1 = p.add_var(VarKind::Input);
+        let i2 = p.add_var(VarKind::Input);
+        let j1 = p.add_var(VarKind::Input);
+        let j2 = p.add_var(VarKind::Input);
         for v in [i1, i2, j1, j2] {
             p.add_geq(LinExpr::var(v).plus_const(-1));
             p.add_geq(LinExpr::term(-1, v).plus_const(10));

@@ -287,10 +287,10 @@ mod tests {
     /// The paper's §2.1.1 example: Δi = Δj over a 10×10 nest.
     fn coupled_problem() -> (Problem, Vec<VarId>, Vec<VarId>) {
         let mut p = Problem::new();
-        let i1 = p.add_var("i1", VarKind::Input);
-        let i2 = p.add_var("i2", VarKind::Input);
-        let j1 = p.add_var("j1", VarKind::Input);
-        let j2 = p.add_var("j2", VarKind::Input);
+        let i1 = p.add_var(VarKind::Input);
+        let i2 = p.add_var(VarKind::Input);
+        let j1 = p.add_var(VarKind::Input);
+        let j2 = p.add_var(VarKind::Input);
         for v in [i1, i2, j1, j2] {
             p.add_geq(LinExpr::var(v).plus_const(-1));
             p.add_geq(LinExpr::term(-1, v).plus_const(10));
@@ -340,10 +340,10 @@ mod tests {
         // forward filter keeps {(+,*), (0,0+)}, which compress into two
         // boxes (lex-forward sets are not boxes).
         let mut p = Problem::new();
-        let i1 = p.add_var("i1", VarKind::Input);
-        let i2 = p.add_var("i2", VarKind::Input);
-        let j1 = p.add_var("j1", VarKind::Input);
-        let j2 = p.add_var("j2", VarKind::Input);
+        let i1 = p.add_var(VarKind::Input);
+        let i2 = p.add_var(VarKind::Input);
+        let j1 = p.add_var(VarKind::Input);
+        let j2 = p.add_var(VarKind::Input);
         for v in [i1, i2, j1, j2] {
             p.add_geq(LinExpr::var(v).plus_const(-1));
             p.add_geq(LinExpr::term(-1, v).plus_const(10));

@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn single_disjunct_path() {
         let mut s = Problem::new();
-        let x = s.add_var("x", VarKind::Input);
+        let x = s.add_var(VarKind::Input);
         let mut p = s.clone();
         p.add_geq(LinExpr::var(x).plus_const(-5)); // x >= 5
         let mut q = s.clone();
@@ -107,7 +107,7 @@ mod tests {
         // 0 <= x <= 10  ⇒  x <= 5 ∨ x >= 4: true, but neither disjunct
         // alone suffices.
         let mut s = Problem::new();
-        let x = s.add_var("x", VarKind::Input);
+        let x = s.add_var(VarKind::Input);
         let mut p = s.clone();
         p.add_geq(LinExpr::var(x));
         p.add_geq(LinExpr::term(-1, x).plus_const(10));
@@ -130,7 +130,7 @@ mod tests {
     fn union_that_really_fails() {
         // 0 <= x <= 10 ⇒ x <= 3 ∨ x >= 6 is false (x = 4).
         let mut s = Problem::new();
-        let x = s.add_var("x", VarKind::Input);
+        let x = s.add_var(VarKind::Input);
         let mut p = s.clone();
         p.add_geq(LinExpr::var(x));
         p.add_geq(LinExpr::term(-1, x).plus_const(10));
@@ -148,13 +148,13 @@ mod tests {
         // runs into the formula depth guard, so the exact test errors
         // and the policy answers "not implied".
         let mut s = Problem::new();
-        let y = s.add_var("y", VarKind::Input);
-        let m = s.add_var("m", VarKind::Symbolic);
+        let y = s.add_var(VarKind::Input);
+        let m = s.add_var(VarKind::Symbolic);
         let mut p = s.clone();
         p.add_geq(LinExpr::var(y).plus_const(-1));
         p.add_geq(LinExpr::var(m).plus_term(-1, y));
         let mut q = s.clone();
-        let w = q.add_var("w", VarKind::Wildcard);
+        let w = q.add_var(VarKind::Wildcard);
         q.add_eq(LinExpr::term(2, w).plus_term(1, y).plus_const(-3));
         q.add_geq(LinExpr::var(m).plus_term(-1, w));
         q.add_geq(LinExpr::var(w).plus_const(-1));
@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn vacuous_premise() {
         let mut s = Problem::new();
-        let x = s.add_var("x", VarKind::Input);
+        let x = s.add_var(VarKind::Input);
         let mut p = s.clone();
         p.add_geq(LinExpr::var(x).plus_const(-5));
         p.add_geq(LinExpr::term(-1, x));

@@ -2,6 +2,7 @@
 //! subscript equality, and execution-order constraints.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use omega::{LinExpr, Problem, VarId, VarKind};
 use tiny::ast::{name_key, Expr, RelOp};
@@ -17,13 +18,27 @@ use crate::error::{Error, Result};
 /// Omega test's [`implies`](omega::implies) and [`gist`](omega::gist) can
 /// combine them directly. Program symbol `k` ([`Var::Sym`]) is the
 /// space's `k`-th variable.
+///
+/// Solver variables are positions and carry no names. The space keeps
+/// what it needs to name them — the program's shared symbol set and one
+/// label per later variable — and builds a name string only when a §5
+/// query looks one up ([`Space::sym`]) or prints ([`Space::names`]).
 #[derive(Debug, Clone)]
 pub struct Space {
     template: Problem,
-    /// Number of program symbols (the first variables of the space).
-    syms: usize,
-    /// Occurrence variables added by [`Space::add_symbolic`].
-    extra: Vec<VarId>,
+    /// The program's symbols, shared with its [`ProgramInfo`].
+    syms: Arc<BTreeSet<String>>,
+    /// One label per variable after the symbols, in table order.
+    labels: Vec<Label>,
+}
+
+/// How a variable after the program symbols is named when printed.
+#[derive(Debug, Clone)]
+enum Label {
+    /// Loop `depth` (1-based) of a statement bound with `prefix`: `i1`.
+    Iter(&'static str, usize),
+    /// An occurrence variable added by [`Space::add_symbolic`].
+    Occurrence(String),
 }
 
 /// The iteration variables bound for one statement within a [`Space`].
@@ -37,25 +52,25 @@ pub struct StmtVars {
 impl Space {
     /// Creates a space with one symbolic variable per program symbol, in
     /// the set's order.
-    pub fn new(syms: &BTreeSet<String>) -> Space {
+    pub fn new(syms: &Arc<BTreeSet<String>>) -> Space {
         let mut template = Problem::new();
-        for s in syms {
-            template.add_var(s, VarKind::Symbolic);
+        for _ in 0..syms.len() {
+            template.add_var(VarKind::Symbolic);
         }
         Space {
             template,
-            syms: syms.len(),
-            extra: Vec::new(),
+            syms: Arc::clone(syms),
+            labels: Vec::new(),
         }
     }
 
     /// Binds iteration variables for `stmt`, named `prefix1..prefixN`
-    /// (matching the paper's `i`, `j`, `k` vectors).
-    pub fn bind_stmt(&mut self, prefix: &str, stmt: &StmtInfo) -> StmtVars {
+    /// (matching the paper's `i`, `j`, `k` vectors) when printed.
+    pub fn bind_stmt(&mut self, prefix: &'static str, stmt: &StmtInfo) -> StmtVars {
         let iters = (1..=stmt.loops.len())
             .map(|d| {
-                self.template
-                    .add_var(format!("{prefix}{d}"), VarKind::Input)
+                self.labels.push(Label::Iter(prefix, d));
+                self.template.add_var(VarKind::Input)
             })
             .collect();
         StmtVars { iters }
@@ -64,9 +79,8 @@ impl Space {
     /// Adds an extra scalar variable (used by the symbolic analysis for
     /// occurrence variables).
     pub fn add_symbolic(&mut self, name: impl Into<String>) -> VarId {
-        let v = self.template.add_var(name.into(), VarKind::Symbolic);
-        self.extra.push(v);
-        v
+        self.labels.push(Label::Occurrence(name.into()));
+        self.template.add_var(VarKind::Symbolic)
     }
 
     /// A fresh, constraint-free problem over this space.
@@ -78,16 +92,36 @@ impl Space {
     /// occurrence variable), if present.
     pub fn sym(&self, name: &str) -> Option<VarId> {
         let key = name_key(name);
-        self.sym_vars()
-            .find(|&v| self.template.var_info(v).name() == key)
+        if let Some(k) = self.syms.iter().position(|s| *s == key) {
+            return Some(VarId::from_index(k));
+        }
+        let i = self
+            .labels
+            .iter()
+            .position(|l| matches!(l, Label::Occurrence(n) if *n == key))?;
+        Some(VarId::from_index(self.syms.len() + i))
     }
 
     /// All symbolic variables: the program symbols, then the occurrence
     /// variables.
     pub fn sym_vars(&self) -> impl Iterator<Item = VarId> + '_ {
-        (0..self.syms)
-            .map(VarId::from_index)
-            .chain(self.extra.iter().copied())
+        let n = self.syms.len();
+        let occurrences = self.labels.iter().enumerate().filter_map(move |(i, l)| {
+            matches!(l, Label::Occurrence(_)).then(|| VarId::from_index(n + i))
+        });
+        (0..n).map(VarId::from_index).chain(occurrences)
+    }
+
+    /// The printed name of every variable of the space, indexed by
+    /// [`VarId`]: the program symbols, `i1`-style iteration variables and
+    /// occurrence names. Variables a problem adds past the space (stride
+    /// and solver wildcards) print by position.
+    pub fn names(&self) -> Vec<String> {
+        let labels = self.labels.iter().map(|l| match l {
+            Label::Iter(prefix, depth) => format!("{prefix}{depth}"),
+            Label::Occurrence(name) => name.clone(),
+        });
+        self.syms.iter().cloned().chain(labels).collect()
     }
 
     /// Translates a lowered affine form into a [`LinExpr`], given the
@@ -134,8 +168,7 @@ impl Space {
                 // bounds only; for max() bounds the base is data-dependent).
                 if l.step > 1 && lowers.len() == 1 {
                     if let Some(lo) = self.linexpr(&lowers[0], vars) {
-                        let alpha =
-                            p.add_var(format!("step_{}_{}", idx, p.num_vars()), VarKind::Wildcard);
+                        let alpha = p.add_var(VarKind::Wildcard);
                         // i - lo - step*alpha = 0
                         let mut eq = LinExpr::var(iv);
                         eq.add_scaled(-1, &lo).map_err(Error::Solver)?;

@@ -6,6 +6,7 @@
 //! shows for Examples 7–11.
 
 use std::collections::BTreeSet;
+use std::fmt;
 
 use omega::{Budget, LinExpr, Problem, VarId};
 use tiny::ast::name_key;
@@ -50,7 +51,8 @@ pub struct SymbolicPair {
     lex_before: bool,
 }
 
-/// The symbolic condition for one restraint vector of a pair.
+/// The symbolic condition for one restraint vector of a pair. Its
+/// `Display` prints the condition with the program's names.
 #[derive(Debug, Clone)]
 pub struct SymbolicCondition {
     /// The restraint vector (order case).
@@ -58,6 +60,15 @@ pub struct SymbolicCondition {
     /// `gist π(p ∧ q) given π(p)` — the *new* conditions under which the
     /// dependence exists, over the kept variables.
     pub condition: Problem,
+    /// The printed names of the pair's space ([`Space::names`]).
+    names: Vec<String>,
+}
+
+impl fmt::Display for SymbolicCondition {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let names: Vec<&str> = self.names.iter().map(String::as_str).collect();
+        self.condition.display_with(&names).fmt(f)
+    }
 }
 
 impl SymbolicCondition {
@@ -69,10 +80,7 @@ impl SymbolicCondition {
         } else if self.condition.is_known_infeasible() {
             "The dependence cannot exist.".to_string()
         } else {
-            format!(
-                "Is it the case that the following never happens? {}",
-                self.condition
-            )
+            format!("Is it the case that the following never happens? {self}")
         }
     }
 }
@@ -309,6 +317,7 @@ impl SymbolicPair {
             SymbolicCondition {
                 order: case,
                 condition,
+                names: self.space.names(),
             }
         }))
     }

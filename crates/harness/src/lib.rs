@@ -14,7 +14,7 @@
 //!   explicit shrink function) for greedy minimization of failing cases,
 //!   an iteration-capped run loop, and explicit replay of regression
 //!   witnesses.
-//! * [`bench`] — a lightweight benchmark runner: warmup, batch-size
+//! * [`bench`](mod@bench) — a lightweight benchmark runner: warmup, batch-size
 //!   calibration, a fixed sample budget, min/median/p95 statistics, and
 //!   machine-readable JSON-lines output suitable for trajectory tracking.
 //! * [`alloc`] — a counting global allocator (allocs/deallocs/peak-bytes

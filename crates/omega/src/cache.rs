@@ -59,7 +59,6 @@ use crate::hash::{self, BuildMix, Mix};
 use crate::linexpr::Constraint;
 use crate::problem::{Budget, Problem};
 use crate::project::Projection;
-use crate::symbol::Name;
 use crate::var::VarKind;
 use crate::Result;
 
@@ -68,8 +67,9 @@ use crate::Result;
 pub(crate) enum CachedValue {
     /// Satisfiability verdict.
     Sat(bool),
-    /// Projection result (computed on the canonical problem).
-    Project(Projection),
+    /// Projection result (computed on the canonical problem), boxed so
+    /// that a verdict's slot is not sized by the largest value.
+    Project(Box<Projection>),
     /// Gist result (computed on the canonical problem).
     Gist(Problem),
 }
@@ -90,7 +90,7 @@ pub(crate) struct Entry {
 #[derive(Debug, PartialEq, Eq, Hash)]
 pub(crate) struct BaseForm {
     pub(crate) known_infeasible: bool,
-    pub(crate) vars: Vec<(Name, VarKind)>,
+    pub(crate) vars: Vec<VarKind>,
     pub(crate) eqs: Vec<Constraint>,
     pub(crate) geqs: Vec<Constraint>,
 }
@@ -143,7 +143,7 @@ pub(crate) struct DeltaKey {
     /// The base's canonical form.
     pub(crate) base: SharedBase,
     /// Extra variables appended after the base's table.
-    pub(crate) vars: Vec<(Name, VarKind)>,
+    pub(crate) vars: Vec<VarKind>,
     /// Protected (kept) variable indices for projections, sorted and
     /// deduplicated; empty for satisfiability.
     pub(crate) keep: Vec<u32>,
@@ -233,7 +233,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 ///
 /// let cache = Arc::new(SolverCache::new());
 /// let mut p = Problem::new();
-/// let x = p.add_var("x", VarKind::Input);
+/// let x = p.add_var(VarKind::Input);
 /// p.add_geq(LinExpr::var(x).plus_const(-1));
 ///
 /// let mut b1 = Budget::default().with_cache(cache.clone());
@@ -420,7 +420,7 @@ mod tests {
 
     fn small_problem() -> Problem {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
         p.add_geq(LinExpr::var(x).plus_const(-3));
         p
     }
@@ -462,6 +462,15 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_is_not_sized_by_a_projection() {
+        // A projection is boxed: every slot would otherwise pay for one
+        // inline (168 bytes), a `Sat(bool)` verdict included. A gist's
+        // `Problem` is now the largest value.
+        assert_eq!(std::mem::size_of::<Entry>(), 72);
+        assert!(std::mem::size_of::<Projection>() > std::mem::size_of::<Problem>());
+    }
+
+    #[test]
     fn capacity_cap_stops_inserts() {
         let cache = SolverCache::new();
         let p = small_problem();
@@ -471,8 +480,10 @@ mod tests {
             // what `put` enforces.
             let mut shard = cache.shards[key.shard()].lock().unwrap();
             for i in 0..(MAX_ENTRIES / SHARD_COUNT) {
+                // Distinct keys, none equal to `key` (x >= 3).
                 let mut q = Problem::new();
-                q.add_var(format!("pad{i}"), VarKind::Input);
+                let x = q.add_var(VarKind::Input);
+                q.add_geq(LinExpr::var(x).plus_const(i as i64 + 1));
                 shard.insert(
                     sat_key(&q),
                     Entry {

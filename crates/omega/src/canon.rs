@@ -33,12 +33,14 @@ pub(crate) enum Op {
 }
 
 /// A hashable key identifying (operation, canonical problem). Variable
-/// names, kinds and flags are part of the key because projection and
-/// gist results embed the variable table.
+/// kinds and flags are part of the key because projection and gist
+/// results embed the variable table; names are not, because variables
+/// are positions. Problems that differ only in how their caller names
+/// the variables share one key.
 ///
 /// Building and hashing the key never re-walks expression content: the
-/// variable table is shared by `Arc` (names are interned symbols) and the
-/// constraints hash by their interned row ids.
+/// variable table is shared by `Arc` and the constraints hash by their
+/// interned row ids.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CanonKey {
     pub(crate) op: Op,
@@ -238,8 +240,8 @@ mod tests {
 
     fn two_var_space() -> (Problem, VarId, VarId) {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let y = p.add_var("y", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
+        let y = p.add_var(VarKind::Input);
         (p, x, y)
     }
 

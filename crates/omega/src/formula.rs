@@ -28,6 +28,7 @@
 //! the pathological ones into [`Error::TooComplex`](crate::Error).
 
 use crate::linexpr::{Constraint, LinExpr, Relation};
+use crate::pretty::Named;
 use crate::problem::{Budget, Problem};
 use crate::redundant::negate_geq;
 use crate::var::{VarId, VarKind};
@@ -328,7 +329,7 @@ impl Formula {
                     return Ok(vec![p]);
                 }
                 // ∃α. e − g·α = 0
-                let alpha = p.add_wildcard();
+                let alpha = p.add_var(VarKind::Wildcard);
                 let mut eq = e.clone();
                 eq.set_coef(alpha, -g);
                 p.add_eq(eq);
@@ -347,8 +348,8 @@ impl Formula {
                         .dnf_nnf(space, budget, depth);
                 }
                 // ∃α,ρ. e = g·α + ρ ∧ 1 ≤ ρ ≤ g−1
-                let alpha = p.add_wildcard();
-                let rho = p.add_wildcard();
+                let alpha = p.add_var(VarKind::Wildcard);
+                let rho = p.add_var(VarKind::Wildcard);
                 let mut eq = e.clone();
                 eq.set_coef(alpha, -g);
                 eq.set_coef(rho, -1);
@@ -422,7 +423,7 @@ const MAX_FORMULA_DEPTH: usize = 64;
 /// use omega::{implies_union, Budget, LinExpr, Problem, VarKind};
 ///
 /// let mut space = Problem::new();
-/// let x = space.add_var("x", VarKind::Input);
+/// let x = space.add_var(VarKind::Input);
 /// let mut p = space.clone(); // 0 <= x <= 10
 /// p.add_geq(LinExpr::var(x));
 /// p.add_geq(LinExpr::term(-1, x).plus_const(10));
@@ -502,7 +503,7 @@ fn conjoin(acc: &Problem, piece: &Problem, width: usize) -> Result<Problem> {
     }
     // Both tables extend the space's `width` columns, which stay put.
     for _ in width..piece.num_vars() {
-        c.add_wildcard();
+        c.add_var(VarKind::Wildcard);
     }
     for k in piece.eqs.iter().chain(&piece.geqs) {
         let mut k = k.clone();
@@ -542,7 +543,7 @@ fn localize(mut piece: Problem, space: &Problem) -> Problem {
         })
         .collect();
     for v in stale {
-        let w = piece.add_wildcard();
+        let w = piece.add_var(VarKind::Wildcard);
         for k in piece.eqs.iter_mut().chain(piece.geqs.iter_mut()) {
             let a = k.expr().coef(v);
             if a != 0 {
@@ -570,8 +571,8 @@ mod tests {
 
     fn space_xy() -> (Problem, VarId, VarId) {
         let mut s = Problem::new();
-        let x = s.add_var("x", VarKind::Input);
-        let y = s.add_var("y", VarKind::Input);
+        let x = s.add_var(VarKind::Input);
+        let y = s.add_var(VarKind::Input);
         (s, x, y)
     }
 
@@ -655,9 +656,9 @@ mod tests {
         // ∀x. (∃y. 2y = x) ⇒ (∃z. 4z = x ∨ 4z + 2 = x): even numbers are
         // 0 or 2 mod 4 — valid.
         let mut s = Problem::new();
-        let x = s.add_var("x", VarKind::Input);
-        let y = s.add_var("y", VarKind::Input);
-        let z = s.add_var("z", VarKind::Input);
+        let x = s.add_var(VarKind::Input);
+        let y = s.add_var(VarKind::Input);
+        let z = s.add_var(VarKind::Input);
         let even = Formula::exists(vec![y], Formula::eq0(LinExpr::var(x).plus_term(-2, y)));
         let mod4 = Formula::exists(
             vec![z],
@@ -733,9 +734,9 @@ mod tests {
         // Projection leaves y in each piece's stride; it must not become
         // one shared y, nor a free one.
         let mut s = Problem::new();
-        let x = s.add_var("x", VarKind::Input);
-        let y = s.add_var("y", VarKind::Input);
-        let z = s.add_var("z", VarKind::Input);
+        let x = s.add_var(VarKind::Input);
+        let y = s.add_var(VarKind::Input);
+        let z = s.add_var(VarKind::Input);
         let f = Formula::and(vec![
             Formula::eq0(LinExpr::var(x).plus_const(-2)),
             Formula::eq0(LinExpr::var(z).plus_const(-6)),
@@ -770,13 +771,13 @@ mod tests {
         // is `∀α`, and the `∀ → ∃ → ∀` cycle ends at the depth guard.
         // This pins today's conservative give-up.
         let mut s = Problem::new();
-        let y = s.add_var("y", VarKind::Input);
-        let m = s.add_var("m", VarKind::Symbolic);
+        let y = s.add_var(VarKind::Input);
+        let m = s.add_var(VarKind::Symbolic);
         let mut p = s.clone();
         p.add_geq(LinExpr::var(y).plus_const(-1));
         p.add_geq(LinExpr::var(m).plus_term(-1, y));
         let mut q = s.clone();
-        let w = q.add_wildcard();
+        let w = q.add_var(VarKind::Wildcard);
         q.add_eq(LinExpr::term(2, w).plus_term(1, y).plus_const(-3));
         q.add_geq(LinExpr::var(m).plus_term(-1, w));
         q.add_geq(LinExpr::var(w).plus_const(-1));
@@ -848,47 +849,51 @@ mod tests {
 }
 
 impl Formula {
-    /// Renders the formula with variable names drawn from `space`.
+    /// Renders the formula over `space`, naming variable `i` `names[i]`
+    /// and the rest by position, as [`Problem::display_with`] does.
     ///
     /// # Examples
     ///
     /// ```
     /// use omega::{Formula, LinExpr, Problem, VarKind};
     /// let mut s = Problem::new();
-    /// let x = s.add_var("x", VarKind::Input);
-    /// let y = s.add_var("y", VarKind::Input);
+    /// let x = s.add_var(VarKind::Input);
+    /// let y = s.add_var(VarKind::Input);
     /// let f = Formula::exists(vec![y], Formula::eq0(LinExpr::var(x).plus_term(-2, y)));
-    /// assert_eq!(f.display(&s), "exists y: x - 2y = 0");
+    /// assert_eq!(f.display(&s, &["x", "y"]), "exists y: x - 2y = 0");
+    /// assert_eq!(f.display(&s, &[]), "exists v1: v0 - 2v1 = 0");
     /// ```
-    pub fn display(&self, space: &Problem) -> String {
+    pub fn display(&self, space: &Problem, names: &[&str]) -> String {
+        self.render(&space.display_with(names))
+    }
+
+    fn render(&self, named: &Named<'_>) -> String {
         match self {
             Formula::True => "TRUE".to_string(),
             Formula::False => "FALSE".to_string(),
-            Formula::Atom(c) => space.constraint_to_string(c),
-            Formula::Divides(g, e) => format!("{g} | ({})", space.expr_to_string(e)),
-            Formula::NotDivides(g, e) => {
-                format!("not {g} | ({})", space.expr_to_string(e))
-            }
-            Formula::And(fs) => join_with(fs, space, " and "),
-            Formula::Or(fs) => join_with(fs, space, " or "),
-            Formula::Not(f) => format!("not ({})", f.display(space)),
+            Formula::Atom(c) => named.constraint(c),
+            Formula::Divides(g, e) => format!("{g} | ({})", named.expr(e)),
+            Formula::NotDivides(g, e) => format!("not {g} | ({})", named.expr(e)),
+            Formula::And(fs) => join_with(fs, named, " and "),
+            Formula::Or(fs) => join_with(fs, named, " or "),
+            Formula::Not(f) => format!("not ({})", f.render(named)),
             Formula::Exists(vs, f) => {
-                format!("exists {}: {}", var_list(vs, space), f.display(space))
+                format!("exists {}: {}", var_list(vs, named), f.render(named))
             }
             Formula::Forall(vs, f) => {
-                format!("forall {}: {}", var_list(vs, space), f.display(space))
+                format!("forall {}: {}", var_list(vs, named), f.render(named))
             }
         }
     }
 }
 
-fn join_with(fs: &[Formula], space: &Problem, sep: &str) -> String {
+fn join_with(fs: &[Formula], named: &Named<'_>, sep: &str) -> String {
     if fs.is_empty() {
         return "TRUE".to_string();
     }
     fs.iter()
         .map(|f| {
-            let s = f.display(space);
+            let s = f.render(named);
             if matches!(f, Formula::And(_) | Formula::Or(_)) {
                 format!("({s})")
             } else {
@@ -899,11 +904,15 @@ fn join_with(fs: &[Formula], space: &Problem, sep: &str) -> String {
         .join(sep)
 }
 
-fn var_list(vs: &[VarId], space: &Problem) -> String {
-    vs.iter()
-        .map(|&v| space.var_info(v).name().to_string())
-        .collect::<Vec<_>>()
-        .join(",")
+fn var_list(vs: &[VarId], named: &Named<'_>) -> String {
+    let mut out = String::new();
+    for (i, &v) in vs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        named.var(&mut out, v);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -913,8 +922,8 @@ mod display_tests {
     #[test]
     fn renders_nested_formulas() {
         let mut s = Problem::new();
-        let x = s.add_var("x", VarKind::Input);
-        let y = s.add_var("y", VarKind::Input);
+        let x = s.add_var(VarKind::Input);
+        let y = s.add_var(VarKind::Input);
         let f = Formula::forall(
             vec![x],
             Formula::or(vec![
@@ -922,8 +931,12 @@ mod display_tests {
                 Formula::exists(vec![y], Formula::eq0(LinExpr::var(x).plus_term(-3, y))),
             ]),
         );
-        assert_eq!(f.display(&s), "forall x: x >= 0 or exists y: x - 3y = 0");
+        let names = ["x", "y"];
+        assert_eq!(
+            f.display(&s, &names),
+            "forall x: x >= 0 or exists y: x - 3y = 0"
+        );
         let d = Formula::Divides(4, LinExpr::var(x).plus_const(1));
-        assert_eq!(d.display(&s), "4 | (x + 1)");
+        assert_eq!(d.display(&s, &names), "4 | (x + 1)");
     }
 }

@@ -29,7 +29,7 @@ use crate::{Error, Result};
 /// use omega::{gist, LinExpr, Problem, VarKind};
 ///
 /// let mut space = Problem::new();
-/// let x = space.add_var("x", VarKind::Input);
+/// let x = space.add_var(VarKind::Input);
 ///
 /// let mut p = space.clone();
 /// p.add_geq(LinExpr::var(x).plus_const(-1));            // x >= 1
@@ -78,7 +78,7 @@ pub fn gist_with(p: &Problem, q: &Problem, budget: &mut Budget) -> Result<Proble
 /// use omega::{implies, LinExpr, Problem, VarKind};
 ///
 /// let mut space = Problem::new();
-/// let x = space.add_var("x", VarKind::Input);
+/// let x = space.add_var(VarKind::Input);
 ///
 /// let mut p = space.clone();
 /// p.add_geq(LinExpr::var(x).plus_const(-5)); // x >= 5
@@ -361,7 +361,7 @@ mod tests {
 
     fn space1() -> (Problem, VarId) {
         let mut s = Problem::new();
-        let x = s.add_var("x", VarKind::Input);
+        let x = s.add_var(VarKind::Input);
         (s, x)
     }
 
@@ -393,8 +393,8 @@ mod tests {
         // q: x >= 2, y >= 3. p: x + y >= 5 (implied by q, but only via a
         // combination, so the naive satisfiability path must find it).
         let mut s = Problem::new();
-        let x = s.add_var("x", VarKind::Input);
-        let y = s.add_var("y", VarKind::Input);
+        let x = s.add_var(VarKind::Input);
+        let y = s.add_var(VarKind::Input);
         let mut p = s.clone();
         p.add_geq(LinExpr::var(x).plus_term(1, y).plus_const(-5));
         let mut q = s.clone();
@@ -408,8 +408,8 @@ mod tests {
     fn gist_semantics_g_and_q_equals_p_and_q() {
         // Exhaustive semantic check on a small box.
         let mut s = Problem::new();
-        let x = s.add_var("x", VarKind::Input);
-        let y = s.add_var("y", VarKind::Input);
+        let x = s.add_var(VarKind::Input);
+        let y = s.add_var(VarKind::Input);
         let mut p = s.clone();
         p.add_geq(LinExpr::var(x).plus_term(-1, y)); // x >= y
         p.add_geq(LinExpr::var(x).plus_const(-2)); // x >= 2
@@ -481,8 +481,8 @@ mod tests {
     fn implies_paper_kill_example() {
         // Example 1 of the paper: k = n  ⇒  n <= k <= n + 10.
         let mut s = Problem::new();
-        let k = s.add_var("k1", VarKind::Input);
-        let n = s.add_var("n", VarKind::Symbolic);
+        let k = s.add_var(VarKind::Input);
+        let n = s.add_var(VarKind::Symbolic);
         let mut p = s.clone();
         p.add_eq(LinExpr::var(k).plus_term(-1, n));
         let mut q = s.clone();
@@ -492,9 +492,9 @@ mod tests {
 
         // With the write to a(m): k = m ∧ n <= k <= n+20  ⇏  n <= k <= n+10.
         let mut s2 = Problem::new();
-        let k = s2.add_var("k1", VarKind::Input);
-        let n = s2.add_var("n", VarKind::Symbolic);
-        let m = s2.add_var("m", VarKind::Symbolic);
+        let k = s2.add_var(VarKind::Input);
+        let n = s2.add_var(VarKind::Symbolic);
+        let m = s2.add_var(VarKind::Symbolic);
         let mut p2 = s2.clone();
         p2.add_eq(LinExpr::var(k).plus_term(-1, m));
         p2.add_geq(LinExpr::var(k).plus_term(-1, n));
@@ -515,8 +515,8 @@ mod tests {
         // p: 1 <= y <= x; q: x <= 9. Project onto x.
         // π(p ∧ q) on x: 1 <= x <= 9; π(q) = x <= 9; gist = x >= 1.
         let mut s = Problem::new();
-        let x = s.add_var("x", VarKind::Input);
-        let y = s.add_var("y", VarKind::Input);
+        let x = s.add_var(VarKind::Input);
+        let y = s.add_var(VarKind::Input);
         let mut p = s.clone();
         p.add_geq(LinExpr::var(y).plus_const(-1));
         p.add_geq(LinExpr::var(x).plus_term(-1, y));
@@ -532,8 +532,9 @@ mod tests {
     #[test]
     fn space_mismatch_is_reported() {
         let (s, _) = space1();
+        // Kinds must agree position by position.
         let mut other = Problem::new();
-        other.add_var("zzz", VarKind::Input);
+        other.add_var(VarKind::Symbolic);
         assert_eq!(implies(&s, &other).unwrap_err(), Error::SpaceMismatch);
         assert_eq!(gist(&s, &other).unwrap_err(), Error::SpaceMismatch);
     }
@@ -550,8 +551,8 @@ mod pair_check_tests {
         // q: x >= 1, y >= 2; p: x + y >= 2 (implied by the pair sum with
         // slack 1): resolved without the satisfiability path.
         let mut s = Problem::new();
-        let x = s.add_var("x", VarKind::Input);
-        let y = s.add_var("y", VarKind::Input);
+        let x = s.add_var(VarKind::Input);
+        let y = s.add_var(VarKind::Input);
         let mut p = s.clone();
         p.add_geq(LinExpr::var(x).plus_term(1, y).plus_const(-2));
         let mut q = s.clone();
@@ -567,8 +568,8 @@ mod pair_check_tests {
     #[test]
     fn pair_sum_respects_constants() {
         let mut s = Problem::new();
-        let x = s.add_var("x", VarKind::Input);
-        let y = s.add_var("y", VarKind::Input);
+        let x = s.add_var(VarKind::Input);
+        let y = s.add_var(VarKind::Input);
         let a = Constraint::geq(LinExpr::var(x).plus_const(-1));
         let b = Constraint::geq(LinExpr::var(y).plus_const(-2));
         let implied = Constraint::geq(LinExpr::var(x).plus_term(1, y).plus_const(-3));

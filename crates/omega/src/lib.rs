@@ -25,8 +25,8 @@
 //!
 //! // Does  1 <= i <= n  ∧  i = n + 1  have an integer solution? (No.)
 //! let mut p = Problem::new();
-//! let i = p.add_var("i", VarKind::Input);
-//! let n = p.add_var("n", VarKind::Symbolic);
+//! let i = p.add_var(VarKind::Input);
+//! let n = p.add_var(VarKind::Symbolic);
 //! p.add_geq(LinExpr::var(i).plus_const(-1));            // i >= 1
 //! p.add_geq(LinExpr::var(n).plus_term(-1, i));          // i <= n
 //! p.add_eq(LinExpr::var(i).plus_term(-1, n).plus_const(-1)); // i = n + 1
@@ -62,7 +62,6 @@ mod redundant;
 mod row;
 mod sample;
 mod sat;
-mod symbol;
 mod tableau;
 mod var;
 
@@ -73,6 +72,7 @@ pub use gist::{gist, gist_projected, gist_with, implies, implies_with};
 pub use linexpr::{Color, Constraint, LinExpr, Relation};
 pub use normalize::Outcome;
 pub use pair::{DeltaProblem, PairContext, ProblemLike};
+pub use pretty::Named;
 pub use problem::{Budget, Problem, SolverOptions, DEFAULT_BUDGET};
 pub use project::Projection;
 pub use row::{gc as row_store_gc, stats as row_store_stats, RowShardStats, RowStoreStats};

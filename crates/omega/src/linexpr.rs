@@ -18,7 +18,7 @@ use crate::{Result, VarId};
 /// use omega::{LinExpr, Problem, VarKind};
 ///
 /// let mut p = Problem::new();
-/// let x = p.add_var("x", VarKind::Input);
+/// let x = p.add_var(VarKind::Input);
 /// let e = LinExpr::term(2, x).plus_const(3); // 2x + 3
 /// assert_eq!(e.coef(x), 2);
 /// assert_eq!(e.constant(), 3);
@@ -328,9 +328,8 @@ impl Color {
 /// One constraint of a [`Problem`](crate::Problem): an expression together
 /// with its relation to zero and its gist color.
 ///
-/// The expression is held as an interned row (see
-/// [`row`](crate::row)): structurally equal expressions share one
-/// allocation, so cloning a constraint is a reference-count bump and the
+/// The expression is held as an interned row (see the crate's `row`
+/// module): structurally equal expressions share one allocation, so cloning a constraint is a reference-count bump and the
 /// derived equality / hash collapse to an id comparison — which, for live
 /// rows, the store guarantees coincides with content comparison.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

@@ -142,8 +142,8 @@ mod tests {
 
     fn two_var_problem() -> (Problem, crate::VarId, crate::VarId) {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let y = p.add_var("y", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
+        let y = p.add_var(VarKind::Input);
         (p, x, y)
     }
 

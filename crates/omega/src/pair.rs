@@ -26,7 +26,6 @@ use crate::canon::{canonicalize, canonicalize_delta, merge_sorted, Op};
 use crate::linexpr::{Color, Constraint, LinExpr};
 use crate::problem::{Budget, Problem};
 use crate::project::{project_prepared, Projection};
-use crate::symbol::Name;
 use crate::tableau;
 use crate::var::{VarId, VarInfo, VarKind};
 use crate::Result;
@@ -37,7 +36,7 @@ use crate::Result;
 /// problem or a cheap delta over a [`PairContext`] base.
 pub trait ProblemLike: Clone {
     /// Adds a variable and returns its id.
-    fn add_var(&mut self, name: impl AsRef<str>, kind: VarKind) -> VarId;
+    fn add_var(&mut self, kind: VarKind) -> VarId;
 
     /// Number of variables in the problem (base plus delta).
     fn num_vars(&self) -> usize;
@@ -113,8 +112,8 @@ pub trait ProblemLike: Clone {
 }
 
 impl ProblemLike for Problem {
-    fn add_var(&mut self, name: impl AsRef<str>, kind: VarKind) -> VarId {
-        Problem::add_var(self, name, kind)
+    fn add_var(&mut self, kind: VarKind) -> VarId {
+        Problem::add_var(self, kind)
     }
 
     fn num_vars(&self) -> usize {
@@ -157,7 +156,7 @@ impl ProblemLike for Problem {
 /// use omega::{Budget, LinExpr, PairContext, Problem, ProblemLike, SolverCache, VarKind};
 ///
 /// let mut base = Problem::new();
-/// let i = base.add_var("i", VarKind::Input);
+/// let i = base.add_var(VarKind::Input);
 /// base.add_geq(LinExpr::var(i).plus_const(-1)); // i >= 1
 ///
 /// let cache = Arc::new(SolverCache::new());
@@ -208,7 +207,7 @@ impl PairContext {
             let canon = canonicalize(&base);
             let base = SharedBase::new(BaseForm {
                 known_infeasible: canon.known_infeasible,
-                vars: canon.vars.iter().map(|v| (v.name, v.kind)).collect(),
+                vars: canon.vars.iter().map(|v| v.kind).collect(),
                 eqs: canon.eqs,
                 geqs: canon.geqs,
             });
@@ -272,7 +271,7 @@ fn delta_eligible(base: &Problem) -> bool {
 #[derive(Debug, Clone)]
 pub struct DeltaProblem {
     ctx: PairContext,
-    vars: Vec<(Name, VarKind)>,
+    vars: Vec<VarKind>,
     eqs: Vec<Constraint>,
     geqs: Vec<Constraint>,
 }
@@ -297,17 +296,17 @@ impl DeltaProblem {
             geqs: merge_sorted(&form.geqs, geqs),
             known_infeasible: form.known_infeasible,
         };
-        for &(name, kind) in &self.vars {
-            p.push_var(name, kind);
+        for &kind in &self.vars {
+            p.add_var(kind);
         }
         p
     }
 }
 
 impl ProblemLike for DeltaProblem {
-    fn add_var(&mut self, name: impl AsRef<str>, kind: VarKind) -> VarId {
+    fn add_var(&mut self, kind: VarKind) -> VarId {
         let id = VarId::from_index(self.num_vars());
-        self.vars.push((Name::from_str(name.as_ref(), kind), kind));
+        self.vars.push(kind);
         id
     }
 
@@ -380,9 +379,9 @@ impl ProblemLike for DeltaProblem {
             budget,
             cache,
             key,
-            |v: &Projection| CachedValue::Project(v.clone()),
+            |v: &Projection| CachedValue::Project(Box::new(v.clone())),
             |v| match v {
-                CachedValue::Project(proj) => Some(proj),
+                CachedValue::Project(proj) => Some(*proj),
                 _ => None,
             },
             |b, key| {
@@ -400,8 +399,8 @@ impl ProblemLike for DeltaProblem {
 
     fn to_problem(&self) -> Problem {
         let mut p = self.ctx.inner.base.clone();
-        for &(name, kind) in &self.vars {
-            p.push_var(name, kind);
+        for &kind in &self.vars {
+            p.add_var(kind);
         }
         for c in &self.eqs {
             p.add_constraint(c.clone());
@@ -421,9 +420,9 @@ mod tests {
     /// `1 <= i <= n ∧ 1 <= i' <= n` — the shape of a dependence base.
     fn pair_base() -> (Problem, VarId, VarId, VarId) {
         let mut p = Problem::new();
-        let i = p.add_var("i", VarKind::Input);
-        let j = p.add_var("i'", VarKind::Input);
-        let n = p.add_var("n", VarKind::Symbolic);
+        let i = p.add_var(VarKind::Input);
+        let j = p.add_var(VarKind::Input);
+        let n = p.add_var(VarKind::Symbolic);
         for v in [i, j] {
             p.add_geq(LinExpr::var(v).plus_const(-1));
             p.add_geq(LinExpr::var(n).plus_term(-1, v));
@@ -540,7 +539,7 @@ mod tests {
         let (_, mut budget) = cached_budget();
         let ctx = PairContext::new(base, &budget);
         let mut q = ctx.derive();
-        let d = q.add_var("d", VarKind::Input);
+        let d = q.add_var(VarKind::Input);
         assert_eq!(d.index(), q.num_vars() - 1);
         // d = i' - i, d >= 1.
         q.add_eq(LinExpr::var(d).plus_term(-1, j).plus_term(1, i));
@@ -610,7 +609,7 @@ mod tests {
         // so a rebuilt context of the last one hits.
         let ctx_for = |lo: i64, budget: &Budget| {
             let mut p = Problem::new();
-            let x = p.add_var("x", VarKind::Input);
+            let x = p.add_var(VarKind::Input);
             p.add_geq(LinExpr::var(x).plus_const(-lo));
             (PairContext::new(p, budget), x)
         };

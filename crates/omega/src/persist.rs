@@ -17,8 +17,11 @@
 //! that delta entries reference, numbered in serialized order, and entry
 //! lines are sorted, so two caches with the same contents produce
 //! byte-identical files regardless of hash-map iteration order or of
-//! which context built each base. Strings are percent-encoded; numbers
-//! are decimal; lists are length-prefixed.
+//! which context built each base. The file holds no strings: variables
+//! are positions, written as their kind (and, in full keys and cached
+//! problems, their flags); numbers are decimal; lists are
+//! length-prefixed. Problems that differ only in how their variables
+//! were named therefore share entries across runs as well.
 //!
 //! # Trust model
 //!
@@ -47,11 +50,10 @@ use crate::int::Coef;
 use crate::linexpr::{Color, Constraint, LinExpr};
 use crate::problem::Problem;
 use crate::project::Projection;
-use crate::symbol::Name;
 use crate::var::{VarId, VarInfo, VarKind};
 
 /// Bumped whenever the serialized layout changes.
-const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 2;
 /// Bumped whenever solver semantics change in a way that invalidates
 /// cached verdicts (canonicalization, projection, budget accounting).
 const SOLVER_VERSION: u32 = 1;
@@ -75,22 +77,6 @@ fn fnv64(bytes: &[u8]) -> u64 {
 // Token writer
 // ---------------------------------------------------------------------
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_' | b'-' | b'.' | b'\'' | b'^' => {
-                out.push(b as char);
-            }
-            _ => out.push_str(&format!("%{b:02x}")),
-        }
-    }
-    if out.is_empty() {
-        out.push('%');
-    }
-    out
-}
-
 struct W(String);
 
 impl W {
@@ -113,16 +99,30 @@ impl W {
         self.tok(if v { "1" } else { "0" });
     }
 
-    fn s(&mut self, v: &str) {
-        self.tok(&esc(v));
-    }
-
     fn kind(&mut self, k: VarKind) {
         self.u(match k {
             VarKind::Input => 0,
             VarKind::Symbolic => 1,
             VarKind::Wildcard => 2,
         });
+    }
+
+    fn kinds(&mut self, ks: &[VarKind]) {
+        self.u(ks.len() as u64);
+        for &k in ks {
+            self.kind(k);
+        }
+    }
+
+    /// A variable table: each variable's kind and flags.
+    fn vars(&mut self, vs: &[VarInfo]) {
+        self.u(vs.len() as u64);
+        for v in vs {
+            self.kind(v.kind);
+            let flags =
+                u64::from(v.protected) | (u64::from(v.dead) << 1) | (u64::from(v.pinned) << 2);
+            self.u(flags);
+        }
     }
 
     fn op(&mut self, op: Op) {
@@ -157,25 +157,14 @@ impl W {
 
     fn problem(&mut self, p: &Problem) {
         self.b(p.known_infeasible);
-        self.u(p.vars.len() as u64);
-        for v in p.vars.iter() {
-            self.s(v.name.render());
-            self.kind(v.kind);
-            let flags =
-                u64::from(v.protected) | (u64::from(v.dead) << 1) | (u64::from(v.pinned) << 2);
-            self.u(flags);
-        }
+        self.vars(&p.vars);
         self.constraints(&p.eqs);
         self.constraints(&p.geqs);
     }
 
     fn base_form(&mut self, f: &BaseForm) {
         self.b(f.known_infeasible);
-        self.u(f.vars.len() as u64);
-        for (name, kind) in &f.vars {
-            self.s(name.render());
-            self.kind(*kind);
-        }
+        self.kinds(&f.vars);
         self.constraints(&f.eqs);
         self.constraints(&f.geqs);
     }
@@ -186,15 +175,7 @@ impl W {
                 self.tok("F");
                 self.op(ck.op);
                 self.b(ck.known_infeasible);
-                self.u(ck.vars.len() as u64);
-                for v in ck.vars.iter() {
-                    self.s(v.name.render());
-                    self.kind(v.kind);
-                    let flags = u64::from(v.protected)
-                        | (u64::from(v.dead) << 1)
-                        | (u64::from(v.pinned) << 2);
-                    self.u(flags);
-                }
+                self.vars(&ck.vars);
                 self.constraints(&ck.eqs);
                 self.constraints(&ck.geqs);
             }
@@ -202,11 +183,7 @@ impl W {
                 self.tok("D");
                 self.op(dk.op);
                 self.u(base_ids[&dk.base]);
-                self.u(dk.vars.len() as u64);
-                for (name, kind) in &dk.vars {
-                    self.s(name.render());
-                    self.kind(*kind);
-                }
+                self.kinds(&dk.vars);
                 self.u(dk.keep.len() as u64);
                 for &k in &dk.keep {
                     self.u(u64::from(k));
@@ -244,26 +221,6 @@ impl W {
 // ---------------------------------------------------------------------
 // Token reader (every method returns `None` on malformed input)
 // ---------------------------------------------------------------------
-
-fn unesc(t: &str) -> Option<String> {
-    if t == "%" {
-        return Some(String::new());
-    }
-    let mut out = Vec::with_capacity(t.len());
-    let bytes = t.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = t.get(i + 1..i + 3)?;
-            out.push(u8::from_str_radix(hex, 16).ok()?);
-            i += 3;
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
-    }
-    String::from_utf8(out).ok()
-}
 
 struct R<'a> {
     toks: std::str::SplitAsciiWhitespace<'a>,
@@ -309,10 +266,6 @@ impl<'a> R<'a> {
         }
     }
 
-    fn s(&mut self) -> Option<String> {
-        unesc(self.tok()?)
-    }
-
     fn kind(&mut self) -> Option<VarKind> {
         match self.u()? {
             0 => Some(VarKind::Input),
@@ -320,6 +273,28 @@ impl<'a> R<'a> {
             2 => Some(VarKind::Wildcard),
             _ => None,
         }
+    }
+
+    fn kinds(&mut self) -> Option<Vec<VarKind>> {
+        let n = self.len()?;
+        (0..n).map(|_| self.kind()).collect()
+    }
+
+    /// A variable table: each variable's kind and flags.
+    fn vars(&mut self) -> Option<Vec<VarInfo>> {
+        let n = self.len()?;
+        (0..n)
+            .map(|_| {
+                let kind = self.kind()?;
+                let flags = self.u()?;
+                (flags <= 7).then_some(VarInfo {
+                    protected: flags & 1 != 0,
+                    dead: flags & 2 != 0,
+                    pinned: flags & 4 != 0,
+                    ..VarInfo::new(kind)
+                })
+            })
+            .collect()
     }
 
     fn op(&mut self) -> Option<Op> {
@@ -367,38 +342,20 @@ impl<'a> R<'a> {
 
     fn problem(&mut self) -> Option<Problem> {
         let known_infeasible = self.b()?;
-        let nvars = self.len()?;
-        let mut p = Problem {
+        let vars = self.vars()?;
+        let nvars = vars.len();
+        Some(Problem {
+            vars: Arc::new(vars),
+            eqs: self.constraints(true, nvars)?,
+            geqs: self.constraints(false, nvars)?,
             known_infeasible,
-            ..Problem::default()
-        };
-        for _ in 0..nvars {
-            let name = self.s()?;
-            let kind = self.kind()?;
-            let flags = self.u()?;
-            if flags > 7 {
-                return None;
-            }
-            let v = p.add_var(name, kind);
-            let info = &mut p.vars_mut()[v.index()];
-            info.protected = flags & 1 != 0;
-            info.dead = flags & 2 != 0;
-            info.pinned = flags & 4 != 0;
-        }
-        p.eqs = self.constraints(true, nvars)?;
-        p.geqs = self.constraints(false, nvars)?;
-        Some(p)
+        })
     }
 
     fn base_form(&mut self) -> Option<BaseForm> {
         let known_infeasible = self.b()?;
-        let nvars = self.len()?;
-        let mut vars = Vec::with_capacity(nvars);
-        for _ in 0..nvars {
-            let name = self.s()?;
-            let kind = self.kind()?;
-            vars.push((Name::from_str(&name, kind), kind));
-        }
+        let vars = self.kinds()?;
+        let nvars = vars.len();
         Some(BaseForm {
             known_infeasible,
             vars,
@@ -414,23 +371,8 @@ impl<'a> R<'a> {
             "F" => {
                 let op = self.op()?;
                 let known_infeasible = self.b()?;
-                let nvars = self.len()?;
-                let mut vars = Vec::with_capacity(nvars);
-                for _ in 0..nvars {
-                    let name = self.s()?;
-                    let kind = self.kind()?;
-                    let flags = self.u()?;
-                    if flags > 7 {
-                        return None;
-                    }
-                    vars.push(VarInfo {
-                        name: Name::from_str(&name, kind),
-                        kind,
-                        protected: flags & 1 != 0,
-                        dead: flags & 2 != 0,
-                        pinned: flags & 4 != 0,
-                    });
-                }
+                let vars = self.vars()?;
+                let nvars = vars.len();
                 Some(MemoKey::Full(CanonKey {
                     op,
                     known_infeasible,
@@ -444,13 +386,7 @@ impl<'a> R<'a> {
                 // A dangling base reference is malformed.
                 let base = bases.get(usize::try_from(self.u()?).ok()?)?.clone();
                 let base_nvars = base.form().vars.len();
-                let nvars = self.len()?;
-                let mut vars = Vec::with_capacity(nvars);
-                for _ in 0..nvars {
-                    let name = self.s()?;
-                    let kind = self.kind()?;
-                    vars.push((Name::from_str(&name, kind), kind));
-                }
+                let vars = self.kinds()?;
                 let nkeep = self.len()?;
                 let mut keep = Vec::with_capacity(nkeep);
                 for _ in 0..nkeep {
@@ -479,12 +415,12 @@ impl<'a> R<'a> {
                 let n = self.len()?;
                 let splinters = (0..n).map(|_| self.problem()).collect::<Option<_>>()?;
                 let real = self.problem()?;
-                Some(CachedValue::Project(Projection {
+                Some(CachedValue::Project(Box::new(Projection {
                     dark,
                     splinters,
                     real,
                     exact,
-                }))
+                })))
             }
             "G" => Some(CachedValue::Gist(self.problem()?)),
             _ => None,
@@ -697,8 +633,8 @@ mod tests {
 
         // A full-key sat entry and a projection entry.
         let mut p = Problem::new();
-        let x = p.add_var("x~weird name", VarKind::Input);
-        let y = p.add_var("y", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
+        let y = p.add_var(VarKind::Input);
         p.add_geq(LinExpr::var(x).plus_const(-1));
         p.add_geq(LinExpr::term(2, y).plus_term(-1, x));
         p.is_satisfiable_with(&mut budget).unwrap();
@@ -781,17 +717,13 @@ mod tests {
         // `x >= 0`-shaped constraints on variable `v`: a full key over
         // one variable, a delta key over a one-variable base plus one
         // delta variable, and a gist value over one variable.
-        let full = |v: u64| stamped(format!("E F 0 0 1 x 0 0 0 1 0 1 {v} 1 0 1 S 1\n"));
+        let full = |v: u64| stamped(format!("E F 0 0 1 0 0 0 1 0 1 {v} 1 0 1 S 1\n"));
         let delta = |v: u64| {
             stamped(format!(
-                "B 0 0 1 x 0 0 0\nE D 0 0 1 y 0 0 0 1 0 1 {v} 1 0 1 S 1\n"
+                "B 0 0 1 0 0 0\nE D 0 0 1 0 0 0 1 0 1 {v} 1 0 1 S 1\n"
             ))
         };
-        let gist = |v: u64| {
-            stamped(format!(
-                "E F 2 0 1 x 0 0 0 0 1 G 0 1 z 0 0 0 1 0 1 {v} 1 0\n"
-            ))
-        };
+        let gist = |v: u64| stamped(format!("E F 2 0 1 0 0 0 0 1 G 0 1 0 0 0 1 0 1 {v} 1 0\n"));
         // In range: every shape loads, so the rejections below are the
         // index checks and not a malformed hand-built line.
         for (what, text) in [("full", full(0)), ("delta", delta(1)), ("gist", gist(0))] {
@@ -834,8 +766,8 @@ mod tests {
         let loaded = Arc::new(SolverCache::deserialize(&text).unwrap());
 
         let mut p = Problem::new();
-        let x = p.add_var("x~weird name", VarKind::Input);
-        let y = p.add_var("y", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
+        let y = p.add_var(VarKind::Input);
         p.add_geq(LinExpr::var(x).plus_const(-1));
         p.add_geq(LinExpr::term(2, y).plus_term(-1, x));
 
@@ -860,19 +792,5 @@ mod tests {
         q.constrain_lt(&LinExpr::var(x), &LinExpr::var(y)).unwrap();
         q.is_satisfiable_with(&mut budget).unwrap();
         assert_eq!(loaded.stats().misses, 0);
-    }
-
-    #[test]
-    fn string_escaping_round_trips() {
-        for s in [
-            "",
-            "plain",
-            "with space",
-            "per%cent",
-            "tab\tand\nnewline",
-            "ünïcode",
-        ] {
-            assert_eq!(unesc(&esc(s)).as_deref(), Some(s));
-        }
     }
 }

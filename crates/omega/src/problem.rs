@@ -6,7 +6,6 @@ use std::sync::Arc;
 use crate::cache::SolverCache;
 use crate::int::Coef;
 use crate::linexpr::{Color, Constraint, LinExpr, Relation};
-use crate::symbol::Name;
 use crate::var::{VarId, VarInfo, VarKind};
 use crate::{Error, Result};
 
@@ -132,8 +131,8 @@ pub const DEFAULT_BUDGET: usize = 2_000_000;
 ///
 /// // 0 <= a <= 5  and  b < a <= 5b  has integer solutions (e.g. a=2, b=1).
 /// let mut p = Problem::new();
-/// let a = p.add_var("a", VarKind::Input);
-/// let b = p.add_var("b", VarKind::Input);
+/// let a = p.add_var(VarKind::Input);
+/// let b = p.add_var(VarKind::Input);
 /// p.add_geq(LinExpr::var(a));                                   // a >= 0
 /// p.add_geq(LinExpr::term(-1, a).plus_const(5));                // a <= 5
 /// p.add_geq(LinExpr::var(a).plus_term(-1, b).plus_const(-1));   // a >= b+1
@@ -145,7 +144,7 @@ pub const DEFAULT_BUDGET: usize = 2_000_000;
 /// — which the solver does constantly while projecting and splintering —
 /// bumps a reference count instead of copying the table, and the
 /// constraint lists clone as reference-count bumps on interned rows. The
-/// first mutation of a shared table copies it (see [`Problem::vars_mut`]).
+/// first mutation of a shared table copies it.
 #[derive(Debug, Clone, Default)]
 pub struct Problem {
     pub(crate) vars: Arc<Vec<VarInfo>>,
@@ -167,35 +166,11 @@ impl Problem {
         Arc::make_mut(&mut self.vars)
     }
 
-    /// Adds a variable and returns its id.
-    pub fn add_var(&mut self, name: impl AsRef<str>, kind: VarKind) -> VarId {
-        self.push_var(Name::from_str(name.as_ref(), kind), kind)
-    }
-
-    /// Adds a variable whose name is already interned.
-    pub(crate) fn push_var(&mut self, name: Name, kind: VarKind) -> VarId {
+    /// Adds a variable and returns its id: the next position of the
+    /// table.
+    pub fn add_var(&mut self, kind: VarKind) -> VarId {
         let id = VarId::from_index(self.vars.len());
-        self.vars_mut().push(VarInfo {
-            name,
-            kind,
-            protected: false,
-            dead: false,
-            pinned: false,
-        });
-        id
-    }
-
-    /// Adds an internal existential variable. The name is the interned
-    /// wildcard `alpha<index>` — no string is built unless it is rendered.
-    pub(crate) fn add_wildcard(&mut self) -> VarId {
-        let id = VarId::from_index(self.vars.len());
-        self.vars_mut().push(VarInfo {
-            name: Name::Wild(id.0),
-            kind: VarKind::Wildcard,
-            protected: false,
-            dead: false,
-            pinned: false,
-        });
+        self.vars_mut().push(VarInfo::new(kind));
         id
     }
 
@@ -212,14 +187,6 @@ impl Problem {
     /// All variable ids, including dead ones.
     pub fn var_ids(&self) -> impl Iterator<Item = VarId> + '_ {
         (0..self.vars.len()).map(VarId::from_index)
-    }
-
-    /// Looks up a variable by name (first match).
-    pub fn find_var(&self, name: &str) -> Option<VarId> {
-        self.vars
-            .iter()
-            .position(|v| v.name.render() == name)
-            .map(VarId::from_index)
     }
 
     /// Marks a variable protected: it will survive projection.
@@ -334,9 +301,9 @@ impl Problem {
     /// the digest hashes canonical *content*: the rows canonicalization
     /// mints (e.g. a GCD-reduced inequality) are temporaries that die
     /// with this call, so a later digest of an equivalent problem would
-    /// see them re-interned under fresh ids. Variable names still enter
-    /// as interned symbols, so the value is only comparable within one
-    /// process and must never be persisted.
+    /// see them re-interned under fresh ids. The value comes from `std`'s
+    /// `DefaultHasher`, whose algorithm may change between Rust releases,
+    /// so it must never be persisted.
     pub fn canonical_digest(&self) -> u64 {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
@@ -377,18 +344,16 @@ impl Problem {
         crate::canon::canonicalize(self)
     }
 
-    /// Whether two problems share a variable table (names and kinds agree
-    /// on the common prefix; one table may extend the other with
-    /// wildcards).
+    /// Whether two problems share a variable table (kinds agree on the
+    /// common prefix; one table may extend the other with wildcards).
     pub fn same_space(&self, other: &Problem) -> bool {
         let n = self.vars.len().min(other.vars.len());
         self.vars[..n].iter().zip(&other.vars[..n]).all(|(a, b)| {
-            a.name == b.name
-                && (a.kind == b.kind
-                    // Projection may demote a variable to an existential
-                    // (wildcard); the tables remain compatible.
-                    || a.kind == VarKind::Wildcard
-                    || b.kind == VarKind::Wildcard)
+            a.kind == b.kind
+                // Projection may demote a variable to an existential
+                // (wildcard); the tables remain compatible.
+                || a.kind == VarKind::Wildcard
+                || b.kind == VarKind::Wildcard
         }) && self.vars[n..].iter().all(|v| v.kind == VarKind::Wildcard)
             && other.vars[n..].iter().all(|v| v.kind == VarKind::Wildcard)
     }
@@ -481,13 +446,13 @@ mod tests {
     #[test]
     fn build_simple_problem() {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let n = p.add_var("n", VarKind::Symbolic);
+        let x = p.add_var(VarKind::Input);
+        let n = p.add_var(VarKind::Symbolic);
         p.constrain_ge(&LinExpr::var(x), &LinExpr::constant_expr(1))
             .unwrap();
         p.constrain_le(&LinExpr::var(x), &LinExpr::var(n)).unwrap();
         assert_eq!(p.num_constraints(), 2);
-        assert_eq!(p.find_var("n"), Some(n));
+        assert_eq!(n.index(), 1);
         assert!(p.satisfies(&[3, 5]));
         assert!(!p.satisfies(&[0, 5]));
         assert!(!p.satisfies(&[6, 5]));
@@ -496,8 +461,8 @@ mod tests {
     #[test]
     fn constrain_lt_is_strict_integer() {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let y = p.add_var("y", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
+        let y = p.add_var(VarKind::Input);
         p.constrain_lt(&LinExpr::var(x), &LinExpr::var(y)).unwrap();
         assert!(p.satisfies(&[1, 2]));
         assert!(!p.satisfies(&[2, 2]));
@@ -506,9 +471,9 @@ mod tests {
     #[test]
     fn same_space_and_merge() {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
         let mut q = Problem::new();
-        let xq = q.add_var("x", VarKind::Input);
+        let xq = q.add_var(VarKind::Input);
         assert_eq!(x, xq);
         q.add_geq(LinExpr::var(xq));
         assert!(p.same_space(&q));
@@ -516,8 +481,9 @@ mod tests {
         assert_eq!(p.geqs().len(), 1);
         assert_eq!(p.geqs()[0].color(), Color::Red);
 
+        // Kinds must agree position by position.
         let mut r = Problem::new();
-        r.add_var("y", VarKind::Input);
+        r.add_var(VarKind::Symbolic);
         assert!(!p.same_space(&r));
         assert_eq!(p.and(&r), Err(Error::SpaceMismatch));
     }
@@ -525,9 +491,9 @@ mod tests {
     #[test]
     fn wildcard_extension_is_same_space() {
         let mut p = Problem::new();
-        p.add_var("x", VarKind::Input);
+        p.add_var(VarKind::Input);
         let mut q = p.clone();
-        q.add_wildcard();
+        q.add_var(VarKind::Wildcard);
         assert!(p.same_space(&q));
         assert!(q.same_space(&p));
     }
@@ -543,7 +509,7 @@ mod tests {
     #[test]
     fn blacken_strips_colors() {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
         p.add_constraint(
             Constraint::geq(LinExpr::term(-1, x).plus_const(5)).with_color(Color::Red),
         );

@@ -88,8 +88,8 @@ impl Problem {
     /// use omega::{LinExpr, Problem, VarKind};
     ///
     /// let mut p = Problem::new();
-    /// let a = p.add_var("a", VarKind::Input);
-    /// let b = p.add_var("b", VarKind::Input);
+    /// let a = p.add_var(VarKind::Input);
+    /// let b = p.add_var(VarKind::Input);
     /// p.add_geq(LinExpr::var(a));
     /// p.add_geq(LinExpr::term(-1, a).plus_const(5));
     /// p.add_geq(LinExpr::var(a).plus_term(-1, b).plus_const(-1));
@@ -132,9 +132,9 @@ impl Problem {
                 budget,
                 cache,
                 key,
-                |v: &Projection| CachedValue::Project(v.clone()),
+                |v: &Projection| CachedValue::Project(Box::new(v.clone())),
                 |v| match v {
-                    CachedValue::Project(proj) => Some(proj),
+                    CachedValue::Project(proj) => Some(*proj),
                     _ => None,
                 },
                 move |b, _| project_prepared(cp, b),
@@ -205,8 +205,8 @@ mod tests {
     fn exact_projection_of_triangle() {
         // 1 <= i <= j <= 10, project onto j: 1 <= j <= 10.
         let mut p = Problem::new();
-        let i = p.add_var("i", VarKind::Input);
-        let j = p.add_var("j", VarKind::Input);
+        let i = p.add_var(VarKind::Input);
+        let j = p.add_var(VarKind::Input);
         p.add_geq(LinExpr::var(i).plus_const(-1));
         p.add_geq(LinExpr::var(j).plus_term(-1, i));
         p.add_geq(LinExpr::term(-1, j).plus_const(10));
@@ -223,8 +223,8 @@ mod tests {
     fn projection_keeps_symbolic_constraints() {
         // 1 <= x <= n, project away x: requires n >= 1.
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let n = p.add_var("n", VarKind::Symbolic);
+        let x = p.add_var(VarKind::Input);
+        let n = p.add_var(VarKind::Symbolic);
         p.add_geq(LinExpr::var(x).plus_const(-1));
         p.add_geq(LinExpr::var(n).plus_term(-1, x));
         let proj = p.project_away(&[x], &mut Budget::default()).unwrap();
@@ -237,8 +237,8 @@ mod tests {
     fn projection_with_equalities_substitutes() {
         // x = 2y, 0 <= x <= 10: projecting onto y gives 0 <= y <= 5.
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let y = p.add_var("y", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
+        let y = p.add_var(VarKind::Input);
         p.add_eq(LinExpr::var(x).plus_term(-2, y));
         p.add_geq(LinExpr::var(x));
         p.add_geq(LinExpr::term(-1, x).plus_const(10));
@@ -256,8 +256,8 @@ mod tests {
         // forces a wildcard/stride representation; check membership via
         // satisfiability of the union with x pinned.
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let y = p.add_var("y", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
+        let y = p.add_var(VarKind::Input);
         p.add_eq(LinExpr::var(x).plus_term(-2, y));
         p.add_geq(LinExpr::var(y)); // y >= 0 so x >= 0
         p.add_geq(LinExpr::term(-1, y).plus_const(50));
@@ -265,8 +265,7 @@ mod tests {
         for xv in 0..=12 {
             let member = proj.problems().any(|piece| {
                 let mut q = piece.clone();
-                let xq = q.find_var("x").unwrap();
-                q.add_eq(LinExpr::var(xq).plus_const(-xv));
+                q.add_eq(LinExpr::var(x).plus_const(-xv));
                 q.is_satisfiable().unwrap()
             });
             assert_eq!(member, xv % 2 == 0, "x = {xv}");
@@ -278,8 +277,8 @@ mod tests {
         // Inexact case: 2x <= y <= 3x with, say, 4 <= y <= 5... pick a
         // problem that splinters when eliminating x: 3x >= y, 2x <= y - 1.
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let y = p.add_var("y", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
+        let y = p.add_var(VarKind::Input);
         p.add_geq(LinExpr::term(3, x).plus_term(-1, y));
         p.add_geq(LinExpr::term(-2, x).plus_term(1, y).plus_const(-1));
         p.add_geq(LinExpr::var(y));
@@ -289,14 +288,12 @@ mod tests {
         for yv in 0..=20 {
             let in_union = proj.problems().any(|piece| {
                 let mut q = piece.clone();
-                let yq = q.find_var("y").unwrap();
-                q.add_eq(LinExpr::var(yq).plus_const(-yv));
+                q.add_eq(LinExpr::var(y).plus_const(-yv));
                 q.is_satisfiable().unwrap()
             });
             if in_union {
                 let mut r = proj.real().clone();
-                let yr = r.find_var("y").unwrap();
-                r.add_eq(LinExpr::var(yr).plus_const(-yv));
+                r.add_eq(LinExpr::var(y).plus_const(-yv));
                 assert!(r.is_satisfiable().unwrap(), "real shadow missing y={yv}");
             }
         }
@@ -363,8 +360,8 @@ mod tests {
         ];
         for (name, eqs, geqs, exact, shadow) in cases {
             let mut p = Problem::new();
-            let x = p.add_var("x", VarKind::Input);
-            let y = p.add_var("y", VarKind::Input);
+            let x = p.add_var(VarKind::Input);
+            let y = p.add_var(VarKind::Input);
             let row =
                 |&(a, b, c): &(i64, i64, i64)| LinExpr::term(a, x).plus_term(b, y).plus_const(c);
             eqs.iter().for_each(|r| p.add_eq(row(r)));
@@ -386,8 +383,8 @@ mod tests {
     fn projection_union_matches_brute_force() {
         // Exhaustive check of the union semantics on an inexact problem.
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let y = p.add_var("y", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
+        let y = p.add_var(VarKind::Input);
         // 2x <= 3y <= 2x + 2, 0 <= x <= 15 - brute force over y.
         p.add_geq(LinExpr::term(3, y).plus_term(-2, x));
         p.add_geq(LinExpr::term(2, x).plus_term(-3, y).plus_const(2));
@@ -398,8 +395,7 @@ mod tests {
             let brute = (0..=15).any(|xv| p.satisfies(&[xv, yv]));
             let union = proj.problems().any(|piece| {
                 let mut q = piece.clone();
-                let yq = q.find_var("y").unwrap();
-                q.add_eq(LinExpr::var(yq).plus_const(-yv));
+                q.add_eq(LinExpr::var(y).plus_const(-yv));
                 q.is_satisfiable().unwrap()
             });
             assert_eq!(union, brute, "y = {yv}");

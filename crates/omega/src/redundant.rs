@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn quick_removes_looser_bound() {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
         p.add_geq(LinExpr::var(x).plus_const(-5)); // x >= 5
         p.add_geq(LinExpr::var(x).plus_const(-3)); // x >= 3 (redundant)
         p.remove_redundant_quick();
@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn quick_keeps_identical_once() {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
         p.add_geq(LinExpr::var(x).plus_const(-5));
         p.add_geq(LinExpr::var(x).plus_const(-5));
         p.remove_redundant_quick();
@@ -160,7 +160,7 @@ mod tests {
         // identical copy drop; the first x>=5 survives. Pins the
         // earlier-identical-wins dynamics of the bucketed scan.
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
         p.add_geq(LinExpr::var(x).plus_const(-3));
         p.add_geq(LinExpr::var(x).plus_const(-5));
         p.add_geq(LinExpr::var(x).plus_const(-5));
@@ -172,14 +172,10 @@ mod tests {
 
     #[test]
     fn quick_identical_red_black_ties_are_order_sensitive() {
-        let x_ge_3 = |p: &mut Problem| {
-            let x = p.find_var("x").unwrap();
-            LinExpr::var(x).plus_const(-3)
-        };
+        let x_ge_3 = |p: &mut Problem| LinExpr::var(p.add_var(VarKind::Input)).plus_const(-3);
         // Black first: the red copy is dropped (implied by an earlier
         // identical black constraint).
         let mut p = Problem::new();
-        p.add_var("x", VarKind::Input);
         let e = x_ge_3(&mut p);
         p.add_geq(e.clone());
         p.add_constraint(Constraint::geq(e).with_color(Color::Red));
@@ -190,7 +186,6 @@ mod tests {
         // Red first: both survive — red cannot drop black, and the black
         // copy is later so it cannot drop the red one either.
         let mut q = Problem::new();
-        q.add_var("x", VarKind::Input);
         let e = x_ge_3(&mut q);
         q.add_constraint(Constraint::geq(e.clone()).with_color(Color::Red));
         q.add_geq(e);
@@ -203,7 +198,7 @@ mod tests {
         // x >= 3 and -x >= -10 share a direction class with opposite
         // orientation: neither implies the other.
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
         p.add_geq(LinExpr::var(x).plus_const(-3));
         p.add_geq(LinExpr::term(-1, x).plus_const(10));
         p.remove_redundant_quick();
@@ -213,7 +208,7 @@ mod tests {
     #[test]
     fn quick_never_drops_black_for_red() {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
         p.add_constraint(Constraint::geq(LinExpr::var(x).plus_const(-5)).with_color(Color::Red));
         p.add_geq(LinExpr::var(x).plus_const(-3)); // black, looser
         p.remove_redundant_quick();
@@ -229,9 +224,9 @@ mod tests {
         // protection flags set.
         const BIG: i64 = 1 << 40;
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let y = p.add_var("y", VarKind::Input);
-        let w = p.add_var("w", VarKind::Wildcard);
+        let x = p.add_var(VarKind::Input);
+        let y = p.add_var(VarKind::Input);
+        let w = p.add_var(VarKind::Wildcard);
         p.add_eq(LinExpr::var(w).plus_term(BIG, x));
         p.add_geq(LinExpr::var(w).plus_term(1, x));
         p.add_geq(LinExpr::term(BIG, w).plus_term(3, y));
@@ -245,7 +240,7 @@ mod tests {
     #[test]
     fn negate_geq_partitions_integers() {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
         let e = LinExpr::var(x).plus_const(-5); // x - 5 >= 0
         let n = negate_geq(&e); // 4 - x >= 0
         for xv in 0..10 {

@@ -32,8 +32,8 @@ impl Problem {
     /// use omega::{LinExpr, Problem, VarKind};
     ///
     /// let mut p = Problem::new();
-    /// let x = p.add_var("x", VarKind::Input);
-    /// let y = p.add_var("y", VarKind::Input);
+    /// let x = p.add_var(VarKind::Input);
+    /// let y = p.add_var(VarKind::Input);
     /// p.add_eq(LinExpr::term(3, x).plus_term(5, y).plus_const(-12));
     /// p.add_geq(LinExpr::var(x));
     /// p.add_geq(LinExpr::var(y));
@@ -69,8 +69,8 @@ mod tests {
 
     fn vars2() -> (Problem, VarId, VarId) {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let y = p.add_var("y", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
+        let y = p.add_var(VarKind::Input);
         (p, x, y)
     }
 

@@ -24,7 +24,7 @@ impl Problem {
     /// use omega::{LinExpr, Problem, VarKind};
     ///
     /// let mut p = Problem::new();
-    /// let x = p.add_var("x", VarKind::Input);
+    /// let x = p.add_var(VarKind::Input);
     /// // 2x == 1 has a real solution but no integer one.
     /// p.add_eq(LinExpr::term(2, x).plus_const(-1));
     /// assert!(!p.is_satisfiable()?);
@@ -78,8 +78,8 @@ mod tests {
 
     fn vars2() -> (Problem, crate::VarId, crate::VarId) {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let y = p.add_var("y", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
+        let y = p.add_var(VarKind::Input);
         (p, x, y)
     }
 
@@ -170,8 +170,8 @@ mod tests {
         // 1 <= x <= n is satisfiable (choose n >= 1) but
         // 1 <= x <= n && n <= 0 is not.
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let n = p.add_var("n", VarKind::Symbolic);
+        let x = p.add_var(VarKind::Input);
+        let n = p.add_var(VarKind::Symbolic);
         p.add_geq(LinExpr::var(x).plus_const(-1));
         p.add_geq(LinExpr::var(n).plus_term(-1, x));
         assert!(p.is_satisfiable().unwrap());
@@ -192,8 +192,8 @@ mod tests {
         };
         for trial in 0..300 {
             let mut p = Problem::new();
-            let x = p.add_var("x", VarKind::Input);
-            let y = p.add_var("y", VarKind::Input);
+            let x = p.add_var(VarKind::Input);
+            let y = p.add_var(VarKind::Input);
             // Box [-4, 4]^2 to keep brute force fast and the problem bounded.
             p.add_geq(LinExpr::var(x).plus_const(4));
             p.add_geq(LinExpr::term(-1, x).plus_const(4));
@@ -253,8 +253,8 @@ mod tests {
             for bb in 2..=5i64 {
                 for c in -6..=6i64 {
                     let mut p = Problem::new();
-                    let x = p.add_var("x", VarKind::Input);
-                    let y = p.add_var("y", VarKind::Input);
+                    let x = p.add_var(VarKind::Input);
+                    let y = p.add_var(VarKind::Input);
                     p.add_eq(LinExpr::term(a, x).plus_term(bb, y).plus_const(-c));
                     // Keep the box bounds so brute force and solver agree.
                     p.add_geq(LinExpr::var(x).plus_const(8));

@@ -32,7 +32,6 @@ use crate::int::{self, Coef};
 use crate::linexpr::{Color, Constraint, LinExpr, Relation};
 use crate::normalize::{direction_hash, same_direction, Outcome};
 use crate::problem::{Budget, Problem};
-use crate::symbol::Name;
 use crate::var::{VarInfo, VarKind};
 use crate::Result;
 
@@ -325,9 +324,8 @@ impl Tableau {
     }
 
     /// Converts back to the interned-row representation: the variable
-    /// table with its protected/dead/pinned flags and minted wildcards (named by
-    /// column index, like `Problem::add_wildcard`), the constraints in
-    /// tableau order with their colors, and the `known_infeasible` flag.
+    /// table with its protected/dead/pinned flags and minted wildcards,
+    /// the constraints in tableau order with their colors, and the `known_infeasible` flag.
     fn to_problem(&self) -> Problem {
         let vars = if !self.vars_dirty {
             Arc::clone(&self.base_vars)
@@ -342,11 +340,9 @@ impl Tableau {
                     v.push(info);
                 } else {
                     v.push(VarInfo {
-                        name: Name::Wild(i as u32),
-                        kind: VarKind::Wildcard,
-                        protected: false,
                         dead: self.flags[i] & F_DEAD != 0,
                         pinned: self.flags[i] & F_PINNED != 0,
+                        ..VarInfo::new(VarKind::Wildcard)
                     });
                 }
             }
@@ -445,7 +441,7 @@ impl Tableau {
         self.vars_dirty = true;
     }
 
-    /// Mints a wildcard column, like `Problem::add_wildcard`: the new
+    /// Mints a wildcard column, like `Problem::add_var(VarKind::Wildcard)`: the new
     /// column index is the next unmaterialized slot (which may alias a
     /// phantom column some row already mentions).
     fn add_wildcard_col(&mut self) -> usize {
@@ -1640,8 +1636,8 @@ mod tests {
     #[test]
     fn roundtrip_preserves_content() {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let y = p.add_var("y", VarKind::Symbolic);
+        let x = p.add_var(VarKind::Input);
+        let y = p.add_var(VarKind::Symbolic);
         p.add_eq(LinExpr::term(3, x).plus_term(5, y).plus_const(-12));
         p.add_geq(LinExpr::var(x).plus_const(4));
         p.add_geq(LinExpr::term(-7, y).plus_const(100));
@@ -1668,8 +1664,8 @@ mod tests {
         // dirty tableaus of other shapes in the thread's pool.
         let query = |n: i64| {
             let mut p = Problem::new();
-            let x = p.add_var("x", VarKind::Input);
-            let y = p.add_var("y", VarKind::Input);
+            let x = p.add_var(VarKind::Input);
+            let y = p.add_var(VarKind::Input);
             p.add_geq(LinExpr::term(2, x).plus_term(-3, y).plus_const(n));
             p.add_geq(LinExpr::term(-2, x).plus_term(3, y).plus_const(1 - n));
             p.add_geq(LinExpr::var(x).plus_const(-1));
@@ -1678,9 +1674,7 @@ mod tests {
             (p.is_satisfiable_with(&mut b).unwrap(), b.remaining())
         };
         let mut dirty = Problem::new();
-        let vars: Vec<_> = (0..4)
-            .map(|i| dirty.add_var(format!("v{i}"), VarKind::Input))
-            .collect();
+        let vars: Vec<_> = (0..4).map(|_| dirty.add_var(VarKind::Input)).collect();
         for w in vars.windows(2) {
             dirty.add_geq(LinExpr::term(5, w[0]).plus_term(-3, w[1]).plus_const(1));
             dirty.add_geq(LinExpr::term(-5, w[0]).plus_term(3, w[1]).plus_const(2));
@@ -1698,7 +1692,7 @@ mod tests {
     fn crowded_problem(rng: &mut harness::Rng) -> Problem {
         let mut p = Problem::new();
         let vars: Vec<_> = (0..rng.gen_range_usize(1..=4))
-            .map(|i| p.add_var(format!("x{i}"), VarKind::Input))
+            .map(|_| p.add_var(VarKind::Input))
             .collect();
         let directions: Vec<Vec<i64>> = (0..rng.gen_range_usize(1..=3))
             .map(|_| vars.iter().map(|_| rng.gen_range_i64(-2..=2)).collect())

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use crate::symbol::Name;
-
 /// Identifies a variable within a [`Problem`](crate::Problem)'s table.
 ///
 /// `VarId`s are indices: they are only meaningful relative to the problem
@@ -44,12 +42,13 @@ pub enum VarKind {
     Wildcard,
 }
 
-/// Per-variable bookkeeping inside a problem. `Copy`: the name is an
-/// interned [`Name`], so the whole record is a few machine words and
-/// variable tables clone without touching the heap.
+/// Per-variable bookkeeping inside a problem: a kind and three flags.
+/// Variables are positions; they carry no names. A caller that prints a
+/// problem supplies the names (see [`Problem::display_with`]).
+///
+/// [`Problem::display_with`]: crate::Problem::display_with
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VarInfo {
-    pub(crate) name: Name,
     pub(crate) kind: VarKind,
     /// Protected variables survive projection.
     pub(crate) protected: bool,
@@ -62,9 +61,14 @@ pub struct VarInfo {
 }
 
 impl VarInfo {
-    /// The variable's display name.
-    pub fn name(&self) -> &str {
-        self.name.render()
+    /// A fresh variable of `kind`: unprotected, live, unpinned.
+    pub(crate) const fn new(kind: VarKind) -> Self {
+        VarInfo {
+            kind,
+            protected: false,
+            dead: false,
+            pinned: false,
+        }
     }
 
     /// The variable's kind.

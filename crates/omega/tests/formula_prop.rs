@@ -11,8 +11,8 @@ const BOX: i64 = 3;
 
 fn space2() -> (Problem, VarId, VarId) {
     let mut s = Problem::new();
-    let x = s.add_var("x", VarKind::Input);
-    let y = s.add_var("y", VarKind::Input);
+    let x = s.add_var(VarKind::Input);
+    let y = s.add_var(VarKind::Input);
     (s, x, y)
 }
 
@@ -388,7 +388,7 @@ fn conj_problem(
         }
     }
     if let Some(st) = stride {
-        let w = p.add_var("w", VarKind::Wildcard);
+        let w = p.add_var(VarKind::Wildcard);
         p.add_eq(atom_expr(&st.row, x, y).plus_term(-st.g, w));
     }
     p

@@ -6,7 +6,7 @@
 
 use harness::prop::{check, Config};
 use harness::{prop_assert, prop_assert_eq, Rng};
-use omega::{gist, implies, LinExpr, Problem, VarKind};
+use omega::{gist, implies, LinExpr, Problem, VarId, VarKind};
 
 const BOX: i64 = 4;
 
@@ -18,9 +18,7 @@ type Row = (Vec<i64>, i64, bool);
 /// `[-BOX, BOX]^n`, with the given random constraint rows.
 fn build(nvars: usize, rows: &[Row]) -> Problem {
     let mut p = Problem::new();
-    let vars: Vec<_> = (0..nvars)
-        .map(|i| p.add_var(format!("v{i}"), VarKind::Input))
-        .collect();
+    let vars: Vec<_> = (0..nvars).map(|_| p.add_var(VarKind::Input)).collect();
     for &v in &vars {
         p.add_geq(LinExpr::var(v).plus_const(BOX));
         p.add_geq(LinExpr::term(-1, v).plus_const(BOX));
@@ -186,7 +184,7 @@ fn prop_witness(rows: &[Row], nvars: usize) -> Result<(), String> {
 fn prop_shadow_sandwich(rows: &[Row]) -> Result<(), String> {
     let nvars = 3;
     let p = build(nvars, rows);
-    let keep = p.find_var("v0").unwrap();
+    let keep = VarId::from_index(0);
     let proj = p.project(&[keep]).unwrap();
     for x in -BOX..=BOX {
         let brute = box_points(nvars - 1).iter().any(|rest| {
@@ -339,9 +337,9 @@ fn regression_trailing_zero_equality_and_hash() {
     use std::hash::{Hash, Hasher};
 
     let mut p = Problem::new();
-    let x = p.add_var("x", VarKind::Input);
-    let y = p.add_var("y", VarKind::Input);
-    let z = p.add_var("z", VarKind::Input);
+    let x = p.add_var(VarKind::Input);
+    let y = p.add_var(VarKind::Input);
+    let z = p.add_var(VarKind::Input);
 
     // x + 2z, then zero out the z coefficient: must equal plain x.
     let mut a = LinExpr::var(x);
@@ -372,8 +370,8 @@ fn regression_trailing_zero_reaches_the_memo_cache() {
 
     let mk = |zero_via_set_coef: bool| {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let z = p.add_var("z", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
+        let z = p.add_var(VarKind::Input);
         let mut e = LinExpr::var(x).plus_const(-1);
         if zero_via_set_coef {
             e.set_coef(z, 3);
@@ -426,7 +424,7 @@ fn cached_solves_match_cold_solves() {
 
             // Projection: the hit returns the exact value the miss
             // computed, which is semantically equal to the cold result.
-            let keep = p.find_var("v0").unwrap();
+            let keep = VarId::from_index(0);
             let cold_proj = p.project(&[keep]).unwrap();
             let mut miss = omega::Budget::default().with_cache(cache.clone());
             let miss_proj = p.project_with(&[keep], &mut miss).unwrap();

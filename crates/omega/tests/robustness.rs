@@ -8,9 +8,7 @@ fn budget_exhaustion_is_reported_not_diverging() {
     // A chain of coupled inequalities with non-unit coefficients forces
     // real Fourier-Motzkin work; a tiny budget must trip TooComplex.
     let mut p = Problem::new();
-    let vars: Vec<_> = (0..8)
-        .map(|i| p.add_var(format!("v{i}"), VarKind::Input))
-        .collect();
+    let vars: Vec<_> = (0..8).map(|_| p.add_var(VarKind::Input)).collect();
     for w in vars.windows(2) {
         p.add_geq(LinExpr::term(3, w[0]).plus_term(-2, w[1]).plus_const(1));
         p.add_geq(LinExpr::term(-3, w[0]).plus_term(2, w[1]).plus_const(7));
@@ -29,8 +27,8 @@ fn budget_exhaustion_is_reported_not_diverging() {
 #[test]
 fn coefficient_overflow_is_an_error_not_wraparound() {
     let mut p = Problem::new();
-    let x = p.add_var("x", VarKind::Input);
-    let y = p.add_var("y", VarKind::Input);
+    let x = p.add_var(VarKind::Input);
+    let y = p.add_var(VarKind::Input);
     let big = i64::MAX / 2;
     // Combining these lower/upper bounds multiplies coefficients past i64.
     p.add_geq(LinExpr::term(big, x).plus_term(-big + 7, y));
@@ -66,7 +64,7 @@ fn empty_and_degenerate_problems() {
 
     // A variable with no constraints.
     let mut s = Problem::new();
-    let _ = s.add_var("free", VarKind::Input);
+    let _ = s.add_var(VarKind::Input);
     assert!(s.is_satisfiable().unwrap());
     let proj = s.project(&[]).unwrap();
     assert!(proj.is_exact());
@@ -77,8 +75,8 @@ fn many_redundant_constraints_stay_cheap() {
     // 200 parallel copies of the same halfplane: normalization dedup must
     // keep this linear, not quadratic blow-up in FM combinations.
     let mut p = Problem::new();
-    let x = p.add_var("x", VarKind::Input);
-    let y = p.add_var("y", VarKind::Input);
+    let x = p.add_var(VarKind::Input);
+    let y = p.add_var(VarKind::Input);
     for k in 0..200 {
         p.add_geq(LinExpr::var(x).plus_term(1, y).plus_const(-k));
         p.add_geq(LinExpr::term(-1, x).plus_const(1000 + k));
@@ -92,9 +90,7 @@ fn many_redundant_constraints_stay_cheap() {
 fn deep_equality_chains_terminate() {
     // x0 = 2x1, x1 = 2x2, ...: exercises repeated substitution.
     let mut p = Problem::new();
-    let vars: Vec<_> = (0..20)
-        .map(|i| p.add_var(format!("x{i}"), VarKind::Input))
-        .collect();
+    let vars: Vec<_> = (0..20).map(|_| p.add_var(VarKind::Input)).collect();
     for w in vars.windows(2) {
         p.add_eq(LinExpr::var(w[0]).plus_term(-2, w[1]));
     }
@@ -107,8 +103,8 @@ fn deep_equality_chains_terminate() {
 #[test]
 fn projection_onto_everything_and_nothing() {
     let mut p = Problem::new();
-    let x = p.add_var("x", VarKind::Input);
-    let y = p.add_var("y", VarKind::Input);
+    let x = p.add_var(VarKind::Input);
+    let y = p.add_var(VarKind::Input);
     p.add_geq(LinExpr::var(x).plus_term(-1, y));
     p.add_geq(LinExpr::var(y).plus_const(-1));
 
@@ -128,9 +124,9 @@ fn projection_onto_everything_and_nothing() {
 fn splinter_heavy_problem_resolves_within_budget() {
     // Many inexact pairs at once.
     let mut p = Problem::new();
-    let x = p.add_var("x", VarKind::Input);
-    let y = p.add_var("y", VarKind::Input);
-    let z = p.add_var("z", VarKind::Input);
+    let x = p.add_var(VarKind::Input);
+    let y = p.add_var(VarKind::Input);
+    let z = p.add_var(VarKind::Input);
     p.add_geq(LinExpr::term(5, x).plus_term(-3, y).plus_const(1));
     p.add_geq(LinExpr::term(-5, x).plus_term(3, y).plus_const(1));
     p.add_geq(LinExpr::term(7, y).plus_term(-4, z).plus_const(2));
@@ -146,7 +142,7 @@ fn splinter_heavy_problem_resolves_within_budget() {
 #[test]
 fn gist_and_implies_survive_budget_pressure() {
     let mut s = Problem::new();
-    let x = s.add_var("x", VarKind::Input);
+    let x = s.add_var(VarKind::Input);
     let mut p = s.clone();
     p.add_geq(LinExpr::var(x).plus_const(-5));
     let mut q = s.clone();
@@ -169,8 +165,8 @@ fn dark_shadow_ablation_preserves_answers() {
         .collect();
     for (a, b, c) in cases {
         let mut p = Problem::new();
-        let x = p.add_var("x", VarKind::Input);
-        let y = p.add_var("y", VarKind::Input);
+        let x = p.add_var(VarKind::Input);
+        let y = p.add_var(VarKind::Input);
         p.add_geq(LinExpr::term(a, x).plus_term(-b, y).plus_const(1));
         p.add_geq(LinExpr::term(-a, x).plus_term(b, y).plus_const(c));
         p.add_geq(LinExpr::var(y).plus_const(-1));
@@ -190,8 +186,8 @@ fn remove_redundant_quick_keeps_every_integer_point() {
     // x - y + 5 >= 0 is implied by x - y >= 0: the quick pass must drop
     // it without changing the integer points.
     let mut p = Problem::new();
-    let x = p.add_var("x", VarKind::Input);
-    let y = p.add_var("y", VarKind::Input);
+    let x = p.add_var(VarKind::Input);
+    let y = p.add_var(VarKind::Input);
     p.add_geq(LinExpr::var(x).plus_term(-1, y));
     p.add_geq(LinExpr::var(x).plus_term(-1, y).plus_const(5)); // redundant
     p.add_geq(LinExpr::var(y).plus_const(-1));

@@ -16,11 +16,18 @@
 //!   are expanded to products; everything else becomes an opaque `pow`);
 //! * `REAL`/`INTEGER` declarations (`REAL A(0:IDA, -M:0, 0:N)`);
 //! * `SUBROUTINE`, `DATA`, `RETURN`, `END` (recognized and skipped).
+//!
+//! The AST's depth is bounded, as in the tiny [parser](crate::parser):
+//! past `MAX_DEPTH` (64) open `DO` loops, or expression levels within one
+//! statement, the parse fails.
 
 use crate::ast::{name_key, Access, ArrayDecl, Assign, BinOp, Expr, ForLoop, Program, Stmt};
 use crate::error::{Error, Result};
 use crate::lexer::lex;
 use crate::token::{SpannedToken, Token};
+
+/// How deeply loops, and expressions within a statement, may nest.
+const MAX_DEPTH: usize = 64;
 
 /// Parses a fixed-form FORTRAN subset into a tiny [`Program`].
 ///
@@ -75,6 +82,9 @@ pub fn parse(src: &str) -> Result<Program> {
             }
             Classified::Do => {
                 let (terminator, var, lo, hi, step) = p.do_stmt()?;
+                if stack.len() == MAX_DEPTH {
+                    return p.err(format!("DO loops nested deeper than {MAX_DEPTH}"));
+                }
                 stack.push((
                     terminator,
                     ForLoop {
@@ -185,6 +195,8 @@ struct LineParser {
     toks: Vec<SpannedToken>,
     pos: usize,
     line_no: u32,
+    /// The expression level being parsed.
+    depth: usize,
 }
 
 impl LineParser {
@@ -193,6 +205,7 @@ impl LineParser {
             toks: lex(text)?,
             pos: 0,
             line_no,
+            depth: 0,
         })
     }
 
@@ -218,6 +231,24 @@ impl LineParser {
             col: self.toks[self.pos].col,
             message: message.into(),
         })
+    }
+
+    /// Goes one expression level deeper: a parse error past
+    /// [`MAX_DEPTH`].
+    fn descend(&mut self) -> Result<()> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("nested deeper than {MAX_DEPTH}"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Parses with `f` one expression level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.descend()?;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn expect(&mut self, want: &Token) -> Result<()> {
@@ -351,6 +382,7 @@ impl LineParser {
     }
 
     fn expr(&mut self) -> Result<Expr> {
+        let depth = self.depth;
         let mut e = self.mul_expr()?;
         loop {
             let op = match self.peek() {
@@ -359,13 +391,17 @@ impl LineParser {
                 _ => break,
             };
             self.advance();
+            // The chain so far becomes one level deeper.
+            self.descend()?;
             let rhs = self.mul_expr()?;
             e = Expr::bin(op, e, rhs);
         }
+        self.depth = depth;
         Ok(e)
     }
 
     fn mul_expr(&mut self) -> Result<Expr> {
+        let depth = self.depth;
         let mut e = self.power()?;
         loop {
             let op = match self.peek() {
@@ -375,9 +411,11 @@ impl LineParser {
                 _ => break,
             };
             self.advance();
+            self.descend()?;
             let rhs = self.power()?;
             e = Expr::bin(op, e, rhs);
         }
+        self.depth = depth;
         Ok(e)
     }
 
@@ -407,7 +445,7 @@ impl LineParser {
     fn unary(&mut self) -> Result<Expr> {
         if self.peek() == &Token::Minus {
             self.advance();
-            return Ok(match self.unary()? {
+            return Ok(match self.nested(Self::unary)? {
                 Expr::Int(n) => Expr::Int(-n),
                 other => Expr::Neg(Box::new(other)),
             });
@@ -430,7 +468,7 @@ impl LineParser {
             }
             Token::LParen => {
                 self.advance();
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
@@ -440,7 +478,7 @@ impl LineParser {
                     self.advance();
                     let mut args = Vec::new();
                     loop {
-                        args.push(self.expr()?);
+                        args.push(self.nested(Self::expr)?);
                         if self.peek() == &Token::Comma {
                             self.advance();
                         } else {
@@ -461,6 +499,27 @@ impl LineParser {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_limited() {
+        let shapes: [(&str, fn(usize) -> String); 4] = [
+            ("parens", |n| {
+                format!("      X = {}1{}", "(".repeat(n), ")".repeat(n))
+            }),
+            ("calls", |n| {
+                format!("      X = {}1{}", "F(".repeat(n), ")".repeat(n))
+            }),
+            ("sums", |n| format!("      X = 1{}", " + 1".repeat(n))),
+            ("loops", |n| {
+                format!("{}    1 X = 0", "      DO 1 I = 1, N\n".repeat(n))
+            }),
+        ];
+        for (what, shape) in shapes {
+            assert!(parse(&shape(MAX_DEPTH)).is_ok(), "{what} at the limit");
+            let err = parse(&shape(MAX_DEPTH + 1)).unwrap_err().to_string();
+            assert!(err.contains("nested deeper than 64"), "{what}: {err}");
+        }
+    }
 
     #[test]
     fn simple_do_loop() {

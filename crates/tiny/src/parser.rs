@@ -19,6 +19,12 @@
 //! unary      := "-" unary | primary
 //! primary    := int | ident [subs] | "(" expr ")"
 //! ```
+//!
+//! The AST's depth is bounded: a nested statement, parenthesis,
+//! subscript list or negation, and each further operator of a `+`/`*`
+//! chain, goes one level deeper, and past `MAX_DEPTH` (64) levels the parse
+//! fails. Every later pass recurses over the AST, so an unbounded depth
+//! would let one input overflow the stack.
 
 use crate::ast::{
     Access, ArrayDecl, Assign, BinOp, Expr, ForLoop, IfStmt, Program, RelOp, Relation, Stmt,
@@ -26,6 +32,10 @@ use crate::ast::{
 use crate::error::{Error, Result};
 use crate::lexer::lex;
 use crate::token::{SpannedToken, Token};
+
+/// How deeply the AST may nest (see the module docs). No corpus or
+/// generated program comes near it.
+const MAX_DEPTH: usize = 64;
 
 /// Parses a complete program. See [`Program::parse`].
 ///
@@ -38,6 +48,7 @@ pub fn parse(src: &str) -> Result<Program> {
         toks,
         pos: 0,
         next_label: 1,
+        depth: 0,
     };
     p.program()
 }
@@ -46,6 +57,8 @@ struct Parser {
     toks: Vec<SpannedToken>,
     pos: usize,
     next_label: usize,
+    /// The AST level being parsed.
+    depth: usize,
 }
 
 impl Parser {
@@ -68,6 +81,23 @@ impl Parser {
             col: t.col,
             message: message.into(),
         })
+    }
+
+    /// Goes one AST level deeper: a parse error past [`MAX_DEPTH`].
+    fn descend(&mut self) -> Result<()> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("nested deeper than {MAX_DEPTH}"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Parses with `f` one AST level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.descend()?;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn expect(&mut self, want: &Token) -> Result<()> {
@@ -241,7 +271,7 @@ impl Parser {
             if self.peek() == &Token::Eof {
                 return self.err("unterminated if: expected `endif`");
             }
-            then_body.push(self.stmt()?);
+            then_body.push(self.nested(Self::stmt)?);
         }
         let mut else_body = Vec::new();
         if self.peek() == &Token::Else {
@@ -250,7 +280,7 @@ impl Parser {
                 if self.peek() == &Token::Eof {
                     return self.err("unterminated else: expected `endif`");
                 }
-                else_body.push(self.stmt()?);
+                else_body.push(self.nested(Self::stmt)?);
             }
         }
         self.expect(&Token::EndIf)?;
@@ -295,7 +325,7 @@ impl Parser {
             if self.peek() == &Token::Eof {
                 return self.err("unterminated loop: expected `endfor`");
             }
-            body.push(self.stmt()?);
+            body.push(self.nested(Self::stmt)?);
         }
         self.expect(&Token::EndFor)?;
         Ok(ForLoop {
@@ -346,6 +376,7 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr> {
+        let depth = self.depth;
         let mut e = self.mul_expr()?;
         loop {
             let op = match self.peek() {
@@ -354,13 +385,17 @@ impl Parser {
                 _ => break,
             };
             self.advance();
+            // The chain so far becomes one level deeper.
+            self.descend()?;
             let rhs = self.mul_expr()?;
             e = Expr::bin(op, e, rhs);
         }
+        self.depth = depth;
         Ok(e)
     }
 
     fn mul_expr(&mut self) -> Result<Expr> {
+        let depth = self.depth;
         let mut e = self.unary()?;
         loop {
             let op = match self.peek() {
@@ -369,9 +404,11 @@ impl Parser {
                 _ => break,
             };
             self.advance();
+            self.descend()?;
             let rhs = self.unary()?;
             e = Expr::bin(op, e, rhs);
         }
+        self.depth = depth;
         Ok(e)
     }
 
@@ -380,7 +417,7 @@ impl Parser {
             self.advance();
             // Fold negated literals so `-1` is `Int(-1)`, keeping the
             // print/parse round trip exact.
-            return Ok(match self.unary()? {
+            return Ok(match self.nested(Self::unary)? {
                 Expr::Int(n) => Expr::Int(-n),
                 other => Expr::Neg(Box::new(other)),
             });
@@ -396,7 +433,7 @@ impl Parser {
             }
             Token::LParen => {
                 self.advance();
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
@@ -406,7 +443,7 @@ impl Parser {
                 // statement level, so consuming the parens here is safe.
                 self.advance();
                 if matches!(self.peek(), Token::LParen | Token::LBracket) {
-                    let args = self.subscripts()?;
+                    let args = self.nested(Self::subscripts)?;
                     Ok(Expr::Call(name, args))
                 } else {
                     Ok(Expr::Var(name))
@@ -533,6 +570,36 @@ mod tests {
         let err = parse("for i := 1 to n\n  a(i) := 0;\nendfor").unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("2:"), "should point at line 2: {msg}");
+    }
+
+    #[test]
+    fn nesting_is_limited() {
+        // Each shape nests `n` levels: the limit parses, one more fails
+        // with an error instead of exhausting the stack further on.
+        let shapes: [(&str, fn(usize) -> String); 7] = [
+            ("parens", |n| {
+                format!("x := {}1{};", "(".repeat(n), ")".repeat(n))
+            }),
+            ("subscripts", |n| {
+                format!("x := {}1{};", "a(".repeat(n), ")".repeat(n))
+            }),
+            ("negations", |n| format!("x := {}y;", "- ".repeat(n))),
+            ("sums", |n| format!("x := 1{};", " + 1".repeat(n))),
+            ("products", |n| format!("x := 1{};", " * 1".repeat(n))),
+            ("loops", |n| {
+                let open = "for i := 1 to n do ".repeat(n);
+                format!("{open}x := 0;{}", " endfor".repeat(n))
+            }),
+            ("ifs", |n| {
+                let open = "if 1 <= n then ".repeat(n);
+                format!("{open}x := 0;{}", " endif".repeat(n))
+            }),
+        ];
+        for (what, shape) in shapes {
+            assert!(parse(&shape(MAX_DEPTH)).is_ok(), "{what} at the limit");
+            let err = parse(&shape(MAX_DEPTH + 1)).unwrap_err().to_string();
+            assert!(err.contains("nested deeper than 64"), "{what}: {err}");
+        }
     }
 
     #[test]

@@ -6,9 +6,15 @@
 //!
 //! Dependence analysis reads only the lowered forms: names are resolved
 //! here, with [`name_key`], and nowhere else.
+//!
+//! The passes here recurse over the AST (`flatten`, `pieces`,
+//! `collect_reads`) with no depth limit of their own: both front ends
+//! refuse an AST deeper than their `MAX_DEPTH`, which bounds the
+//! recursion.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crate::ast::{name_key, Access, BinOp, Expr, Program, RelOp, Relation, Stmt};
 use crate::error::{Error, Result};
@@ -273,8 +279,10 @@ pub struct ProgramInfo {
     /// Flattened statements in source order.
     pub stmts: Vec<StmtInfo>,
     /// Canonical names of symbolic constants (declared plus inferred);
-    /// [`Var::Sym`] indexes this set in its order.
-    pub syms: BTreeSet<String>,
+    /// [`Var::Sym`] indexes this set in its order. Shared, so that the
+    /// constraint spaces built from the program name their symbols
+    /// without copying them.
+    pub syms: Arc<BTreeSet<String>>,
     /// Canonical names of everything written (arrays and scalars).
     pub written: BTreeSet<String>,
     /// User assumptions carried over from the program, lowered.
@@ -342,7 +350,7 @@ pub fn analyze(program: &Program) -> Result<ProgramInfo> {
 
     let mut info = ProgramInfo {
         stmts: Vec::new(),
-        syms: program.syms.iter().map(|s| name_key(s)).collect(),
+        syms: Arc::new(program.syms.iter().map(|s| name_key(s)).collect()),
         written,
         assumptions: Assumptions::default(),
         arrays: program.arrays.clone(),
@@ -561,7 +569,7 @@ fn record_syms(e: &Expr, loop_vars: &[String], info: &mut ProgramInfo) {
         if let Expr::Var(name) = node {
             let k = name_key(name);
             if !loop_vars.contains(&k) && !info.written.contains(&k) {
-                info.syms.insert(k);
+                Arc::make_mut(&mut info.syms).insert(k);
             }
         }
     });

@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let keep = pair.keep_vars(&["x", "y", "m"]);
     for c in pair.conditions(&info, &keep, &mut budget)? {
         println!("restraint {:?}:", c.order);
-        println!("  condition: {}", c.condition);
+        println!("  condition: {c}");
         println!("  dialog:    {}", c.question());
     }
 

@@ -15,6 +15,12 @@ cargo fmt --all --check
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+echo "==> cargo doc --workspace --no-deps --offline (warning-free rustdoc)"
+# Broken or private intra-doc links fail here; --keep-going reports
+# every crate's errors, not just the first crate's.
+RUSTDOCFLAGS="-Dwarnings ${RUSTDOCFLAGS:-}" \
+    cargo doc --workspace --no-deps --offline --keep-going
+
 echo "==> cargo build --release --offline --locked (ledger benchmark package)"
 # The benchmark lives outside the workspace but reads the library APIs
 # (CacheStats, Config, Server); building it here makes a change to those

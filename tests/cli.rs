@@ -88,6 +88,29 @@ fn parse_errors_are_reported_with_position() {
 }
 
 #[test]
+fn deeply_nested_input_is_a_parse_error_not_a_stack_overflow() {
+    // Without a depth limit, recursive descent over 20,000 parentheses
+    // overflows the stack and aborts (exit 134).
+    let deep = format!("x := {}1{};", "(".repeat(20_000), ")".repeat(20_000));
+    let mut child = tinydep()
+        .arg("-")
+        .stdin(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(deep.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("nested deeper than 64"), "{stderr}");
+}
+
+#[test]
 fn the_first_front_end_error_wins_at_every_thread_count() {
     // Input 2 fails to parse and input 4 fails semantic analysis; the
     // front end runs on the pool, and the error reported must still be

@@ -195,9 +195,9 @@ fn warm_sat_query_allocates_almost_nothing() {
     // coupling equality, so the solve exercises normalization, equality
     // substitution, and Fourier-Motzkin.
     let mut p = Problem::new();
-    let i = p.add_var("i", VarKind::Input);
-    let j = p.add_var("j", VarKind::Input);
-    let n = p.add_var("n", VarKind::Symbolic);
+    let i = p.add_var(VarKind::Input);
+    let j = p.add_var(VarKind::Input);
+    let n = p.add_var(VarKind::Symbolic);
     p.add_geq(LinExpr::var(i).plus_const(-1));
     p.add_geq(LinExpr::var(n).plus_term(-1, i));
     p.add_geq(LinExpr::var(j).plus_term(-1, i));

@@ -80,6 +80,27 @@ fn warm_run_is_served_entirely_from_the_cache_file() {
     assert_eq!(wc.inserts, 0, "warm run inserted into a primed cache");
 }
 
+#[test]
+fn a_cache_file_serves_a_program_that_only_renames_its_symbols() {
+    // Variables are positions: the file holds no names, so analysing
+    // the `n0` program primes every lookup of the `n1` program.
+    let path = temp_cache("renamed");
+    let _ = std::fs::remove_file(&path);
+    let info = |sym: &str| {
+        let src = format!("for i := 1 to {sym} do a(i) := a(i-1); endfor");
+        tiny::analyze(&tiny::Program::parse(&src).unwrap()).unwrap()
+    };
+    let (n0, n1) = (info("n0"), info("n1"));
+    let cold = analyze_with_file(&n0, &path);
+    let warm = analyze_with_file(&n1, &path);
+    let _ = std::fs::remove_file(&path);
+    let (cc, wc) = (&cold.stats.cache, &warm.stats.cache);
+    assert!(cc.misses > 0, "cold run unexpectedly warm");
+    assert_eq!(wc.lookups(), cc.lookups(), "the programs differ in shape");
+    assert_eq!(wc.hits, wc.lookups(), "the renamed program missed the file");
+    assert_eq!(render(&n1, &warm), render(&n1, &analyze(&n1, None)));
+}
+
 /// FNV-1a 64 — mirrors the checksum in the cache format so these tests
 /// can verify a file is complete and untorn from the raw bytes alone.
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -255,7 +276,7 @@ fn a_checksummed_file_naming_an_unknown_variable_runs_the_cli_cold() {
     omega::SolverCache::new().save_to(&path).unwrap();
     let saved = std::fs::read_to_string(&path).unwrap();
     let header = saved.lines().next().unwrap();
-    let body = format!("{header}\nE F 0 0 1 x 0 0 0 1 0 1 4294967296 1 0 1 S 1\n");
+    let body = format!("{header}\nE F 0 0 1 0 0 0 1 0 1 4294967296 1 0 1 S 1\n");
     std::fs::write(&path, format!("{body}C {:016x}\n", fnv64(body.as_bytes()))).unwrap();
 
     let run = |extra: &[String]| {

@@ -59,12 +59,8 @@ fn gen_problem(rng: &mut Rng) -> (usize, Vec<RawConstraint>) {
     (num_vars, cons)
 }
 
-const VAR_NAMES: [&str; 5] = ["i", "j", "k", "l", "m"];
-
 fn add_vars(p: &mut Problem, num_vars: usize) -> Vec<VarId> {
-    (0..num_vars)
-        .map(|v| p.add_var(VAR_NAMES[v], VarKind::Input))
-        .collect()
+    (0..num_vars).map(|_| p.add_var(VarKind::Input)).collect()
 }
 
 /// Path A: the straightforward dense build — variables then constraints
@@ -395,7 +391,7 @@ fn tableau_representation_cannot_be_observed() {
 #[test]
 fn canonical_digest_distinguishes_different_systems() {
     let mut p = Problem::new();
-    let i = p.add_var("i", VarKind::Input);
+    let i = p.add_var(VarKind::Input);
     p.add_geq(LinExpr::term(1, i)); // i >= 0
     let d0 = p.canonical_digest();
 

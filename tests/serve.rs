@@ -111,6 +111,16 @@ fn protocol_errors_do_not_kill_the_server() {
         r.contains("\"ok\":false") && r.contains("nested deeper"),
         "{r}"
     );
+    // So would a source this deeply nested.
+    let deep = format!("x := {}1{};", "(".repeat(20_000), ")".repeat(20_000));
+    s.send(&format!(
+        "{{\"id\":5,\"op\":\"analyze\",\"source\":\"{deep}\"}}"
+    ));
+    let r = s.recv();
+    assert!(
+        r.contains("\"ok\":false") && r.contains("nested deeper than 64"),
+        "{r}"
+    );
     // The server is still alive and answers.
     s.send("{\"id\":4,\"op\":\"ping\"}");
     assert_eq!(s.recv(), "{\"id\":4,\"ok\":true,\"pong\":true}");
@@ -292,6 +302,29 @@ fn repeat_requests_are_served_warm() {
     // Only the first (cold) request may insert; the repeats are warm.
     let misses = cache.get("misses").and_then(Json::as_i64).unwrap();
     assert_eq!(misses, inserts, "a warm request re-inserted entries");
+    s.finish();
+}
+
+#[test]
+fn programs_that_only_rename_a_symbol_share_the_cache() {
+    // Memo keys hold no names, so `n1` and `n2` are answered wholly
+    // from the entries `n0` inserted: 14 of the 21 lookups hit.
+    let mut s = Session::start(&[]);
+    for (id, sym) in ["n0", "n1", "n2"].into_iter().enumerate() {
+        let src = format!("for i := 1 to {sym} do a(i) := a(i-1); endfor");
+        s.send(&format!(
+            "{{\"id\":{id},\"op\":\"analyze\",\"source\":\"{src}\"}}"
+        ));
+        report_of(&s.recv());
+    }
+    s.send("{\"id\":9,\"op\":\"stats\"}");
+    let v = json::parse(&s.recv()).unwrap();
+    let cache = v.get("stats").and_then(|s| s.get("cache")).unwrap();
+    let count = |k: &str| cache.get(k).and_then(Json::as_i64).unwrap();
+    assert_eq!(
+        (count("hits"), count("misses"), count("inserts")),
+        (14, 7, 7)
+    );
     s.finish();
 }
 

@@ -27,7 +27,7 @@ fn example7_conditions_match_the_paper() {
         .iter()
         .find(|c| c.order == OrderCase::CarriedAt(1))
         .unwrap();
-    let rendered = outer.condition.to_string();
+    let rendered = outer.to_string();
     assert!(
         rendered.contains("x - 1 >= 0") && rendered.contains("-x + 50 >= 0"),
         "expected 1 <= x <= 50, got {rendered}"
@@ -38,7 +38,7 @@ fn example7_conditions_match_the_paper() {
         .iter()
         .find(|c| c.order == OrderCase::CarriedAt(2))
         .unwrap();
-    let rendered = inner.condition.to_string();
+    let rendered = inner.to_string();
     assert!(
         rendered.contains("x = 0") && rendered.contains("m - y - 1 >= 0"),
         "expected x = 0 and y < m, got {rendered}"
