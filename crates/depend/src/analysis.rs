@@ -373,9 +373,9 @@ fn fresh_budget(config: &Config, cache: &Option<Arc<omega::SolverCache>>) -> Bud
 
 /// Runs one §4 test on its own fresh budget, so one pathological test
 /// cannot starve the rest of the analysis. `None` means the solver gave
-/// up (budget exhausted): the caller reads that as "the test did not
-/// succeed", which is sound because every §4 test only removes
-/// information.
+/// up (budget exhausted or integer overflow): the caller reads that as
+/// "the test did not succeed", which is sound because every §4 test only
+/// removes information.
 fn attempt<T>(
     config: &Config,
     cache: &Option<Arc<omega::SolverCache>>,
@@ -383,7 +383,9 @@ fn attempt<T>(
 ) -> Result<Option<T>> {
     match test(&mut fresh_budget(config, cache)) {
         Ok(out) => Ok(Some(out)),
-        Err(crate::Error::Solver(omega::Error::TooComplex { .. })) => Ok(None),
+        Err(crate::Error::Solver(omega::Error::TooComplex { .. } | omega::Error::Overflow)) => {
+            Ok(None)
+        }
         Err(e) => Err(e),
     }
 }

@@ -24,8 +24,8 @@ pub enum Verdict {
 /// variables: the destination's are the paper's primed `i'`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PairVar {
-    /// A program symbol or named scalar ([`Var::Sym`], [`Var::Scalar`]):
-    /// one unknown value shared by both instances.
+    /// A program symbol ([`Var::Sym`]): one unknown value shared by both
+    /// instances.
     Free(Var),
     /// The source's loop variable at this depth.
     Src(u32),
@@ -155,9 +155,8 @@ fn const_bounds(stmt: &StmtInfo, v: Var) -> Option<(i64, i64)> {
 }
 
 /// Runs both baseline tests on every affine dimension of an access pair.
-/// `Independent` when any dimension is proven independent. Loop variables
-/// and free scalars (taken as symbolic) are both acceptable in a baseline
-/// subscript.
+/// `Independent` when any dimension is proven independent. A dimension
+/// that names a written scalar is not affine here and is skipped.
 pub fn baseline_pair_test(
     src: &StmtInfo,
     src_site: AccessSite,
@@ -170,7 +169,7 @@ pub fn baseline_pair_test(
         return Verdict::Independent;
     }
     for (sa, sb) in a.subs.iter().zip(&b.subs) {
-        let (Some(sa), Some(sb)) = (&sa.form, &sb.form) else {
+        let (Some(sa), Some(sb)) = (sa, sb) else {
             continue;
         };
         if gcd_test(&Side::Src.lift(sa), &Side::Dst.lift(sb)) == Verdict::Independent {

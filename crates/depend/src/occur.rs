@@ -319,6 +319,7 @@ fn negated_plus(e: &LinExpr, k: i64) -> LinExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omega::ProblemLike;
     use tiny::{analyze, Program};
 
     fn setup(src: &str) -> (tiny::ProgramInfo, Space) {

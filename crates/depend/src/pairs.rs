@@ -122,7 +122,7 @@ pub(crate) fn build_directed(
             Ok(false) => return Ok((None, false)),
             Ok(true) => {}
             // Conservative: keep analyzing as if a dependence may exist.
-            Err(omega::Error::TooComplex { .. }) => {}
+            Err(omega::Error::TooComplex { .. } | omega::Error::Overflow) => {}
             Err(e) => return Err(e.into()),
         }
     }
@@ -131,7 +131,7 @@ pub(crate) fn build_directed(
     for case in orders {
         let mut dp = ctx.derive();
         add_order(&mut dp, case, &src_vars, &dst_vars, common)?;
-        // Budget exhaustion inside a summary degrades to the
+        // Budget exhaustion or overflow inside a summary degrades to the
         // all-unknown vector: the dependence is conservatively assumed
         // with no direction information, as a production compiler must.
         let fixed = case.fixed_distances(common);
@@ -139,7 +139,7 @@ pub(crate) fn build_directed(
         {
             Ok(None) => continue, // this order case is infeasible
             Ok(Some(s)) => s,
-            Err(crate::Error::Solver(omega::Error::TooComplex { .. })) => {
+            Err(crate::Error::Solver(omega::Error::TooComplex { .. } | omega::Error::Overflow)) => {
                 crate::dir::DirectionVector(vec![crate::dir::DirEntry::star(); common])
             }
             Err(e) => return Err(e),

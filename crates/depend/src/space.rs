@@ -4,7 +4,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use omega::{LinExpr, Problem, VarId, VarKind};
+use omega::{LinExpr, Problem, ProblemLike, VarId, VarKind};
 use tiny::ast::{name_key, Expr, RelOp};
 use tiny::sema::{AccessForm, Affine, Assumptions, Cond, Var};
 use tiny::{ProgramInfo, StmtInfo};
@@ -231,8 +231,8 @@ impl Space {
     ) -> Result<bool> {
         let mut all_affine = true;
         for (sa, sb) in a.subs.iter().zip(&b.subs) {
-            let fa = sa.exact().and_then(|f| self.linexpr(f, a_vars));
-            let fb = sb.exact().and_then(|f| self.linexpr(f, b_vars));
+            let fa = sa.as_ref().and_then(|f| self.linexpr(f, a_vars));
+            let fb = sb.as_ref().and_then(|f| self.linexpr(f, b_vars));
             match (fa, fb) {
                 (Some(ea), Some(eb)) => {
                     p.constrain_eq(&ea, &eb).map_err(Error::Solver)?;
@@ -325,9 +325,8 @@ pub fn order_cases(common: usize, lex_before: bool) -> Vec<OrderCase> {
 
 /// Adds the constraints of one order case over the iteration vectors.
 ///
-/// Generic over [`ProblemLike`](omega::ProblemLike): the analysis applies
-/// order cases as deltas over a pair's shared
-/// [`PairContext`](omega::PairContext) base.
+/// Generic over [`ProblemLike`]: the analysis applies order cases as
+/// deltas over a pair's shared [`PairContext`](omega::PairContext) base.
 ///
 /// # Errors
 ///

@@ -222,48 +222,6 @@ impl Problem {
         }
     }
 
-    /// Adds `lhs >= rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Overflow`] on coefficient overflow.
-    pub fn constrain_ge(&mut self, lhs: &LinExpr, rhs: &LinExpr) -> Result<()> {
-        self.geqs.push(Constraint::geq(lhs.combine(1, -1, rhs)?));
-        Ok(())
-    }
-
-    /// Adds `lhs <= rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Overflow`] on coefficient overflow.
-    pub fn constrain_le(&mut self, lhs: &LinExpr, rhs: &LinExpr) -> Result<()> {
-        self.geqs.push(Constraint::geq(rhs.combine(1, -1, lhs)?));
-        Ok(())
-    }
-
-    /// Adds `lhs < rhs` (i.e. `rhs - lhs - 1 >= 0`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Overflow`] on coefficient overflow.
-    pub fn constrain_lt(&mut self, lhs: &LinExpr, rhs: &LinExpr) -> Result<()> {
-        let mut e = rhs.combine(1, -1, lhs)?;
-        e.add_constant(-1)?;
-        self.geqs.push(Constraint::geq(e));
-        Ok(())
-    }
-
-    /// Adds `lhs == rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Overflow`] on coefficient overflow.
-    pub fn constrain_eq(&mut self, lhs: &LinExpr, rhs: &LinExpr) -> Result<()> {
-        self.eqs.push(Constraint::eq(lhs.combine(1, -1, rhs)?));
-        Ok(())
-    }
-
     /// The equality constraints.
     pub fn eqs(&self) -> &[Constraint] {
         &self.eqs
@@ -442,6 +400,7 @@ impl Problem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ProblemLike;
 
     #[test]
     fn build_simple_problem() {

@@ -243,16 +243,21 @@ struct Scratch {
     stats: Vec<ColStat>,
 }
 
-/// Outcome of the dense Fourier–Motzkin step. `Exact` mutated the tableau
-/// in place; `Approx` left it untouched and hands back freshly acquired
-/// shadow tableaus (return them to the pool with [`release`]).
-pub(crate) enum ElimT {
+/// Outcome of the dense Fourier–Motzkin step. `Exact` rewrote the tableau
+/// in place; `Inexact` left it untouched, and the caller builds what it
+/// reads of the step from it: one shadow ([`Tableau::shadow`]) or one
+/// splinter at a time ([`Tableau::try_splinters`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum ElimT {
     Exact,
-    Approx {
-        dark: Tableau,
-        real: Tableau,
-        splinters: Vec<Tableau>,
-    },
+    Inexact,
+}
+
+/// The two shadows of an inexact step (see [`Tableau::shadow`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Shadow {
+    Dark,
+    Real,
 }
 
 /// The dense scratch representation of one [`Problem`].
@@ -370,43 +375,21 @@ impl Tableau {
         }
     }
 
-    /// Full state copy (used for splinters), reusing `self`'s buffers.
-    fn copy_from(&mut self, src: &Tableau) {
-        self.stride = src.stride;
-        self.ncols = src.ncols;
-        self.base_len = src.base_len;
-        self.materialized = src.materialized;
-        self.base_vars = Arc::clone(&src.base_vars);
-        self.flags.clear();
-        self.flags.extend_from_slice(&src.flags);
-        self.eqs.copy_from(src.stride, &src.eqs);
-        self.geqs.copy_from(src.stride, &src.geqs);
-        self.known_infeasible = src.known_infeasible;
-        self.vars_dirty = src.vars_dirty;
-    }
-
-    /// Copy of `src` minus every inequality mentioning column `v`, with
-    /// `v` marked dead — the `base` problem of `fm_eliminate`.
-    fn clone_base_from(&mut self, src: &Tableau, v: usize) {
-        self.stride = src.stride;
-        self.ncols = src.ncols;
-        self.base_len = src.base_len;
-        self.materialized = src.materialized;
-        self.base_vars = Arc::clone(&src.base_vars);
-        self.flags.clear();
-        self.flags.extend_from_slice(&src.flags);
-        self.eqs.copy_from(src.stride, &src.eqs);
-        self.geqs.clear();
-        for i in 0..src.geqs.n {
-            let row = src.geqs.row(src.stride, i);
-            if row[v] == 0 {
-                self.geqs
-                    .push_row(src.stride, row, src.geqs.consts[i], src.geqs.colors[i]);
-            }
-        }
-        self.known_infeasible = src.known_infeasible;
-        self.vars_dirty = src.vars_dirty;
-        self.mark_dead(v);
+    /// A full state copy in a pooled tableau, reusing its buffers.
+    fn copy(&self) -> Tableau {
+        let mut t = acquire();
+        t.stride = self.stride;
+        t.ncols = self.ncols;
+        t.base_len = self.base_len;
+        t.materialized = self.materialized;
+        t.base_vars = Arc::clone(&self.base_vars);
+        t.flags.clear();
+        t.flags.extend_from_slice(&self.flags);
+        t.eqs.copy_from(self.stride, &self.eqs);
+        t.geqs.copy_from(self.stride, &self.geqs);
+        t.known_infeasible = self.known_infeasible;
+        t.vars_dirty = self.vars_dirty;
+        t
     }
 
     /// Ensures column `v` is inside the materialized table, minting
@@ -1005,9 +988,10 @@ impl Tableau {
     /// bound, `b·z = β + i` with `0 ≤ i ≤ (a_max·b − a_max − b)/a_max`:
     /// those equality-pinned copies are the **splinters**.
     ///
-    /// The exact case rewrites this tableau in place; the approximate
-    /// case leaves it untouched and returns pooled dark/real/splinter
-    /// tableaus. Precondition: no equality mentions `v`.
+    /// The exact case rewrites this tableau in place. The inexact case
+    /// leaves it untouched and builds nothing: it charges the step and
+    /// every splinter to the budget, and the caller then builds only the
+    /// shadow or splinter it reads. Precondition: no equality mentions `v`.
     fn fm_eliminate(&mut self, v: usize, budget: &mut Budget) -> Result<ElimT> {
         let mut idx_lo = std::mem::take(&mut self.scratch.idx_lo);
         let mut idx_hi = std::mem::take(&mut self.scratch.idx_hi);
@@ -1063,13 +1047,12 @@ impl Tableau {
                 .iter()
                 .any(|&i| self.geqs.coeffs[i as usize * stride + v] < -1);
 
-        srow.clear();
-        srow.resize(ncols, 0);
-
         if !inexact {
             // Exact: rewrite in place. Save the bound rows, compact the
             // zero-coefficient rows, then append the combined rows
             // lower-major.
+            srow.clear();
+            srow.resize(ncols, 0);
             bounds.clear();
             for &i in idx_lo.iter().chain(idx_hi.iter()) {
                 let i = i as usize;
@@ -1102,70 +1085,115 @@ impl Tableau {
             return Ok(ElimT::Exact);
         }
 
-        // Approximate: build dark and real shadows plus splinters without
-        // touching `self`.
-        let mut dark = acquire();
-        dark.clone_base_from(self, v);
-        let mut real = acquire();
-        real.clone_base_from(self, v);
+        // Inexact: leave `self` untouched; the caller builds the shadow or
+        // splinter it reads. Each splinter is charged, and its constant
+        // checked, here and in the order `try_splinters` builds them.
+        let a_max = self.max_upper_coef(v);
         for &li in idx_lo.iter() {
             let li = li as usize;
-            for &ui in idx_hi.iter() {
-                let ui = ui as usize;
-                let lrow = self.geqs.row(stride, li);
-                let urow = self.geqs.row(stride, ui);
-                let b = lrow[v];
-                let a = -urow[v];
-                let cst = combine_pair(
+            for i in 0..=self.last_splinter(v, li, a_max)? {
+                budget.spend(1)?;
+                int::narrow(self.geqs.consts[li] as i128 - i as i128)?;
+            }
+        }
+        Ok(ElimT::Inexact)
+    }
+
+    /// The largest upper-bound coefficient `a_max` of column `v`.
+    fn max_upper_coef(&self, v: usize) -> Coef {
+        (0..self.geqs.n)
+            .map(|i| -self.geqs.coeffs[i * self.stride + v])
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The splinters of the lower bound `b·z ≥ β` in row `li` pin
+    /// `b·z = β + i` for `i` in `0..=last`, with
+    /// `last = ⌊(a_max·b − a_max − b)/a_max⌋` (none when negative).
+    fn last_splinter(&self, v: usize, li: usize, a_max: Coef) -> Result<Coef> {
+        let b = self.geqs.coeffs[li * self.stride + v] as i128;
+        let a = a_max as i128;
+        Ok(int::floor_div(int::narrow(a * b - a - b)?, a_max))
+    }
+
+    /// One shadow of an inexact step on column `v`, built from this
+    /// untouched tableau: the inequalities without `v`, then one row per
+    /// lower/upper pair, lower-major. The real shadow keeps `b·α − a·β ≥ 0`;
+    /// the dark shadow tightens it by `(a−1)(b−1)`.
+    fn shadow(&self, v: usize, kind: Shadow) -> Result<Tableau> {
+        let (stride, ncols, geqs) = (self.stride, self.ncols, &self.geqs);
+        let mut s = self.copy();
+        s.geqs.retain_zero_col(stride, v);
+        s.mark_dead(v);
+        let mut srow = std::mem::take(&mut s.scratch.row);
+        srow.clear();
+        srow.resize(ncols, 0);
+        for li in (0..geqs.n).filter(|&i| geqs.coeffs[i * stride + v] > 0) {
+            for ui in (0..geqs.n).filter(|&i| geqs.coeffs[i * stride + v] < 0) {
+                let lrow = geqs.row(stride, li);
+                let urow = geqs.row(stride, ui);
+                let mut cst = combine_pair(
                     lrow,
-                    self.geqs.consts[li],
+                    geqs.consts[li],
                     urow,
-                    self.geqs.consts[ui],
+                    geqs.consts[ui],
                     v,
                     ncols,
-                    srow,
+                    &mut srow,
                 )?;
-                let color = self.geqs.colors[li].join(self.geqs.colors[ui]);
-                real.geqs.push_row(stride, &srow[..ncols], cst, color);
-                let slack = (a as i128 - 1) * (b as i128 - 1);
-                if slack == 0 {
-                    dark.geqs.push_row(stride, &srow[..ncols], cst, color);
-                } else {
+                let slack = (-urow[v] as i128 - 1) * (lrow[v] as i128 - 1);
+                if kind == Shadow::Dark && slack != 0 {
                     let adj = int::narrow(-slack)?;
-                    let dc = int::narrow(cst as i128 + adj as i128)?;
-                    dark.geqs.push_row(stride, &srow[..ncols], dc, color);
+                    cst = int::narrow(cst as i128 + adj as i128)?;
+                }
+                let color = geqs.colors[li].join(geqs.colors[ui]);
+                s.geqs.push_row(stride, &srow[..ncols], cst, color);
+            }
+        }
+        s.scratch.row = srow;
+        Ok(s)
+    }
+
+    /// Runs `f` on each splinter of an inexact step on column `v`, in the
+    /// order `fm_eliminate` charged them, and stops at the first `Some`.
+    /// A splinter is this tableau with one lower bound pinned by an
+    /// equality; each is built from the pool only when its turn comes and
+    /// released before the next.
+    fn try_splinters<R>(
+        &self,
+        v: usize,
+        mut f: impl FnMut(&mut Tableau) -> Result<Option<R>>,
+    ) -> Result<Option<R>> {
+        let stride = self.stride;
+        let a_max = self.max_upper_coef(v);
+        for li in (0..self.geqs.n).filter(|&i| self.geqs.coeffs[i * stride + v] > 0) {
+            let row = self.geqs.row(stride, li);
+            for i in 0..=self.last_splinter(v, li, a_max)? {
+                let mut s = self.copy();
+                // `fm_eliminate` checked that this constant fits.
+                let cst = self.geqs.consts[li] - i;
+                s.eqs.push_row(stride, row, cst, self.geqs.colors[li]);
+                if let Some(r) = visit(s, &mut f)? {
+                    return Ok(Some(r));
                 }
             }
         }
-
-        // Splinters: for each lower bound b·z ≥ β, pin b·z = β + i.
-        let a_max = idx_hi
-            .iter()
-            .map(|&i| -self.geqs.coeffs[i as usize * stride + v])
-            .max()
-            .expect("uppers nonempty");
-        let mut splinters = Vec::new();
-        for &li in idx_lo.iter() {
-            let li = li as usize;
-            let b = self.geqs.coeffs[li * stride + v];
-            let num = a_max as i128 * b as i128 - a_max as i128 - b as i128;
-            let max_i = int::floor_div(int::narrow(num)?, a_max);
-            for i in 0..=max_i.max(-1) {
-                budget.spend(1)?;
-                let mut s = acquire();
-                s.copy_from(self);
-                let cst = int::narrow(self.geqs.consts[li] as i128 - i as i128)?;
-                s.eqs
-                    .push_row(stride, self.geqs.row(stride, li), cst, self.geqs.colors[li]);
-                splinters.push(s);
-            }
-        }
-        Ok(ElimT::Approx {
-            dark,
-            real,
-            splinters,
-        })
+        Ok(None)
     }
+}
+
+/// A pooled tableau holding `p`.
+fn loaded(p: &Problem) -> Tableau {
+    let mut t = acquire();
+    t.load(p);
+    t
+}
+
+/// Runs `f` on a pooled tableau, then returns the tableau to the pool.
+fn visit<R>(mut t: Tableau, f: impl FnOnce(&mut Tableau) -> R) -> R {
+    let r = f(&mut t);
+    release(t);
+    r
 }
 
 /// `a·L + b·U` with `a = -U[v] > 0`, `b = L[v] > 0`, written into `out`:
@@ -1212,8 +1240,9 @@ enum Action {
 /// The Omega test's satisfiability recursion (§3): eliminate equalities,
 /// then one inequality column at a time; on an inexact step check the
 /// dark shadow `S₀ ≠ ∅` first, then the real shadow `T = ∅`, and only
-/// when both fail the splinters `S₁ … Sₚ`. The dark-shadow fast path can
-/// be ablated via [`SolverOptions`](crate::SolverOptions).
+/// when both fail the splinters `S₁ … Sₚ`, each built only when its turn
+/// comes. The dark-shadow fast path can be ablated via
+/// [`SolverOptions`](crate::SolverOptions).
 fn sat_t(t: &mut Tableau, budget: &mut Budget, depth: usize) -> Result<bool> {
     budget.spend(1)?;
     if depth > MAX_DEPTH {
@@ -1231,35 +1260,18 @@ fn sat_t(t: &mut Tableau, budget: &mut Budget, depth: usize) -> Result<bool> {
             // constant and normalization kept the problem consistent.
             return Ok(true);
         };
-        match t.fm_eliminate(v, budget)? {
-            ElimT::Exact => {}
-            ElimT::Approx {
-                mut dark,
-                mut real,
-                mut splinters,
-            } => {
-                let r = (|| {
-                    if budget.options().dark_shadow && sat_t(&mut dark, budget, depth + 1)? {
-                        return Ok(true);
-                    }
-                    if !sat_t(&mut real, budget, depth + 1)? {
-                        return Ok(false);
-                    }
-                    for s in splinters.iter_mut() {
-                        if sat_t(s, budget, depth + 1)? {
-                            return Ok(true);
-                        }
-                    }
-                    Ok(false)
-                })();
-                release(dark);
-                release(real);
-                for s in splinters {
-                    release(s);
-                }
-                return r;
-            }
+        if t.fm_eliminate(v, budget)? == ElimT::Exact {
+            continue;
         }
+        let dark = budget.options().dark_shadow;
+        if dark && visit(t.shadow(v, Shadow::Dark)?, |d| sat_t(d, budget, depth + 1))? {
+            return Ok(true);
+        }
+        if !visit(t.shadow(v, Shadow::Real)?, |r| sat_t(r, budget, depth + 1))? {
+            return Ok(false);
+        }
+        let found = t.try_splinters(v, |s| Ok(sat_t(s, budget, depth + 1)?.then_some(())))?;
+        return Ok(found.is_some());
     }
 }
 
@@ -1267,44 +1279,29 @@ fn sat_t(t: &mut Tableau, budget: &mut Budget, depth: usize) -> Result<bool> {
 /// cleared on the loaded flags instead of on a cloned problem, so a warm
 /// query (pooled workspace) allocates nothing at all.
 pub(crate) fn sat_problem(p: &Problem, budget: &mut Budget) -> Result<bool> {
-    let mut t = acquire();
-    t.load(p);
-    for f in &mut t.flags {
-        *f &= !F_PROTECTED;
-    }
-    let r = sat_t(&mut t, budget, 0);
-    release(t);
-    r
+    visit(loaded(p), |t| {
+        for f in &mut t.flags {
+            *f &= !F_PROTECTED;
+        }
+        sat_t(t, budget, 0)
+    })
 }
 
 /// Pure real-shadow projection: `T` in the paper's notation.
-fn project_real_t(mut t: Tableau, budget: &mut Budget) -> Result<Problem> {
+/// Each inexact step moves `t` on to its real shadow.
+fn project_real_t(t: &mut Tableau, budget: &mut Budget) -> Result<Problem> {
     loop {
         if t.eliminate_equalities(budget)? == Outcome::Infeasible {
-            let p = t.to_problem();
-            release(t);
-            return Ok(p);
+            return Ok(t.to_problem());
         }
         let Some(v) = t.choose_elimination_var() else {
             let mut p = t.to_problem();
-            release(t);
             p.remove_redundant_quick();
             return Ok(p);
         };
-        match t.fm_eliminate(v, budget)? {
-            ElimT::Exact => {}
-            ElimT::Approx {
-                dark,
-                real,
-                splinters,
-            } => {
-                release(dark);
-                for s in splinters {
-                    release(s);
-                }
-                release(t);
-                t = real;
-            }
+        if t.fm_eliminate(v, budget)? == ElimT::Inexact {
+            let real = t.shadow(v, Shadow::Real)?;
+            release(std::mem::replace(t, real));
         }
     }
 }
@@ -1314,7 +1311,7 @@ fn project_real_t(mut t: Tableau, budget: &mut Budget) -> Result<Problem> {
 /// wins); every splinter is projected fully and all of its pieces join
 /// `splinters_out` as further members of the union.
 fn project_core_t(
-    mut t: Tableau,
+    t: &mut Tableau,
     budget: &mut Budget,
     dark_out: &mut Option<Problem>,
     splinters_out: &mut Vec<Problem>,
@@ -1326,43 +1323,30 @@ fn project_core_t(
         return Err(crate::Error::TooComplex { budget: MAX_DEPTH });
     }
     loop {
-        if t.eliminate_equalities(budget)? == Outcome::Infeasible {
+        let v = match t.eliminate_equalities(budget)? {
+            Outcome::Infeasible => None,
+            Outcome::Consistent => t.choose_elimination_var(),
+        };
+        let Some(v) = v else {
             if dark_out.is_none() {
                 *dark_out = Some(t.to_problem());
             }
-            release(t);
-            return Ok(());
-        }
-        let Some(v) = t.choose_elimination_var() else {
-            if dark_out.is_none() {
-                *dark_out = Some(t.to_problem());
-            }
-            release(t);
             return Ok(());
         };
-        match t.fm_eliminate(v, budget)? {
-            ElimT::Exact => {}
-            ElimT::Approx {
-                dark,
-                real,
-                splinters,
-            } => {
-                release(real);
-                release(t);
-                *exact = false;
-                project_core_t(dark, budget, dark_out, splinters_out, exact, depth + 1)?;
-                for s in splinters {
-                    let mut sub_dark = None;
-                    project_core_t(s, budget, &mut sub_dark, splinters_out, exact, depth + 1)?;
-                    if let Some(d) = sub_dark {
-                        if !d.is_known_infeasible() {
-                            splinters_out.push(d);
-                        }
-                    }
-                }
-                return Ok(());
-            }
+        if t.fm_eliminate(v, budget)? == ElimT::Exact {
+            continue;
         }
+        *exact = false;
+        visit(t.shadow(v, Shadow::Dark)?, |dark| {
+            project_core_t(dark, budget, dark_out, splinters_out, exact, depth + 1)
+        })?;
+        t.try_splinters(v, |s| {
+            let mut sub_dark = None;
+            project_core_t(s, budget, &mut sub_dark, splinters_out, exact, depth + 1)?;
+            splinters_out.extend(sub_dark.filter(|d| !d.is_known_infeasible()));
+            Ok(None::<()>)
+        })?;
+        return Ok(());
     }
 }
 
@@ -1372,36 +1356,27 @@ pub(crate) fn project_parts(
     p: &Problem,
     budget: &mut Budget,
 ) -> Result<(Problem, Problem, Vec<Problem>, bool)> {
-    let mut t = acquire();
-    t.load(p);
-    let mut rt = acquire();
-    rt.copy_from(&t);
-    let real = match project_real_t(rt, budget) {
-        Ok(real) => real,
-        Err(e) => {
-            release(t);
-            return Err(e);
-        }
-    };
-    let mut dark_out = None;
-    let mut splinters = Vec::new();
-    let mut exact = true;
-    project_core_t(t, budget, &mut dark_out, &mut splinters, &mut exact, 0)?;
-    let dark = dark_out.expect("projection produces a dark shadow");
-    Ok((real, dark, splinters, exact))
+    visit(loaded(p), |t| {
+        let real = visit(t.copy(), |rt| project_real_t(rt, budget))?;
+        let mut dark_out = None;
+        let mut splinters = Vec::new();
+        let mut exact = true;
+        project_core_t(t, budget, &mut dark_out, &mut splinters, &mut exact, 0)?;
+        let dark = dark_out.expect("projection produces a dark shadow");
+        Ok((real, dark, splinters, exact))
+    })
 }
 
 /// `p` normalized in place (`Problem::normalize`). On an error `p` is left
 /// exactly as it was.
 pub(crate) fn normalize_problem(p: &mut Problem) -> Result<Outcome> {
-    let mut t = acquire();
-    t.load(p);
-    let r = t.normalize();
-    if r.is_ok() {
-        *p = t.to_problem();
-    }
-    release(t);
-    r
+    visit(loaded(p), |t| {
+        let r = t.normalize();
+        if r.is_ok() {
+            *p = t.to_problem();
+        }
+        r
+    })
 }
 
 /// `p` with every wildcard eliminated that an equality permits, then
@@ -1410,23 +1385,20 @@ pub(crate) fn normalize_problem(p: &mut Problem) -> Result<Outcome> {
 /// result as well. `p` itself is never touched, so an overflow or
 /// exhausted budget midway leaves the caller's problem exactly as it was.
 pub(crate) fn reduce_equalities(p: &Problem, budget: &mut Budget) -> Result<Problem> {
-    let mut t = acquire();
-    t.load(p);
-    for f in &mut t.flags[..t.base_len] {
-        let want = if *f & F_WILDCARD != 0 {
-            *f & !F_PROTECTED
-        } else {
-            *f | F_PROTECTED
-        };
-        t.vars_dirty |= want != *f;
-        *f = want;
-    }
-    let r = t
-        .eliminate_equalities(budget)
-        .and_then(|_| t.normalize())
-        .map(|_| t.to_problem());
-    release(t);
-    r
+    visit(loaded(p), |t| {
+        for f in &mut t.flags[..t.base_len] {
+            let want = if *f & F_WILDCARD != 0 {
+                *f & !F_PROTECTED
+            } else {
+                *f | F_PROTECTED
+            };
+            t.vars_dirty |= want != *f;
+            *f = want;
+        }
+        t.eliminate_equalities(budget)?;
+        t.normalize()?;
+        Ok(t.to_problem())
+    })
 }
 
 // ---- witness sampling -----------------------------------------------------
@@ -1456,18 +1428,16 @@ enum Back {
 /// `None` when there is none. Protection and pinning are cleared first,
 /// so every occurring column is eliminated and gets a value.
 pub(crate) fn sample_problem(p: &Problem, budget: &mut Budget) -> Result<Option<Vec<Coef>>> {
-    let mut t = acquire();
-    t.load(p);
-    let ncols = t.ncols;
-    for f in &mut t.flags {
-        *f &= !(F_PROTECTED | F_PINNED);
-    }
-    let r = sample_t(&mut t, budget, 0);
-    release(t);
-    Ok(r?.map(|mut vals| {
-        vals.truncate(ncols);
-        vals
-    }))
+    visit(loaded(p), |t| {
+        let ncols = t.ncols;
+        for f in &mut t.flags {
+            *f &= !(F_PROTECTED | F_PINNED);
+        }
+        Ok(sample_t(t, budget, 0)?.map(|mut vals| {
+            vals.truncate(ncols);
+            vals
+        }))
+    })
 }
 
 /// The witness search: runs the satisfiability recursion forward,
@@ -1521,37 +1491,24 @@ fn sample_t(t: &mut Tableau, budget: &mut Budget, depth: usize) -> Result<Option
             end: arena.len(),
             width,
         });
-        match t.fm_eliminate(v, budget)? {
-            ElimT::Exact => {}
-            ElimT::Approx {
-                mut dark,
-                real,
-                mut splinters,
-            } => {
-                release(real);
-                let r = (|| {
-                    if let Some(mut vals) = sample_t(&mut dark, budget, depth + 1)? {
-                        if back_substitute(&trail, &arena, &mut vals)? {
-                            return Ok(Some(vals));
-                        }
-                    }
-                    trail.pop();
-                    for s in splinters.iter_mut() {
-                        if let Some(mut vals) = sample_t(s, budget, depth + 1)? {
-                            if back_substitute(&trail, &arena, &mut vals)? {
-                                return Ok(Some(vals));
-                            }
-                        }
-                    }
-                    Ok(None)
-                })();
-                release(dark);
-                for s in splinters {
-                    release(s);
-                }
-                return r;
+        if t.fm_eliminate(v, budget)? == ElimT::Exact {
+            continue;
+        }
+        let dark = visit(t.shadow(v, Shadow::Dark)?, |d| {
+            sample_t(d, budget, depth + 1)
+        })?;
+        if let Some(mut vals) = dark {
+            if back_substitute(&trail, &arena, &mut vals)? {
+                return Ok(Some(vals));
             }
         }
+        trail.pop();
+        return t.try_splinters(v, |s| {
+            let Some(mut vals) = sample_t(s, budget, depth + 1)? else {
+                return Ok(None);
+            };
+            Ok(back_substitute(&trail, &arena, &mut vals)?.then_some(vals))
+        });
     }
     let mut vals = vec![0; t.ncols];
     Ok(back_substitute(&trail, &arena, &mut vals)?.then_some(vals))
@@ -1620,11 +1577,7 @@ fn back_substitute(trail: &[Back], arena: &[Coef], vals: &mut Vec<Coef>) -> Resu
 /// tests: the result states the same conjunction as `p`, with the same
 /// variable table, constraint order, colors, and feasibility flag.
 pub fn tableau_roundtrip(p: &Problem) -> Problem {
-    let mut t = acquire();
-    t.load(p);
-    let q = t.to_problem();
-    release(t);
-    q
+    visit(loaded(p), |t| t.to_problem())
 }
 
 #[cfg(test)]

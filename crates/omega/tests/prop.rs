@@ -81,6 +81,14 @@ fn gen_wide_rows(rng: &mut Rng) -> Vec<Row> {
     (0..n).map(|_| gen_row(rng, 4, 3, 0.25)).collect()
 }
 
+/// Two to four rows over three variables, coefficients in `[-7, 7]`, a
+/// tenth of them equalities: steep enough that Fourier–Motzkin steps are
+/// inexact and the dark shadow misses points only splinters find.
+fn gen_steep_rows(rng: &mut Rng) -> Vec<Row> {
+    let n = rng.gen_range_usize(2..=4);
+    (0..n).map(|_| gen_row(rng, 3, 7, 0.1)).collect()
+}
+
 // ---- the properties, as replayable functions ----
 
 /// Satisfiability agrees with brute force over the box.
@@ -294,6 +302,30 @@ fn wide_projection_onto_two_variables_matches_brute_force() {
 fn wide_witness_agrees_with_sat() {
     check(&Config::with_cases(128), gen_wide_rows, |rows| {
         prop_witness(rows, 4)
+    });
+}
+
+// The same oracle on steep rows, whose splinters must be built and
+// searched.
+
+#[test]
+fn steep_sat_matches_brute_force() {
+    check(&Config::with_cases(256), gen_steep_rows, |rows| {
+        prop_sat(rows, 3)
+    });
+}
+
+#[test]
+fn steep_projection_matches_brute_force() {
+    check(&Config::with_cases(128), gen_steep_rows, |rows| {
+        prop_projection(rows, 3, 1)
+    });
+}
+
+#[test]
+fn steep_witness_agrees_with_sat() {
+    check(&Config::with_cases(256), gen_steep_rows, |rows| {
+        prop_witness(rows, 3)
     });
 }
 

@@ -203,7 +203,7 @@ mod tests {
         // s(k) - ... wait: read at k+1 is s(k+1)-1 = s(k)-1-1? Check via
         // subscript affine: write coeff of k is -1. Enough to assert the
         // loop parses and the subscripts stay affine.
-        assert!(info.stmts[0].write_form.subs[0].exact().is_some());
+        assert!(info.stmts[0].write_form.subs[0].is_some());
     }
 
     #[test]

@@ -145,33 +145,15 @@ pub struct Cond {
     pub rhs: Affine,
 }
 
-/// One lowered subscript.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Subscript {
-    /// The affine form, with each named scalar as a variable of its own;
-    /// `None` when the subscript is not affine.
-    pub form: Option<Affine>,
-    /// Whether lowering met a named scalar (even one whose terms cancel).
-    /// The exact analysis treats such a dimension as opaque; the §4.5
-    /// pre-filter treats the scalar as a free unknown.
-    pub scalar: bool,
-}
-
-impl Subscript {
-    /// The form the exact analysis uses: affine over loop variables and
-    /// symbols only.
-    pub fn exact(&self) -> Option<&Affine> {
-        self.form.as_ref().filter(|_| !self.scalar)
-    }
-}
-
 /// An access with its array resolved and its subscripts lowered.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AccessForm {
     /// The array (or scalar): an index into [`ProgramInfo::names`].
     pub array: u32,
-    /// One entry per subscript.
-    pub subs: Vec<Subscript>,
+    /// One entry per subscript: its affine form over loop variables and
+    /// symbols, or `None` when it is not affine or names a scalar (even
+    /// one whose terms cancel), whose value may change between accesses.
+    pub subs: Vec<Option<Affine>>,
 }
 
 /// The program's `assume` clauses, lowered once.
@@ -626,17 +608,6 @@ impl Lowering<'_> {
         }
     }
 
-    /// A subscript, keeping named scalars as variables.
-    fn subscript(&mut self, loops: &[LoopCtx], e: &Expr) -> Subscript {
-        let mut scalar = false;
-        let form = affine(e, &mut |name| {
-            let v = self.resolve(loops, name);
-            scalar |= matches!(v, Var::Scalar(_));
-            Some(v)
-        });
-        Subscript { form, scalar }
-    }
-
     /// An expression as the exact analysis uses it: `None` when not
     /// affine over loop variables and symbols.
     fn exact(&mut self, loops: &[LoopCtx], e: &Expr) -> Option<Affine> {
@@ -666,7 +637,7 @@ impl Lowering<'_> {
     fn access(&mut self, loops: &[LoopCtx], acc: &Access) -> AccessForm {
         AccessForm {
             array: self.name_id(&acc.array),
-            subs: acc.subs.iter().map(|s| self.subscript(loops, s)).collect(),
+            subs: acc.subs.iter().map(|s| self.exact(loops, s)).collect(),
         }
     }
 
@@ -982,11 +953,8 @@ mod tests {
         let names: Vec<&str> = s.reads.iter().map(|r| r.array.as_str()).collect();
         assert_eq!(names, vec!["q", "q", "a", "c"]);
         assert_eq!(s.read_forms.len(), 4);
-        assert!(s.write_form.subs[0].form.is_none(), "q(i) is opaque");
-        assert_eq!(
-            s.read_forms[0].subs[0].exact(),
-            Some(&Affine::var(Var::Loop(0)))
-        );
+        assert!(s.write_form.subs[0].is_none(), "q(i) is opaque");
+        assert_eq!(s.read_forms[0].subs[0], Some(Affine::var(Var::Loop(0))));
     }
 
     #[test]
@@ -1061,7 +1029,7 @@ mod tests {
     fn subscripts_lower_with_scaling() {
         let info =
             info("for i := 1 to n do for j := 1 to n do a(2 * (i - 3) + j) := 0; endfor endfor");
-        let aff = info.stmts[0].write_form.subs[0].exact().unwrap();
+        let aff = info.stmts[0].write_form.subs[0].as_ref().unwrap();
         assert_eq!(aff.coef(Var::Loop(0)), 2);
         assert_eq!(aff.coef(Var::Loop(1)), 1);
         assert_eq!(aff.constant, -6);
@@ -1071,9 +1039,9 @@ mod tests {
     fn products_and_array_refs_are_not_affine() {
         let info = info("for i := 1 to n do for j := 1 to n do a(i * j) := b(c(i)); endfor endfor");
         let s = &info.stmts[0];
-        assert!(s.write_form.subs[0].form.is_none());
+        assert!(s.write_form.subs[0].is_none());
         let b = s.reads.iter().position(|r| r.array == "b").unwrap();
-        assert!(s.read_forms[b].subs[0].form.is_none());
+        assert!(s.read_forms[b].subs[0].is_none());
     }
 
     #[test]
@@ -1084,29 +1052,19 @@ mod tests {
             |name: &str| &s.read_forms[s.reads.iter().position(|r| r.array == name).unwrap()];
         assert_eq!(s.write_form.array, read("a").array, "A and a are one array");
         assert_eq!(s.write_form.subs, read("a").subs, "I and i are one loop");
-        assert_eq!(
-            s.write_form.subs[0].exact(),
-            Some(&Affine::var(Var::Loop(0)))
-        );
-        assert_eq!(
-            read("X").subs[0].exact(),
-            Some(&Affine::var(sym(&info, "n")))
-        );
+        assert_eq!(s.write_form.subs[0], Some(Affine::var(Var::Loop(0))));
+        assert_eq!(read("X").subs[0], Some(Affine::var(sym(&info, "n"))));
     }
 
     #[test]
-    fn a_written_scalar_in_a_subscript_stays_a_free_unknown() {
+    fn a_written_scalar_makes_its_subscript_opaque() {
         let info = info("for i := 1 to n do k := k + 1; a(k + i - k) := a(k + 1); endfor");
         let s = info.stmt(2);
-        let k = Var::Scalar(info.names.iter().position(|n| n == "k").unwrap() as u32);
-        // The pre-filter sees `k + 1`; the exact analysis sees an opaque
-        // dimension, even where the scalar cancels.
+        // `k` may change between the two accesses, so neither dimension
+        // has a form, even where the scalar cancels.
         let read = &s.read_forms[s.reads.iter().position(|r| r.array == "a").unwrap()].subs[0];
-        assert_eq!(read.form.as_ref().unwrap().coef(k), 1);
-        assert!(read.scalar && read.exact().is_none());
-        let write = &s.write_form.subs[0];
-        assert_eq!(write.form, Some(Affine::var(Var::Loop(0))));
-        assert!(write.scalar && write.exact().is_none());
+        assert_eq!(read, &None);
+        assert_eq!(s.write_form.subs[0], None);
     }
 
     #[test]

@@ -143,6 +143,23 @@ fi
 cargo test -q --release --offline --test serve \
     parallelize_op_matches_the_one_shot_report_and_the_golden >/dev/null
 
+echo "==> large-coefficient programs within 10 s and 1 GiB (release tinydep --all)"
+# a(c1*i + c2*j) := a(c2*i + c1*j + 7) in a 2-deep nest: its elimination
+# steps are inexact, with about c1 splinters per lower bound, and the
+# budget gives up. Built one at a time on demand, no splinter outlives
+# its turn; copied all up front, they took 3.7 GB and 9 s at c1 ~ 10^6.
+for coefs in "10007 10009" "1000003 1000033" "1000000007 1000000009"; do
+    read -r c1 c2 <<<"$coefs"
+    src="for i := 1 to n do for j := 1 to n do
+           a($c1*i + $c2*j) := a($c2*i + $c1*j + 7);
+         endfor endfor"
+    if ! printf '%s\n' "$src" \
+        | (ulimit -v 1048576 && timeout 10 "$tinydep" --all --threads=1 -) >/dev/null; then
+        echo "ci.sh: FAIL: tinydep --all exceeded 10 s or 1 GiB on the $c1 program" >&2
+        exit 1
+    fi
+done
+
 echo "==> baseline-subsumption table (Banerjee book examples)"
 # Fails when the Omega test stops eliminating the false dependences the
 # GCD/Banerjee baselines report on the book examples.

@@ -111,6 +111,40 @@ fn deeply_nested_input_is_a_parse_error_not_a_stack_overflow() {
 }
 
 #[test]
+fn integer_overflow_in_the_solver_degrades_to_a_conservative_answer() {
+    // Fourier–Motzkin on these coefficients overflows i64. Like an
+    // exhausted budget, that gives up on the query, not on the program.
+    let source = "for i := 1 to n do
+                    for j := 1 to n do
+                      a(4000000007*i + 4000000009*j) := a(4000000009*i + 4000000007*j + 7);
+                    endfor
+                  endfor";
+    let mut child = tinydep()
+        .args(["--all", "-"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(source.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let summaries: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.split_whitespace().last())
+        .filter(|w| w.starts_with('('))
+        .collect();
+    assert_eq!(summaries, ["(0+,*)", "(0+,*)", "(*,*)"], "{stdout}");
+}
+
+#[test]
 fn the_first_front_end_error_wins_at_every_thread_count() {
     // Input 2 fails to parse and input 4 fails semantic analysis; the
     // front end runs on the pool, and the error reported must still be

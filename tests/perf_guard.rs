@@ -356,3 +356,82 @@ fn corpus_memo_lookups_stay_within_band() {
          was undone"
     );
 }
+
+/// `a(c₁·i + c₂·j) := a(c₂·i + c₁·j + 7)` in a 2-deep nest: the
+/// Fourier–Motzkin steps of its pair problems are inexact with about
+/// `c₁` splinters per lower bound, far more than the budget pays for, so
+/// every query gives up and the dependences are conservative.
+fn large_coefficient_program(c1: u64, c2: u64) -> String {
+    format!(
+        "for i := 1 to n do
+           for j := 1 to n do
+             a({c1}*i + {c2}*j) := a({c2}*i + {c1}*j + 7);
+           endfor
+         endfor"
+    )
+}
+
+/// Allocations of the extended analysis (threads=1) of
+/// [`large_coefficient_program`] with 10⁶-sized coefficients (1,000,003
+/// and 1,000,033), after a warm-up run; the same in the debug and the
+/// release profile. History: 32.0 M (peak 3.69 GB, `tinydep --stats`)
+/// when every inexact step copied the tableau once per splinter before
+/// the budget gave up; 783 with splinters built one at a time on demand.
+const LARGE_COEF_1E6_ALLOCS: u64 = 783;
+
+/// The same with 10⁹-sized coefficients (1,000,000,007 and
+/// 1,000,000,009). Not measured with eager splinters.
+const LARGE_COEF_1E9_ALLOCS: u64 = 871;
+
+/// Ceiling on the process's allocation high-water mark above the live
+/// bytes before the analysis. The analysis itself peaks below 64 KiB;
+/// the ceiling leaves room for the tests running beside it, whose peaks
+/// count too, and is still 50 times below the eager splinters' 3.69 GB.
+const LARGE_COEF_PEAK_CEILING: u64 = 64 << 20;
+
+/// The extended analysis, threads=1, of [`large_coefficient_program`]
+/// after a warm-up run: its allocations on this thread, the rise of the
+/// process's allocation high-water mark, and the summaries of its flow,
+/// anti and output dependences.
+fn large_coefficient_counts(c1: u64, c2: u64) -> (u64, u64, Vec<String>) {
+    let program = tiny::Program::parse(&large_coefficient_program(c1, c2)).unwrap();
+    let info = tiny::analyze(&program).unwrap();
+    let config = Config {
+        threads: 1,
+        ..Config::extended()
+    };
+    let _ = analyze_program(&info, &config).unwrap();
+    let before = harness::alloc::snapshot();
+    let allocs_before = harness::alloc::thread_allocs();
+    let a = analyze_program(&info, &config).unwrap();
+    let allocs = harness::alloc::thread_allocs() - allocs_before;
+    let peak = harness::alloc::snapshot().peak_bytes;
+    let deps = a.flows.iter().chain(&a.antis).chain(&a.outputs);
+    let summaries = deps.map(|d| d.summary().to_string()).collect();
+    (allocs, peak.saturating_sub(before.current_bytes), summaries)
+}
+
+#[test]
+fn large_coefficients_build_no_splinter_copies() {
+    for (c1, c2, pinned) in [
+        (1_000_003, 1_000_033, LARGE_COEF_1E6_ALLOCS),
+        (1_000_000_007, 1_000_000_009, LARGE_COEF_1E9_ALLOCS),
+    ] {
+        let (allocs, peak, summaries) = large_coefficient_counts(c1, c2);
+        assert_eq!(
+            summaries,
+            ["(0+,*)", "(0+,*)", "(+,*)"],
+            "the {c1} program's flow, anti and output summaries changed"
+        );
+        assert!(
+            within_band(allocs, pinned),
+            "the {c1} program's analysis allocated {allocs} times, outside \
+             {pinned} ± 10%: inexact elimination steps copy again"
+        );
+        assert!(
+            peak <= LARGE_COEF_PEAK_CEILING,
+            "the {c1} program's analysis raised the allocation peak by {peak} \
+             bytes, over {LARGE_COEF_PEAK_CEILING}: splinters are built eagerly"
+        );
+    }
+}

@@ -285,6 +285,26 @@ fn a_panicking_request_is_contained_to_its_response() {
 }
 
 #[test]
+fn a_large_coefficient_program_is_answered_and_the_server_lives_on() {
+    // Its pair problems would need about 10⁹ splinters per elimination
+    // step; the budget gives up first, and building splinters one at a
+    // time on demand keeps the give-up cheap.
+    let src = "for i := 1 to n do for j := 1 to n do \
+               a(1000000007*i + 1000000009*j) := a(1000000009*i + 1000000007*j + 7); \
+               endfor endfor";
+    let mut s = Session::start(&[]);
+    s.send(&format!(
+        "{{\"id\":1,\"op\":\"analyze\",\"source\":\"{src}\"}}"
+    ));
+    let report = report_of(&s.recv());
+    assert_eq!(report, one_shot_report(src));
+    assert!(report.contains("(0+,*)"), "{report}");
+    s.send("{\"id\":2,\"op\":\"ping\"}");
+    assert_eq!(s.recv(), "{\"id\":2,\"ok\":true,\"pong\":true}");
+    s.finish();
+}
+
+#[test]
 fn repeat_requests_are_served_warm() {
     let mut s = Session::start(&[]);
     for id in 1..=3 {
